@@ -130,7 +130,7 @@ def _run_certify(cfg: RunConfig) -> int:
     for layer in net.layers:
         if layer.activation.kind == "relu":
             if cfg.mode != "relu":
-                raise ValueError(
+                raise UsageError(
                     "bijective mode cannot certify relu layers; rerun with --mode relu"
                 )
             rep = certify_relu_dss(layer, grid, trials=cfg.trials, seed=cfg.seed)
@@ -258,13 +258,12 @@ def _run_truncate(cfg: RunConfig) -> int:
         grid = serialize.grid_from_obj(obj["grid"])
     else:
         grid = Grid(0.0, 1.0, cfg.grid_size)
-    table = kobj["table"]
-    if isinstance(table, (int, float)):
+    table = serialize.finite_array(kobj["table"], "the kernel table")
+    if table.ndim == 0:
         value = float(table)
         kernel = lambda x, y: np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), value)
     else:
-        arr = np.asarray(table, dtype=float)
-        kernel = lambda x, y: arr
+        kernel = lambda x, y: table
     basis = BasisSpec("fourier", (grid.a, grid.b))
     result = truncate_kernel(kernel, grid, basis, cfg.rank)
     net = FiniteRankNetwork([result.layer])

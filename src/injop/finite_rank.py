@@ -8,6 +8,11 @@ followed by a spectral bias and a pointwise activation.  In coefficient
 space the layer is the block matrix with (p, k) block C[k, p]; activations
 are evaluated on a grid and the result is projected back to the first N
 modes.
+
+The layer maps accept a batch: coefficients of shape (B, d, N) pass
+through one einsum, one synthesis product and one analysis product per
+layer, and come out as (B, d', N).  A single function of shape (d, N) is
+the unbatched case of the same code.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .funcspace import (
     GridFunction,
     SpectralCoeffs,
     from_spectral,
+    mode_table,
     to_spectral,
 )
 
@@ -164,12 +170,12 @@ class FiniteRankNetwork:
 
 
 def apply_finite_rank(layer: FiniteRankLayer, u: SpectralCoeffs) -> SpectralCoeffs:
-    """Apply only the kernel part: out[:, p] = sum_k C[k, p] @ u[:, k]."""
+    """Apply only the kernel part: out[..., :, p] = sum_k C[k, p] @ u[..., :, k]."""
     if u.n != layer.n:
         raise DimensionError(f"coefficient order {u.n} != layer order {layer.n}")
     if u.channels != layer.d_in:
         raise DimensionError(f"{u.channels} channels fed to a d_in={layer.d_in} layer")
-    out = np.einsum("kpij,jk->ip", layer.c, u.coeffs)
+    out = np.einsum("kpij,...jk->...ip", layer.c, u.coeffs)
     return SpectralCoeffs(layer.basis, layer.n, out)
 
 
@@ -195,6 +201,7 @@ def apply_layer(layer: FiniteRankLayer, u: SpectralCoeffs, grid: Grid) -> Spectr
 
 
 def apply_network(net: FiniteRankNetwork, u: SpectralCoeffs, grid: Grid) -> SpectralCoeffs:
+    """Compose the layers on one input (d_in, N) or a batch (B, d_in, N)."""
     for layer in net.layers:
         u = apply_layer(layer, u, grid)
     return u
@@ -260,7 +267,7 @@ def truncate_kernel(
         raise DimensionError(
             f"kernel table has shape {table.shape}, expected {(grid.size, grid.size)}"
         )
-    phi_w = basis.eval_modes(grid.nodes, n) * grid.weights  # (n, M)
+    phi_w = mode_table(basis, grid, n).analysis.T  # (n, M)
     # C[k, p] = sum_{s,t} w_s w_t k(x_s, y_t) phi_k(y_t) phi_p(x_s)
     coeff = phi_w @ table.T @ phi_w.T  # rows k (input mode), cols p (output mode)
     hs_sq = float(np.sum(grid.weights[:, None] * grid.weights[None, :] * table**2))

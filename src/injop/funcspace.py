@@ -8,14 +8,26 @@ between them:
 * :class:`SpectralCoeffs` -- coefficients against the first ``n`` modes of
   an orthonormal basis (:class:`BasisSpec`).
 
+Both may carry an optional leading batch axis: values of shape
+(B, h, size) and coefficients of shape (B, h, n) hold B functions that the
+transforms and the layer maps in :mod:`injop.finite_rank` move together.
+A single function is the unbatched case.  The norms, inner products and
+arithmetic here treat the whole array as one function.
+
 The trapezoid rule on a uniform closed grid is exact for periodic
 trigonometric polynomials, so the Fourier modes stay orthonormal under the
 discrete inner product as long as the grid resolves them; ``to_spectral``
-enforces the guard ``size >= 8 * n`` before projecting.
+enforces the guard ``size >= 8 * n`` before projecting, and refuses a grid
+on which the modes are not orthonormal under the quadrature.
+
+The synthesis and analysis tables of each (basis, grid, n) are built once
+by :meth:`BasisSpec.eval_modes` and kept, read-only, in a bounded
+module-level cache (:func:`mode_table`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +44,12 @@ ALIASING_FACTOR = 8
 
 #: Interval endpoints are compared with this absolute tolerance.
 INTERVAL_TOL = 1e-12
+
+#: Largest quadrature Gram defect max|G - I| that ``to_spectral`` accepts.
+GRAM_DEFECT_TOL = 1e-10
+
+#: Mode tables kept by the cache behind :func:`mode_table`.
+MODE_TABLE_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -167,24 +185,63 @@ class BasisSpec:
         return out
 
     def gram(self, grid: Grid, n: int) -> np.ndarray:
-        """Gram matrix of the first n modes under the grid quadrature."""
-        self.require_matches_grid(grid)
-        phi = self.eval_modes(grid.nodes, n)
-        return (phi * grid.weights) @ phi.T
+        """Gram matrix of the first n modes under the grid quadrature
+        (read-only, shared with the table cache)."""
+        return mode_table(self, grid, n).gram
+
+
+class ModeTable:
+    """Read-only tables of the first n modes of a basis on a grid.
+
+    ``phi`` (n, size) synthesizes grid values from coefficients,
+    ``analysis`` (size, n) = (phi * weights).T projects grid values onto
+    the modes, ``gram`` (n, n) is the quadrature Gram matrix and
+    ``gram_defect`` its largest entry-wise distance from the identity.
+    """
+
+    def __init__(self, phi: np.ndarray, weights: np.ndarray):
+        phi_w = phi * weights
+        self.phi = phi
+        self.analysis = phi_w.T
+        self.gram = phi_w @ phi.T
+        self.gram_defect = float(np.max(np.abs(self.gram - np.eye(phi.shape[0]))))
+        for table in (self.phi, self.analysis, self.gram):
+            table.flags.writeable = False
+
+
+def mode_table(basis: BasisSpec, grid: Grid, n: int) -> ModeTable:
+    """Cached :class:`ModeTable` of the first n modes of ``basis`` on ``grid``.
+
+    Entries are keyed by the exact basis kind and interval, grid endpoints
+    and size, and n; the least recently used one is dropped beyond
+    ``MODE_TABLE_CACHE_SIZE``.
+    """
+    basis.require_matches_grid(grid)
+    return _mode_table(basis.kind, basis.interval, grid.a, grid.b, grid.size, n)
+
+
+@functools.lru_cache(maxsize=MODE_TABLE_CACHE_SIZE)
+def _mode_table(kind, interval, a, b, size, n) -> ModeTable:
+    grid = Grid(a, b, size)
+    return ModeTable(BasisSpec(kind, interval).eval_modes(grid.nodes, n), grid.weights)
 
 
 @dataclass
 class GridFunction:
-    """Channel-valued function sampled on a grid; values has shape (h, size)."""
+    """Channel-valued function sampled on a grid.
+
+    ``values`` has shape (h, size), or (B, h, size) for a batch of B
+    functions.
+    """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if self.values.shape[1] != self.grid.size:
+        self.values = _channel_array(self.values)
+        if self.values.shape[-1] != self.grid.size:
             raise DimensionError(
-                f"values have {self.values.shape[1]} nodes, grid has {self.grid.size}"
+                f"values have {self.values.shape[-1]} nodes, grid has {self.grid.size}"
             )
 
     @classmethod
@@ -195,7 +252,7 @@ class GridFunction:
 
     @property
     def channels(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy())
@@ -227,7 +284,8 @@ class GridFunction:
 class SpectralCoeffs:
     """Coefficients of a channel-valued function against basis modes 1..n.
 
-    ``coeffs[c, k-1]`` multiplies mode k in channel c; shape (h, n).
+    ``coeffs[c, k-1]`` multiplies mode k in channel c; shape (h, n), or
+    (B, h, n) for a batch of B functions.
     """
 
     basis: BasisSpec
@@ -235,15 +293,15 @@ class SpectralCoeffs:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
-        if self.coeffs.shape[1] != self.n:
+        self.coeffs = _channel_array(self.coeffs)
+        if self.coeffs.shape[-1] != self.n:
             raise DimensionError(
-                f"coefficient array has order {self.coeffs.shape[1]}, expected {self.n}"
+                f"coefficient array has order {self.coeffs.shape[-1]}, expected {self.n}"
             )
 
     @property
     def channels(self) -> int:
-        return self.coeffs.shape[0]
+        return self.coeffs.shape[-2]
 
     def l2_norm(self) -> float:
         """L2 norm of the represented function (Parseval)."""
@@ -256,9 +314,17 @@ class SpectralCoeffs:
         """Zero-pad (or error on shrink) to a higher order."""
         if n_new < self.n:
             raise DimensionError(f"cannot pad order {self.n} down to {n_new}")
-        out = np.zeros((self.channels, n_new))
-        out[:, : self.n] = self.coeffs
+        out = np.zeros(self.coeffs.shape[:-1] + (n_new,))
+        out[..., : self.n] = self.coeffs
         return SpectralCoeffs(self.basis, n_new, out)
+
+
+def _channel_array(arr) -> np.ndarray:
+    """Float array of shape (h, last) or (B, h, last); 1-D input is one channel."""
+    arr = np.atleast_2d(np.asarray(arr, dtype=float))
+    if arr.ndim > 3:
+        raise DimensionError(f"expected (h, ...) or (B, h, ...) data, got shape {arr.shape}")
+    return arr
 
 
 def inner_product(f: GridFunction, g: GridFunction) -> float:
@@ -273,7 +339,10 @@ def to_spectral(f: GridFunction, basis: BasisSpec, n: int) -> SpectralCoeffs:
     """Project a grid function onto the first n basis modes.
 
     Requires ``f.grid.size >= 8 * n`` so the quadrature resolves products
-    of the retained modes.
+    of the retained modes, and modes that are orthonormal under the grid
+    quadrature (Gram defect at most ``GRAM_DEFECT_TOL``; step modes need
+    their dyadic breakpoints on grid nodes).  A batch of functions is
+    projected in one product.
     """
     basis.require_matches_grid(f.grid)
     if f.grid.size < ALIASING_FACTOR * n:
@@ -281,23 +350,26 @@ def to_spectral(f: GridFunction, basis: BasisSpec, n: int) -> SpectralCoeffs:
             f"grid size {f.grid.size} < {ALIASING_FACTOR} * {n}; refine the grid "
             f"or lower the order"
         )
-    phi = basis.eval_modes(f.grid.nodes, n)
-    coeffs = f.values @ (phi * f.grid.weights).T
-    return SpectralCoeffs(basis, n, coeffs)
+    table = mode_table(basis, f.grid, n)
+    if table.gram_defect > GRAM_DEFECT_TOL:
+        raise AliasingGuardError(
+            f"{basis.kind} modes 1..{n} are not orthonormal on a {f.grid.size}-node grid "
+            f"(quadrature Gram defect {table.gram_defect:.3e} > {GRAM_DEFECT_TOL:.0e})"
+        )
+    return SpectralCoeffs(basis, n, f.values @ table.analysis)
 
 
 def from_spectral(c: SpectralCoeffs, grid: Grid) -> GridFunction:
-    """Synthesize coefficients on a grid over the same interval."""
-    c.basis.require_matches_grid(grid)
-    phi = c.basis.eval_modes(grid.nodes, c.n)
-    return GridFunction(grid, c.coeffs @ phi)
+    """Synthesize coefficients (one function or a batch) on a grid over the
+    same interval."""
+    return GridFunction(grid, c.coeffs @ mode_table(c.basis, grid, c.n).phi)
 
 
 def h1_norm(grid: Grid, values: np.ndarray) -> float:
     """Discrete H1 norm: quadrature L2 plus forward-difference derivative."""
     values = np.atleast_2d(values)
     l2sq = np.sum(grid.weights * values**2)
-    diff = np.diff(values, axis=1) / grid.h
+    diff = np.diff(values, axis=-1) / grid.h
     dsq = np.sum(diff**2) * grid.h
     return float(np.sqrt(l2sq + dsq))
 

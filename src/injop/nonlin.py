@@ -370,7 +370,9 @@ def invert_banach(
 
     Starts from u = 0; iteration m is the m-th application of the map.
     Raises :class:`DivergenceError` (with the trace attached) after
-    ``DIVERGENCE_PATIENCE`` consecutive residual increases.
+    ``DIVERGENCE_PATIENCE`` consecutive residual increases, or at the first
+    non-finite residual; the trace then holds the finite iterations before
+    it.
     """
     op.grid.require_matches(z.grid)
     rhs = z.values.copy()
@@ -384,6 +386,11 @@ def invert_banach(
         diff = op.apply(u).values - z.values
         res_l2 = float(np.sqrt(np.sum(op.grid.weights * diff**2)))
         res_h1 = h1_norm(op.grid, diff)
+        if not (np.isfinite(res_l2) and np.isfinite(res_h1)):
+            raise DivergenceError(
+                f"non-finite residual at iteration {m} (L2 {res_l2}, H1 {res_h1})",
+                trace=trace,
+            )
         if trace.residuals_l2:
             prev = trace.residuals_l2[-1]
             trace.ratios.append(res_l2 / prev if prev > 0 else 0.0)

@@ -90,6 +90,14 @@ def read_json(path: str) -> Any:
         return json.load(f)
 
 
+def finite_array(value: Any, what: str) -> np.ndarray:
+    """Float array of file data; NaN or infinity anywhere is a usage error."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise UsageError(f"non-finite value in {what}")
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # finite-rank networks
 
@@ -135,8 +143,8 @@ def network_from_obj(obj: Dict[str, Any]) -> FiniteRankNetwork:
     for lobj in obj["layers"]:
         d_in = int(lobj["d_in"])
         d_out = int(lobj["d_out"])
-        c = np.asarray(lobj["C"], dtype=float)
-        bias = SpectralCoeffs(basis, n, np.asarray(lobj["bias"], dtype=float))
+        c = finite_array(lobj["C"], "kernel blocks C")
+        bias = SpectralCoeffs(basis, n, finite_array(lobj["bias"], "a layer bias"))
         layers.append(
             FiniteRankLayer(
                 d_in=d_in,
@@ -199,8 +207,11 @@ def read_grid_function_csv(path: str, grid: Optional[Grid] = None) -> GridFuncti
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("x"):
         raise UsageError(f"{path}: expected a grid-function CSV with an x,ch0,... header")
-    rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
-    data = np.asarray(rows, dtype=float)
+    try:
+        rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
+    except ValueError as err:
+        raise UsageError(f"{path}: {err}") from None
+    data = finite_array(rows, path)
     if data.ndim != 2 or data.shape[1] < 2:
         raise UsageError(f"{path}: need at least one channel column")
     xs = data[:, 0]
@@ -302,7 +313,7 @@ def kernel_from_obj(obj: Dict[str, Any]) -> KernelBase:
             for t in obj["terms"]
         ]
         if kind == "wire":
-            return WireKernel(float(obj["omega"]), terms, signature)
+            return WireKernel(float(finite_array(obj["omega"], "omega")), terms, signature)
         return SigmoidSumKernel(terms, signature)
     if kind == "volterra":
         return VolterraKernel(
@@ -310,16 +321,16 @@ def kernel_from_obj(obj: Dict[str, Any]) -> KernelBase:
             nonlinearity=obj.get("nonlinearity", "none"),
         )
     if kind == "softmax_attention":
-        return SoftmaxAttentionKernel(np.asarray(obj["A"], dtype=float), np.asarray(obj["B"], dtype=float))
+        return SoftmaxAttentionKernel(finite_array(obj["A"], "A"), finite_array(obj["B"], "B"))
     if kind == "linear_table":
         return LinearTableKernel(_param_from_obj(obj["table"]))
     raise UsageError(f"unknown kernel kind {kind!r}")
 
 
 def _param_from_obj(p):
-    if isinstance(p, (int, float)):
-        return float(p)
-    arr = np.asarray(p, dtype=float)
+    arr = finite_array(p, "a kernel parameter")
+    if arr.ndim == 0:
+        return float(arr)
     # A dense table is only valid on the grid it was tabulated for; keep it
     # as an array and let broadcasting catch shape mismatches.
     return lambda x, y: arr
@@ -330,7 +341,8 @@ def grid_to_obj(grid: Grid) -> Dict[str, Any]:
 
 
 def grid_from_obj(obj: Dict[str, Any]) -> Grid:
-    return Grid(float(obj["a"]), float(obj["b"]), int(obj["size"]))
+    a, b = finite_array([obj["a"], obj["b"]], "the grid interval")
+    return Grid(float(a), float(b), int(obj["size"]))
 
 
 def operator_to_obj(op: NonlinearIntegralOperator) -> Dict[str, Any]:
@@ -353,11 +365,11 @@ def operator_from_obj(obj: Dict[str, Any], grid: Optional[Grid] = None) -> Nonli
     if file_grid is not None and not grid.matches(file_grid):
         raise DimensionError("requested grid disagrees with the grid stored in the operator file")
     kernel = kernel_from_obj(obj["kernel"])
-    w = obj.get("w", 1.0)
-    w = float(w) if isinstance(w, (int, float)) else np.asarray(w, dtype=float)
+    w = finite_array(obj.get("w", 1.0), "w")
+    w = float(w) if w.ndim == 0 else w
     bias = None
     if obj.get("bias") is not None:
-        bias = GridFunction(grid, np.asarray(obj["bias"], dtype=float))
+        bias = GridFunction(grid, finite_array(obj["bias"], "bias"))
     return NonlinearIntegralOperator(grid, kernel, w=w, bias=bias)
 
 

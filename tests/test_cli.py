@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, outputs, determinism."""
 
+import json
 import os
 
 import numpy as np
@@ -138,13 +139,13 @@ class TestCertify:
         hit = [l for l in report["layers"] if l["verdict"] == "CounterexampleFound"]
         assert hit and "witness" in hit[0]
 
-    def test_bijective_mode_on_relu_is_fault(self, tmp_path, capsys):
+    def test_bijective_mode_on_relu_is_usage_error(self, tmp_path, capsys):
         net = str(tmp_path / "net.json")
         write_collapsing_relu_net(net)
         code = main(["certify", "--net", net, "--mode", "bijective",
                      "--out-dir", str(tmp_path / "out")])
-        assert code == 1
-        capsys.readouterr()
+        assert code == 64
+        assert "--mode relu" in capsys.readouterr().err
 
     def test_missing_file_is_fault(self, tmp_path, capsys):
         code = main(["certify", "--net", str(tmp_path / "nope.json"),
@@ -207,6 +208,37 @@ class TestInvert:
         assert code == 2
         report = read_json(os.path.join(out, "report.json"))
         assert report["outcome"] == "Diverged"
+
+    def test_unreadable_target_value_is_usage_error(self, tmp_path, capsys):
+        grid = Grid(0.0, 1.0, 65)
+        op = str(tmp_path / "op.json")
+        write_contraction_op(op, grid)
+        target = str(tmp_path / "target.csv")
+        write_grid_function_csv(GridFunction(grid, np.ones(65)), target)
+        lines = open(target).read().splitlines()
+        for bad, message in [("nan", "non-finite"), ("abc", "could not convert")]:
+            lines[9] = lines[9].split(",")[0] + "," + bad
+            with open(target, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            code = main(["invert", "--op", op, "--target", target,
+                         "--out-dir", str(tmp_path / "out")])
+            assert code == 64
+            assert message in capsys.readouterr().err
+
+    def test_non_finite_operator_is_usage_error(self, tmp_path, capsys):
+        grid = Grid(0.0, 1.0, 65)
+        op = str(tmp_path / "op.json")
+        write_contraction_op(op, grid)
+        obj = read_json(op)
+        obj["w"] = float("nan")
+        with open(op, "w") as fh:
+            json.dump(obj, fh)  # writes the NaN literal that json.load accepts
+        target = str(tmp_path / "target.csv")
+        write_grid_function_csv(GridFunction(grid, np.ones(65)), target)
+        code = main(["invert", "--op", op, "--target", target,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 64
+        assert "non-finite value in w" in capsys.readouterr().err
 
     def test_atlas_route(self, tmp_path):
         grid = Grid(0.0, 1.0, 65)

@@ -148,6 +148,26 @@ class TestComposition:
         oracle = to_spectral(GridFunction(grid, np.maximum(g.values, 0.0)), BASIS, 4)
         assert_allclose(out.coeffs, oracle.coeffs, atol=1e-13)
 
+    @pytest.mark.parametrize(
+        "activation",
+        [Activation(), Activation("relu"), Activation("leaky_relu", 0.3), Activation("sigmoid")],
+        ids=lambda act: act.kind,
+    )
+    def test_batch_matches_row_by_row(self, activation):
+        rng = np.random.default_rng(24)
+        net = FiniteRankNetwork([
+            random_layer(rng, n=4, d_in=2, d_out=3, activation=activation),
+            random_layer(rng, n=4, d_in=3, d_out=3, activation=activation),
+            random_layer(rng, n=4, d_in=3, d_out=2),
+        ])
+        grid = Grid(0.0, 1.0, 64)
+        batch = rng.standard_normal((6, 2, 4))
+        out = apply_network(net, SpectralCoeffs(BASIS, 4, batch), grid)
+        assert out.coeffs.shape == (6, 2, 4)
+        for b in range(6):
+            row = apply_network(net, SpectralCoeffs(BASIS, 4, batch[b]), grid)
+            assert_allclose(out.coeffs[b], row.coeffs, rtol=0, atol=1e-12)
+
     def test_network_validation(self):
         rng = np.random.default_rng(23)
         a = random_layer(rng, d_in=2, d_out=3)

@@ -21,6 +21,7 @@ from injop.funcspace import (
     h1_distance,
     h1_norm,
     inner_product,
+    mode_table,
     to_spectral,
 )
 
@@ -71,6 +72,23 @@ def test_step_haar_gram_exact_on_dyadic_grid():
     basis = BasisSpec("step_haar", (0.0, 1.0))
     gram = basis.gram(g, 6)
     assert_allclose(gram, np.eye(6), atol=1e-13)
+
+
+def test_step_haar_projection_on_dyadic_grid():
+    g = Grid(0.0, 1.0, 513)
+    basis = BasisSpec("step_haar", (0.0, 1.0))
+    coeffs = np.arange(1.0, 7.0)
+    back = to_spectral(from_spectral(SpectralCoeffs(basis, 6, coeffs), g), basis, 6)
+    assert_allclose(back.coeffs[0], coeffs, atol=1e-12)
+
+
+def test_step_haar_on_non_dyadic_grid_is_refused():
+    # On 100 nodes the dyadic breakpoints miss the nodes, so the step modes
+    # are not orthonormal under the quadrature (Gram defect 1/33).
+    g = Grid(0.0, 1.0, 100)
+    basis = BasisSpec("step_haar", (0.0, 1.0))
+    with pytest.raises(AliasingGuardError, match="Gram defect 3.030e-02"):
+        to_spectral(GridFunction(g, np.ones(100)), basis, 3)
 
 
 def test_step_haar_supports_disjoint():
@@ -180,3 +198,49 @@ def test_from_callable_broadcasts_constants():
     assert f.channels == 2
     assert_allclose(f.values[0], 1.0)
     assert_allclose(f.values[1], g.nodes)
+
+
+def test_mode_tables_built_once_and_read_only(monkeypatch):
+    calls = []
+    eval_modes = BasisSpec.eval_modes
+
+    def counting(self, x, n):
+        calls.append(n)
+        return eval_modes(self, x, n)
+
+    monkeypatch.setattr(BasisSpec, "eval_modes", counting)
+    g = Grid(0.0, 1.0, 776)  # a key no other test uses
+    basis = BasisSpec("fourier", (0.0, 1.0))
+    rng = np.random.default_rng(12)
+    f = GridFunction(g, rng.standard_normal((2, 776)))
+    first = to_spectral(f, basis, 7)
+    from_spectral(first, g)
+    basis.gram(g, 7)
+    assert calls == [7]
+
+    table = mode_table(basis, g, 7)
+    for arr in (table.phi, table.analysis, table.gram):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    # Results are fresh arrays: writing to one leaves the cache intact.
+    first.coeffs[:] = 0.0
+    assert_allclose(to_spectral(f, basis, 7).coeffs, f.values @ table.analysis, atol=0)
+    assert calls == [7]
+
+
+def test_batched_transforms_match_single_functions():
+    g = Grid(0.0, 1.0, 256)
+    basis = BasisSpec("fourier", (0.0, 1.0))
+    rng = np.random.default_rng(13)
+    coeffs = rng.standard_normal((5, 2, 9))
+    batch = from_spectral(SpectralCoeffs(basis, 9, coeffs), g)
+    assert batch.values.shape == (5, 2, 256) and batch.channels == 2
+    back = to_spectral(batch, basis, 9)
+    for b in range(5):
+        single = from_spectral(SpectralCoeffs(basis, 9, coeffs[b]), g)
+        assert_allclose(batch.values[b], single.values, atol=1e-12)
+        assert_allclose(back.coeffs[b], to_spectral(single, basis, 9).coeffs, atol=1e-12)
+    assert SpectralCoeffs(basis, 9, coeffs).padded(12).coeffs.shape == (5, 2, 12)
+    with pytest.raises(DimensionError):
+        GridFunction(g, np.zeros((1, 5, 2, 256)))

@@ -133,6 +133,17 @@ class TestBanach:
         assert trace is not None and not trace.converged
         assert all(r > 1.0 for r in trace.ratios[-5:])
 
+    def test_non_finite_target_stops_at_once(self):
+        kern = SigmoidSumKernel([(0.3, 1.0, 0.0)], signature="u(y)")
+        op = NonlinearIntegralOperator(GRID, kern)
+        values = np.ones(GRID.size)
+        values[17] = np.nan
+        with pytest.raises(DivergenceError, match="non-finite residual at iteration 1") as err:
+            invert_banach(op, GridFunction(GRID, values), tol=1e-12, max_iter=100)
+        trace = err.value.trace
+        assert trace is not None and not trace.converged
+        assert trace.residuals_l2 == [] and trace.rows() == []
+
     def test_trace_rows_pair_ratios(self):
         kern = SigmoidSumKernel([(0.3, 1.0, 0.0)], signature="u(y)")
         op = NonlinearIntegralOperator(GRID, kern)

@@ -209,6 +209,34 @@ class TestLift:
         assert_allclose(back.coeffs, a.coeffs, atol=1e-10)
         check_closeness(res, grid, rng, count=10)
 
+    def test_explicit_lift_measures_tilt_once(self, monkeypatch):
+        two_norms = []
+        norm = np.linalg.norm
+
+        def counting(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                two_norms.append(x)
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        net = relu_net(np.random.default_rng(58))
+        res = lift_to_injective(net, mode="relu", alpha=0.15)
+        assert len(two_norms) == 1
+        monkeypatch.undo()
+        assert res.eps0 == res.pair.tilt_norm()
+        assert res.eps0 == pytest.approx(0.15, abs=1e-12)
+
+    def test_randomized_lift_draw_is_reproducible(self):
+        # Attempt and tilt of these seeded lifts, recorded with the
+        # one-row-at-a-time verifier; the batched verifier must accept the
+        # same draw.
+        for n, seed, tilt in [(2, 0, 0.06152038150841331), (3, 5, 0.06430204933630616)]:
+            net = relu_net(np.random.default_rng(57), n=n)
+            res = lift_to_injective(net, mode="relu", randomized=True, seed=seed)
+            assert res.reduction.meta["attempt"] == 0
+            assert res.reduction.meta["tilt"] == pytest.approx(tilt, rel=1e-12)
+            assert res.eps0 == res.reduction.meta["tilt"]
+
     def test_mode_validation(self):
         rng = np.random.default_rng(56)
         with pytest.raises(ValueError):
