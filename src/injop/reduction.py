@@ -6,12 +6,20 @@ the pathway again with a reduction B that is itself injective on the range
 of H.  B comes from a pair of nearby orthogonal projections: the reference
 projection kills the pathway block, the tilted one leans each protected
 (mode, channel) direction into a reserved high-mode slot of the last
-channel, and the direct rotation between the two (built from the pair of
-projections) intertwines them.  Composing "restrict to the output
-channels" with that rotation and the tilted projection gives B.
+channel, and the direct rotation between the two (Kato) intertwines them.
+Composing "restrict to the output channels" with that rotation and the
+tilted projection gives B.
+
+The tilt acts in mutually orthogonal (slot, xi-slot) planes, and in each
+plane the direct rotation is the plane rotation by asin(alpha); everywhere
+else both projections and the rotation are the identity.  The explicit
+route therefore builds the pair, its tilt, B and the fold of B into the
+last layer from those planes in closed form, with no dense factorization
+and no product of dense ambient-size matrices.
 
 A randomized alternative draws the tilted subspace by rotating the
-reference one with a random rotation and checks injectivity empirically.
+reference one with a random rotation, builds the direct rotation densely
+and checks injectivity empirically.
 """
 
 from __future__ import annotations
@@ -36,9 +44,8 @@ from .finite_rank import (
     block_matrix,
     blocks_from_matrix,
     stack_coeffs,
-    zero_bias,
 )
-from .funcspace import BasisSpec, Grid, SpectralCoeffs, from_spectral, to_spectral
+from .funcspace import Grid, SpectralCoeffs, from_spectral, to_spectral
 
 LIFT_MODES = ("injective", "relu")
 
@@ -49,19 +56,31 @@ LIFT_MODES = ("injective", "relu")
 #: 1024-row chunks.
 VERIFY_CHUNK_ROWS = 256
 
+#: p_zero on one (slot, xi) plane: the slot direction is projected out.
+_P_ZERO_BLOCK = np.array([[0.0, 0.0], [0.0, 1.0]])
+
 
 @dataclass
 class ProjectionPair:
     """Reference and tilted projections with their intertwining rotation.
 
-    All three matrices act on mode-major stacked coefficients of an
+    The dense matrices act on mode-major stacked coefficients of an
     ``m``-channel function at order ``n_total``; entry (k, c) of the
     coefficient table sits at stacked index ``k * m + c``.
 
-    ``p_zero`` projects onto the complement of the protected block (the
-    first ``n_core`` modes of the first ``m - ell`` channels); ``p_alpha``
-    projects onto the complement of the tilted block; ``q`` is the
-    rotation with ``q @ p_alpha = p_zero @ q``.
+    Plane i is spanned by the unit vectors at stacked indices
+    ``slots[i]`` (a protected (mode, channel) direction: one of the first
+    ``n_core`` modes of the first ``m - ell`` channels) and
+    ``xi_slots[i]`` (its reserved high mode in the last channel).  The
+    planes are mutually orthogonal.
+
+    ``p_zero`` projects onto the complement of the slot directions;
+    ``p_alpha`` projects onto the complement of the tilted directions
+    ``amp * e_slot + alpha * e_xi`` with ``amp = sqrt(1 - alpha^2)``; ``q``
+    is the direct rotation with ``q @ p_alpha = p_zero @ q``, which is
+    ``[[amp, alpha], [-alpha, amp]]`` in (slot, xi) coordinates of each
+    plane and the identity elsewhere.  The three are filled in on access;
+    the lift itself only reads the planes.
     """
 
     alpha: float
@@ -69,17 +88,53 @@ class ProjectionPair:
     ell: int
     n_core: int
     n_total: int
-    p_zero: np.ndarray
-    p_alpha: np.ndarray
-    q: np.ndarray
+    slots: np.ndarray
+    xi_slots: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.m * self.n_total
 
+    @property
+    def amp(self) -> float:
+        return math.sqrt(1.0 - self.alpha * self.alpha)
+
+    def _plane_matrix(self, block: np.ndarray) -> np.ndarray:
+        """Identity with the 2x2 ``block`` on (slot, xi) of every plane."""
+        (ss, sx), (xs, xx) = block
+        mat = np.eye(self.dim)
+        mat[self.slots, self.slots] = ss
+        mat[self.slots, self.xi_slots] = sx
+        mat[self.xi_slots, self.slots] = xs
+        mat[self.xi_slots, self.xi_slots] = xx
+        return mat
+
+    def _p_alpha_block(self) -> np.ndarray:
+        # 1 - u u^T on one plane, rounded as the dense product rounds it.
+        amp, alpha = self.amp, self.alpha
+        return np.array([[1.0 - amp * amp, -(amp * alpha)],
+                         [-(amp * alpha), 1.0 - alpha * alpha]])
+
+    @property
+    def p_zero(self) -> np.ndarray:
+        return self._plane_matrix(_P_ZERO_BLOCK)
+
+    @property
+    def p_alpha(self) -> np.ndarray:
+        return self._plane_matrix(self._p_alpha_block())
+
+    @property
+    def q(self) -> np.ndarray:
+        amp, alpha = self.amp, self.alpha
+        return self._plane_matrix(np.array([[amp, alpha], [-alpha, amp]]))
+
     def tilt_norm(self) -> float:
-        """Operator norm of p_alpha - p_zero (the measured eps0)."""
-        return float(np.linalg.norm(self.p_alpha - self.p_zero, 2))
+        """Operator norm of p_alpha - p_zero (the measured eps0).
+
+        The difference is block diagonal over the planes with one repeated
+        2x2 block, so its norm is that block's.
+        """
+        return float(np.linalg.norm(self._p_alpha_block() - _P_ZERO_BLOCK, 2))
 
 
 @dataclass
@@ -96,16 +151,14 @@ class ReductionMap:
         return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
 
-def _stacked_index(k: int, c: int, m: int) -> int:
-    return k * m + c
-
-
 def _kato_rotation(p_zero: np.ndarray, p_alpha: np.ndarray) -> np.ndarray:
     """Direct rotation between two orthogonal projections.
 
     Built as (p0 p + (1-p0)(1-p)) (1 - (p0 - p)^2)^{-1/2} with the inverse
     square root taken through a symmetric eigendecomposition.  Fails when
     the projections are too far apart for the square root to make sense.
+    Used by the randomized route, and by tests as the reference for the
+    closed-form explicit pair.
     """
     dim = p_zero.shape[0]
     diff = p_zero - p_alpha
@@ -135,10 +188,10 @@ def build_projection_pair(m: int, ell: int, n_core: int, alpha: float) -> Projec
     n_core : int
         Protected mode count per protected channel.
     alpha : float
-        Tilt amplitude in (0, 1/2).  Each protected direction is tilted
-        into its reserved high-mode slot of the last channel with
-        amplitude alpha, so the projection difference has norm exactly
-        alpha.
+        Tilt amplitude in (0, 1/2).  Each protected direction (mode k,
+        channel c) is tilted with amplitude alpha into its reserved slot,
+        mode ``n_core + k * (m - ell) + c`` of the last channel, so the
+        projection difference has norm exactly alpha.
     """
     if not 1 <= ell < m:
         raise DimensionError(f"need 1 <= ell < m, got ell={ell}, m={m}")
@@ -147,55 +200,45 @@ def build_projection_pair(m: int, ell: int, n_core: int, alpha: float) -> Projec
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
     protected = m - ell
-    n_total = n_core * (1 + protected)
-    dim = m * n_total
-    n_dirs = n_core * protected
-    u_zero = np.zeros((dim, n_dirs))
-    u_alpha = np.zeros((dim, n_dirs))
-    amp_keep = math.sqrt(1.0 - alpha * alpha)
-    col = 0
-    for k in range(n_core):
-        for c in range(protected):
-            slot = _stacked_index(k, c, m)
-            xi_mode = n_core + k * protected + c
-            xi_slot = _stacked_index(xi_mode, m - 1, m)
-            u_zero[slot, col] = 1.0
-            u_alpha[slot, col] = amp_keep
-            u_alpha[xi_slot, col] = alpha
-            col += 1
-    eye = np.eye(dim)
-    p_zero = eye - u_zero @ u_zero.T
-    p_alpha = eye - u_alpha @ u_alpha.T
-    q = _kato_rotation(p_zero, p_alpha)
+    k, c = np.divmod(np.arange(n_core * protected), protected)
     return ProjectionPair(
         alpha=alpha,
         m=m,
         ell=ell,
         n_core=n_core,
-        n_total=n_total,
-        p_zero=p_zero,
-        p_alpha=p_alpha,
-        q=q,
+        n_total=n_core * (1 + protected),
+        slots=k * m + c,
+        xi_slots=(n_core + k * protected + c) * m + m - 1,
     )
 
 
-def _keep_indices(m: int, ell: int, n_total: int) -> list:
+def _keep_indices(m: int, ell: int, n_total: int) -> np.ndarray:
     """Stacked indices of the last ell channels, mode-major order."""
-    return [_stacked_index(k, c, m) for k in range(n_total) for c in range(m - ell, m)]
+    return (np.arange(n_total)[:, None] * m + np.arange(m - ell, m)).ravel()
 
 
 def build_reduction_explicit(pair: ProjectionPair) -> ReductionMap:
     """Restrict-to-output-channels composed with the rotation and the
-    tilted projection."""
-    keep = _keep_indices(pair.m, pair.ell, pair.n_total)
-    b = (pair.q @ pair.p_alpha)[keep, :]
+    tilted projection.
+
+    Since q p_alpha = p_zero q and the kept rows avoid the slots, B is the
+    kept rows of q: unit rows, except that each xi row is
+    ``amp * e_xi - alpha * e_slot``.
+    """
+    m, ell = pair.m, pair.ell
+    keep = _keep_indices(m, ell, pair.n_total)
+    b = np.zeros((keep.size, pair.dim))
+    b[np.arange(keep.size), keep] = 1.0
+    xi_rows = (pair.xi_slots // m) * ell + ell - 1
+    b[xi_rows, pair.xi_slots] = pair.amp
+    b[xi_rows, pair.slots] = -pair.alpha
     return ReductionMap(
         b=b,
         kind="explicit",
         meta={
             "alpha": pair.alpha,
-            "m": pair.m,
-            "ell": pair.ell,
+            "m": m,
+            "ell": ell,
             "n_core": pair.n_core,
             "n_total": pair.n_total,
             "tilt": pair.tilt_norm(),
@@ -299,12 +342,14 @@ def _verify_randomized(batch_map, b, n_in, rng, n_points, n_pairs) -> bool:
 # Injective lift
 
 
-def _inj_blocks(n: int, d: int) -> np.ndarray:
-    """Kernel blocks of the order-n projection: delta_{kp} I_d."""
-    t = np.zeros((n, n, d, d))
-    for k in range(n):
-        t[k, k] = np.eye(d)
-    return t
+#: Pathway block of each lift mode, in units of the d x d identity: entry
+#: (i, j) is how pathway copy j of a layer's input feeds copy i of its
+#: output.  In relu mode the pathway travels as a (+, -) pair, so each
+#: hidden layer rebuilds the clean value with ReLU(t) - ReLU(-t) = t.
+_PATHWAY_BLOCKS = {
+    "injective": np.array([[1.0]]),
+    "relu": np.array([[1.0, -1.0], [-1.0, 1.0]]),
+}
 
 
 def _pad_layer(layer: FiniteRankLayer, n_total: int) -> FiniteRankLayer:
@@ -327,123 +372,59 @@ def _pad_layer(layer: FiniteRankLayer, n_total: int) -> FiniteRankLayer:
 def _augment_network(net: FiniteRankNetwork, mode: str) -> FiniteRankNetwork:
     """Attach the identity-carrying pathway in front of every layer.
 
-    In relu mode the pathway is carried as a (+, -) pair so each hidden
-    layer can rebuild the clean value with ReLU(t) - ReLU(-t) = t; the
-    final layer collapses the pair, so the augmented output's first
-    channels are exactly the input.  In injective mode the pathway is a
-    single block that passes through the activations.
+    Each augmented layer puts the mode's pathway block, with every entry
+    standing for delta_{kp} I_d, beside the original kernel.  The first
+    layer feeds the raw input to both, so it takes only the block's first
+    column; the last layer collapses the pathway to one copy, so it takes
+    only the block's first row and is linear.  A single-layer net thus
+    carries the plain I pathway in either mode, and in relu mode the
+    augmented output's first channels are exactly the input.  In injective
+    mode the pathway passes through the hidden activations.
     """
-    layers = net.layers
-    n, basis, d = net.n, net.basis, net.d_in
-    inj = _inj_blocks(n, d)
+    n, d = net.n, net.d_in
+    block = _PATHWAY_BLOCKS[mode]
+    last = len(net.layers) - 1
     aug = []
-    if len(layers) == 1:
-        final = layers[0]
-        c = np.zeros((n, n, d + final.d_out, d))
-        c[:, :, :d, :] = inj
-        c[:, :, d:, :] = final.c
-        bias = np.zeros((d + final.d_out, n))
-        bias[d:] = final.bias.coeffs
+    for t, layer in enumerate(net.layers):
+        path = block[: 1 if t == last else None, : 1 if t == 0 else None]
+        p_out, p_in = path.shape[0] * d, path.shape[1] * d
+        # The first layer's original kernel reads the raw input too.
+        in_off = 0 if t == 0 else p_in
+        c = np.zeros((n, n, p_out + layer.d_out, in_off + layer.d_in))
+        # delta_{kp} times the block; -1 entries give -0.0 off the diagonal.
+        c[:, :, :p_out, :p_in] = np.eye(n)[:, :, None, None] * np.kron(path, np.eye(d))
+        c[:, :, p_out:, in_off:] = layer.c
+        bias = np.zeros((p_out + layer.d_out, n))
+        bias[p_out:] = layer.bias.coeffs
         aug.append(
             FiniteRankLayer(
-                d_in=d,
-                d_out=d + final.d_out,
+                d_in=in_off + layer.d_in,
+                d_out=p_out + layer.d_out,
                 n=n,
                 c=c,
-                bias=SpectralCoeffs(basis, n, bias),
-                activation=Activation(),
+                bias=SpectralCoeffs(net.basis, n, bias),
+                activation=Activation() if t == last else layer.activation,
             )
         )
-        return FiniteRankNetwork(aug)
-
-    if mode == "relu":
-        first = layers[0]
-        c = np.zeros((n, n, 2 * d + first.d_out, d))
-        c[:, :, :d, :] = inj
-        c[:, :, d : 2 * d, :] = -inj
-        c[:, :, 2 * d :, :] = first.c
-        bias = np.zeros((2 * d + first.d_out, n))
-        bias[2 * d :] = first.bias.coeffs
-        aug.append(
-            FiniteRankLayer(
-                d_in=d,
-                d_out=2 * d + first.d_out,
-                n=n,
-                c=c,
-                bias=SpectralCoeffs(basis, n, bias),
-                activation=first.activation,
-            )
-        )
-        for layer in layers[1:-1]:
-            c = np.zeros((n, n, 2 * d + layer.d_out, 2 * d + layer.d_in))
-            c[:, :, :d, :d] = inj
-            c[:, :, :d, d : 2 * d] = -inj
-            c[:, :, d : 2 * d, :d] = -inj
-            c[:, :, d : 2 * d, d : 2 * d] = inj
-            c[:, :, 2 * d :, 2 * d :] = layer.c
-            bias = np.zeros((2 * d + layer.d_out, n))
-            bias[2 * d :] = layer.bias.coeffs
-            aug.append(
-                FiniteRankLayer(
-                    d_in=2 * d + layer.d_in,
-                    d_out=2 * d + layer.d_out,
-                    n=n,
-                    c=c,
-                    bias=SpectralCoeffs(basis, n, bias),
-                    activation=layer.activation,
-                )
-            )
-        final = layers[-1]
-        c = np.zeros((n, n, d + final.d_out, 2 * d + final.d_in))
-        c[:, :, :d, :d] = inj
-        c[:, :, :d, d : 2 * d] = -inj
-        c[:, :, d:, 2 * d :] = final.c
-        bias = np.zeros((d + final.d_out, n))
-        bias[d:] = final.bias.coeffs
-        aug.append(
-            FiniteRankLayer(
-                d_in=2 * d + final.d_in,
-                d_out=d + final.d_out,
-                n=n,
-                c=c,
-                bias=SpectralCoeffs(basis, n, bias),
-                activation=Activation(),
-            )
-        )
-    else:  # injective activations: single pathway block
-        first = layers[0]
-        c = np.zeros((n, n, d + first.d_out, d))
-        c[:, :, :d, :] = inj
-        c[:, :, d:, :] = first.c
-        bias = np.zeros((d + first.d_out, n))
-        bias[d:] = first.bias.coeffs
-        aug.append(
-            FiniteRankLayer(
-                d_in=d,
-                d_out=d + first.d_out,
-                n=n,
-                c=c,
-                bias=SpectralCoeffs(basis, n, bias),
-                activation=first.activation,
-            )
-        )
-        for layer in layers[1:]:
-            c = np.zeros((n, n, d + layer.d_out, d + layer.d_in))
-            c[:, :, :d, :d] = inj
-            c[:, :, d:, d:] = layer.c
-            bias = np.zeros((d + layer.d_out, n))
-            bias[d:] = layer.bias.coeffs
-            aug.append(
-                FiniteRankLayer(
-                    d_in=d + layer.d_in,
-                    d_out=d + layer.d_out,
-                    n=n,
-                    c=c,
-                    bias=SpectralCoeffs(basis, n, bias),
-                    activation=layer.activation,
-                )
-            )
     return FiniteRankNetwork(aug)
+
+
+def _fold_explicit(pair: ProjectionPair, layer: FiniteRankLayer):
+    """Kernel blocks and bias of ``layer`` followed by the explicit
+    reduction, i.e. ``b @ block_matrix(layer)`` without forming either.
+
+    B keeps the last ell output channels and replaces each xi row by
+    ``amp * (xi row) - alpha * (slot row)``.
+    """
+    kept = slice(pair.m - pair.ell, None)
+    c = layer.c[:, :, kept].copy()
+    bias = layer.bias.coeffs[kept].copy()
+    slot_mode, slot_chan = np.divmod(pair.slots, pair.m)
+    xi_mode = pair.xi_slots // pair.m
+    c[:, xi_mode, -1] = pair.amp * c[:, xi_mode, -1] - pair.alpha * layer.c[:, slot_mode, slot_chan]
+    bias[-1, xi_mode] = (pair.amp * bias[-1, xi_mode]
+                         - pair.alpha * layer.bias.coeffs[slot_chan, slot_mode])
+    return c, bias
 
 
 @dataclass
@@ -552,24 +533,26 @@ def lift_to_injective(
         pair = None
         t_map = _augmented_coefficient_map(augmented, d_in, d_out, n, n_total)
         reduction = build_reduction_randomized(t_map, n_in_modes, out_modes, seed=seed)
-        b_full = _embed_randomized_b(reduction.b, m, d_in, n, n_total)
     else:
         pair = build_projection_pair(m=m, ell=d_out, n_core=n, alpha=alpha)
         n_total = pair.n_total
         reduction = build_reduction_explicit(pair)
-        b_full = reduction.b
     eps0 = float(reduction.meta["tilt"])
 
     padded = [_pad_layer(layer, n_total) for layer in augmented.layers]
     final = padded[-1]
-    folded_mat = b_full @ block_matrix(final)
-    folded_bias = b_full @ stack_coeffs(final.bias)
+    if randomized:
+        b_full = _embed_randomized_b(reduction.b, m, d_in, n, n_total)
+        folded_c = blocks_from_matrix(b_full @ block_matrix(final), n_total, d_out, final.d_in)
+        folded_bias = (b_full @ stack_coeffs(final.bias)).reshape(n_total, d_out).T
+    else:
+        folded_c, folded_bias = _fold_explicit(pair, final)
     lifted_final = FiniteRankLayer(
         d_in=final.d_in,
         d_out=d_out,
         n=n_total,
-        c=blocks_from_matrix(folded_mat, n_total, d_out, final.d_in),
-        bias=SpectralCoeffs(final.basis, n_total, folded_bias.reshape(n_total, d_out).T),
+        c=folded_c,
+        bias=SpectralCoeffs(final.basis, n_total, folded_bias),
         activation=Activation(),
     )
     lifted = FiniteRankNetwork(padded[:-1] + [lifted_final])
@@ -618,12 +601,9 @@ def _augmented_coefficient_map(augmented, d_in, d_out, n, n_total):
 
 def _embed_randomized_b(b_sub, m, d_in, n, n_total):
     """Spread a randomized reduction over the full stacked ambient space."""
-    d_out = m - d_in
-    dim = m * n_total
-    in_idx = [_stacked_index(k, c, m) for k in range(n) for c in range(d_in)]
-    out_idx = [_stacked_index(k, c, m) for k in range(n_total) for c in range(d_in, m)]
-    b_full = np.zeros((b_sub.shape[0], dim))
     n_in_modes = n * d_in
+    in_idx = (np.arange(n)[:, None] * m + np.arange(d_in)).ravel()
+    b_full = np.zeros((b_sub.shape[0], m * n_total))
     b_full[:, in_idx] = b_sub[:, :n_in_modes]
-    b_full[:, out_idx] = b_sub[:, n_in_modes:]
+    b_full[:, _keep_indices(m, m - d_in, n_total)] = b_sub[:, n_in_modes:]
     return b_full

@@ -332,8 +332,9 @@ def _param_from_obj(p):
     if arr.ndim == 0:
         return float(arr)
     # A dense table is only valid on the grid it was tabulated for; keep it
-    # as an array and let broadcasting catch shape mismatches.
-    return lambda x, y: arr
+    # as an array, so it saves again, and let broadcasting catch shape
+    # mismatches.
+    return arr
 
 
 def grid_to_obj(grid: Grid) -> Dict[str, Any]:

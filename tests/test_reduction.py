@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from injop.errors import DimensionError, ReductionVerificationError
@@ -9,10 +10,16 @@ from injop.finite_rank import (
     Activation,
     FiniteRankLayer,
     FiniteRankNetwork,
+    block_matrix,
+    stack_coeffs,
     zero_bias,
 )
 from injop.funcspace import BasisSpec, Grid, SpectralCoeffs
 from injop.reduction import (
+    _augment_network,
+    _kato_rotation,
+    _keep_indices,
+    _pad_layer,
     build_projection_pair,
     build_reduction_explicit,
     build_reduction_randomized,
@@ -66,6 +73,100 @@ class TestProjectionPair:
         assert red.kind == "explicit"
         b = red.b
         assert_allclose(b @ b.T, np.eye(b.shape[0]), atol=1e-12)
+
+
+class TestClosedFormPair:
+    """The closed-form pair against the dense constructions it replaces."""
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.25, 0.49])
+    @pytest.mark.parametrize("m, ell, n_core",
+                             [(2, 1, 1), (3, 1, 4), (4, 2, 3), (5, 3, 2), (6, 1, 2)])
+    def test_matches_dense_pair(self, m, ell, n_core, alpha):
+        pair = build_projection_pair(m=m, ell=ell, n_core=n_core, alpha=alpha)
+        p_zero, p_alpha = pair.p_zero, pair.p_alpha
+        q_dense = _kato_rotation(p_zero, p_alpha)
+        assert np.max(np.abs(pair.q - q_dense)) <= 1e-14
+        assert abs(pair.tilt_norm() - np.linalg.norm(p_alpha - p_zero, 2)) <= 1e-15
+        keep = _keep_indices(m, ell, pair.n_total)
+        b_dense = (q_dense @ p_alpha)[keep]
+        assert np.max(np.abs(build_reduction_explicit(pair).b - b_dense)) <= 1e-14
+
+    @pytest.mark.parametrize("mode, depth", [("relu", 2), ("relu", 3), ("injective", 2),
+                                             ("injective", 3), ("relu", 1), ("injective", 1)])
+    def test_fold_matches_dense(self, mode, depth):
+        rng = np.random.default_rng(61)
+        act = Activation("relu") if mode == "relu" else Activation("leaky_relu", 0.5)
+        net = deep_net(rng, depth, act, n=3, d_in=2, width=3, d_out=2)
+        res = lift_to_injective(net, mode=mode, alpha=0.2)
+        pair = res.pair
+        keep = _keep_indices(pair.m, pair.ell, pair.n_total)
+        b_full = (_kato_rotation(pair.p_zero, pair.p_alpha) @ pair.p_alpha)[keep]
+        final = _pad_layer(res.augmented.layers[-1], res.n_total)
+        folded = res.network.layers[-1]
+        assert np.max(np.abs(block_matrix(folded) - b_full @ block_matrix(final))) <= 1e-13
+        bias_dense = b_full @ stack_coeffs(final.bias)
+        assert np.max(np.abs(stack_coeffs(folded.bias) - bias_dense)) <= 1e-13
+
+    def test_explicit_lift_runs_no_dense_factorization(self, monkeypatch):
+        # The largest explicit lift of the lift benchmark: N=6, d_in=8,
+        # width 8, d_out 8, lifted dim 16 * 54 = 864.
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense factorization on the explicit lift path")
+
+        norm = np.linalg.norm
+
+        def small_two_norms(x, ord=None, *args, **kwargs):
+            # np.linalg.norm(x, 2) runs its own SVD; only a plane block may use it.
+            if ord == 2 and np.size(x) > 4:
+                refuse()
+            return norm(x, ord, *args, **kwargs)
+
+        net = deep_net(np.random.default_rng(62), 2, Activation("relu"),
+                       n=6, d_in=8, width=8, d_out=8)
+        for name in ("eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(np.linalg, "norm", small_two_norms)
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        res = lift_to_injective(net, mode="relu", alpha=0.1)
+        assert res.pair.dim == 864
+        assert res.eps0 == 0.1
+
+
+class TestAugment:
+    # Pathway block of each augmented layer in units of the d x d identity,
+    # and the column where the original kernel starts.
+    LAYOUTS = {
+        ("relu", 1): [([[1]], 0)],
+        ("relu", 2): [([[1], [-1]], 0), ([[1, -1]], 2)],
+        ("relu", 3): [([[1], [-1]], 0), ([[1, -1], [-1, 1]], 2), ([[1, -1]], 2)],
+        ("injective", 1): [([[1]], 0)],
+        ("injective", 2): [([[1]], 0), ([[1]], 1)],
+        ("injective", 3): [([[1]], 0), ([[1]], 1), ([[1]], 1)],
+    }
+
+    @pytest.mark.parametrize("mode, depth", sorted(LAYOUTS))
+    def test_block_layout(self, mode, depth):
+        d, n = 2, 3
+        act = Activation("relu") if mode == "relu" else Activation("leaky_relu", 0.5)
+        net = deep_net(np.random.default_rng(63), depth, act, n=n, d_in=d, width=3, d_out=2)
+        aug = _augment_network(net, mode)
+        assert len(aug.layers) == depth
+        for t, (layer, orig, (signs, in_units)) in enumerate(
+            zip(aug.layers, net.layers, self.LAYOUTS[mode, depth])
+        ):
+            signs = np.array(signs, dtype=float)
+            p_out, p_in, in_off = signs.shape[0] * d, signs.shape[1] * d, in_units * d
+            assert (layer.d_in, layer.d_out) == (in_off + orig.d_in, p_out + orig.d_out)
+            expected = np.zeros((n, n, p_out + orig.d_out, in_off + orig.d_in))
+            for k in range(n):
+                for i, j in np.ndindex(signs.shape):
+                    expected[k, k, i * d:(i + 1) * d, j * d:(j + 1) * d] = signs[i, j] * np.eye(d)
+            expected[:, :, p_out:, in_off:] = orig.c
+            assert np.array_equal(layer.c, expected)
+            assert np.array_equal(layer.bias.coeffs[:p_out], np.zeros((p_out, n)))
+            assert np.array_equal(layer.bias.coeffs[p_out:], orig.bias.coeffs)
+            last = t == depth - 1
+            assert layer.activation == (Activation() if last else orig.activation)
 
 
 class TestDimensionGate:
@@ -133,6 +234,20 @@ def linear_net(rng, n=2, d_in=1, width=2, activation=None):
         bias=zero_bias(BASIS, 1, n),
     )
     return FiniteRankNetwork([hidden, final])
+
+
+def deep_net(rng, depth, act, n, d_in, width, d_out):
+    """``depth`` layers with hidden activation ``act`` and a linear last layer."""
+    widths = [d_in] + [width] * (depth - 1) + [d_out]
+    return FiniteRankNetwork([
+        FiniteRankLayer(
+            d_in=a, d_out=b, n=n,
+            c=rng.standard_normal((n, n, b, a)),
+            bias=SpectralCoeffs(BASIS, n, rng.standard_normal((b, n))),
+            activation=act if t < depth - 1 else Activation(),
+        )
+        for t, (a, b) in enumerate(zip(widths, widths[1:]))
+    ])
 
 
 def check_closeness(res, grid, rng, count=20):

@@ -11,6 +11,7 @@ from injop.finite_rank import Activation, FiniteRankLayer, FiniteRankNetwork
 from injop.funcspace import BasisSpec, Grid, GridFunction, SpectralCoeffs
 from injop.nonlin import (
     InversionTrace,
+    LinearTableKernel,
     NonlinearIntegralOperator,
     SigmoidSumKernel,
     SoftmaxAttentionKernel,
@@ -195,6 +196,21 @@ class TestOperatorFiles:
         back = load_operator(path)
         u = GridFunction(g, rng.standard_normal(33))
         assert_allclose(back.apply(u).values, op.apply(u).values, atol=0)
+
+    @pytest.mark.parametrize("make_kernel", [
+        LinearTableKernel,
+        lambda table: SigmoidSumKernel([(table, 1.0, -0.2), (0.1, 2.0, 0.0)], signature="u(y)"),
+    ], ids=["linear_table", "sigmoid_sum_table"])
+    def test_loaded_table_operator_saves_again(self, tmp_path, make_kernel):
+        # Dense-table parameters come back as arrays, so a loaded operator
+        # can be saved again, byte for byte.
+        g = Grid(0.0, 1.0, 17)
+        table = np.random.default_rng(85).standard_normal((17, 17))
+        op = NonlinearIntegralOperator(g, make_kernel(table), w=1.5)
+        first, second = str(tmp_path / "op.json"), str(tmp_path / "again.json")
+        save_operator(op, first)
+        save_operator(load_operator(first), second)
+        assert open(second, "rb").read() == open(first, "rb").read()
 
     def test_grid_mismatch_detected(self, tmp_path):
         g = Grid(0.0, 1.0, 33)
