@@ -15,6 +15,7 @@ import glob
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional
 
 import numpy as np
@@ -200,52 +201,27 @@ def _run_invert(cfg: RunConfig) -> int:
     op = serialize.operator_from_obj(obj, None if "grid" in obj else fallback_grid)
     z = serialize.read_grid_function_csv(cfg.target, op.grid)
     if cfg.method == "banach":
-        try:
-            u, trace = invert_banach(op, z, tol=cfg.tol, max_iter=200)
-        except DivergenceError as err:
-            report = _invert_outputs(
-                cfg,
-                GridFunction(op.grid, np.zeros((op.channels, op.grid.size))),
-                err.trace,
-                {"outcome": "Diverged", "detail": str(err)},
-            )
-            serialize.write_json(report, _report_path(cfg, "report.json"))
-            return 2
-        report = _invert_outputs(
-            cfg, u, trace, {"outcome": "Converged" if trace.converged else "MaxIterationsExceeded"}
-        )
-        serialize.write_json(report, _report_path(cfg, "report.json"))
-        return 0 if trace.converged else 2
-    # atlas route
-    if not cfg.anchors:
-        raise UsageError("--method atlas requires --anchors DIR")
-    if os.path.isfile(os.path.join(cfg.anchors, "atlas.json")):
-        atlas = serialize.load_atlas(cfg.anchors, op)
+        solve, negative = invert_banach, "Diverged"
     else:
-        paths = sorted(glob.glob(os.path.join(cfg.anchors, "*.csv")))
-        if not paths:
-            raise UsageError(f"no anchor CSV files under {cfg.anchors}")
-        inputs = [serialize.read_grid_function_csv(p, op.grid) for p in paths]
-        atlas = build_atlas(op, inputs)
+        if not cfg.anchors:
+            raise UsageError("--method atlas requires --anchors DIR")
+        if os.path.isfile(os.path.join(cfg.anchors, "atlas.json")):
+            atlas = serialize.load_atlas(cfg.anchors, op)
+        else:
+            paths = sorted(glob.glob(os.path.join(cfg.anchors, "*.csv")))
+            if not paths:
+                raise UsageError(f"no anchor CSV files under {cfg.anchors}")
+            atlas = build_atlas(op, [serialize.read_grid_function_csv(p, op.grid) for p in paths])
+        solve, negative = partial(global_invert, atlas), "OutOfBasin"
     try:
-        u, trace = global_invert(atlas, op, z, tol=cfg.tol, max_iter=200)
+        u, trace = solve(op, z, tol=cfg.tol, max_iter=200)
+        extra = {"outcome": "Converged" if trace.converged else "MaxIterationsExceeded"}
+        if cfg.method == "atlas":
+            extra.update((key, trace.meta.get(key)) for key in ("cell", "anchor", "fallback"))
     except DivergenceError as err:
-        report = _invert_outputs(
-            cfg,
-            GridFunction(op.grid, np.zeros((op.channels, op.grid.size))),
-            err.trace,
-            {"outcome": "OutOfBasin", "detail": str(err)},
-        )
-        serialize.write_json(report, _report_path(cfg, "report.json"))
-        return 2
-    extra = {
-        "outcome": "Converged" if trace.converged else "MaxIterationsExceeded",
-        "cell": trace.meta.get("cell"),
-        "anchor": trace.meta.get("anchor"),
-        "fallback": trace.meta.get("fallback"),
-    }
-    report = _invert_outputs(cfg, u, trace, extra)
-    serialize.write_json(report, _report_path(cfg, "report.json"))
+        u = GridFunction(op.grid, np.zeros((op.channels, op.grid.size)))
+        trace, extra = err.trace, {"outcome": negative, "detail": str(err)}
+    serialize.write_json(_invert_outputs(cfg, u, trace, extra), _report_path(cfg, "report.json"))
     return 0 if trace.converged else 2
 
 

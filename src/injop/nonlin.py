@@ -7,9 +7,9 @@ The operators are
     K(u)(x) = integral of k(x, y, u(x), u(y)) u(y) dy,
 
 discretized with the grid quadrature (per-row causal trapezoid weights for
-Volterra kernels).  Each kernel kind declares which of u(x), u(y) it
-actually reads; linearization is available exactly for the kinds that read
-at most u(y), matching the derivative formula
+Volterra kernels).  The scalar kernels are one ridge family; softmax
+attention computes its own integral.  Linearization is available exactly
+for the kernels that read at most u(y), matching the derivative formula
 
     (A_{u0} w)(x) = W(x) w(x)
                     + integral of [k(x,y,u0(y)) + u0(y) dk/du(x,y,u0(y))] w(y) dy.
@@ -27,11 +27,10 @@ from scipy.special import expit
 from .errors import (
     DimensionError,
     DivergenceError,
-    GridMismatchError,
     NotDifferentiableError,
     SingularOperatorError,
 )
-from .funcspace import BasisSpec, Grid, GridFunction, from_spectral, h1_norm
+from .funcspace import BasisSpec, Grid, GridFunction, SpectralCoeffs, from_spectral, h1_norm
 
 TableParam = Union[float, np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
@@ -51,12 +50,13 @@ def _param_sup(p: TableParam, grid: Grid) -> float:
 
 
 class KernelBase:
-    """Scalar kernel interface; attention overrides the operator instead."""
+    """Kernel k(x, y, u(x), u(y)); a scalar kernel supplies ``table`` and
+    ``du``, a kernel of another form overrides ``integral``."""
 
     kind: str = "base"
     uses_ux: bool = False
-    uses_uy: bool = False
     causal: bool = False
+    channels: int = 1
 
     def table(self, x, y, s, t) -> np.ndarray:
         """Kernel values on the (x, y) grid; s = u(x) column, t = u(y) row."""
@@ -71,9 +71,12 @@ class KernelBase:
             return causal_trapezoid_weights(grid)
         return np.broadcast_to(grid.weights[None, :], (grid.size, grid.size)).copy()
 
-    def sup_bound(self, grid: Grid) -> Optional[float]:
-        """Upper bound for sup |k| when one is available in closed form."""
-        return None
+    def integral(self, grid: Grid, quad: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """K(u) on the grid: row sums of table(x, y, u(x), u(y)) u(y) * quad."""
+        vals = values[0]
+        s = vals[:, None] if self.uses_ux else None
+        table = self.table(grid.nodes[:, None], grid.nodes[None, :], s, vals[None, :])
+        return (table * quad) @ vals
 
 
 def causal_trapezoid_weights(grid: Grid) -> np.ndarray:
@@ -89,16 +92,36 @@ def causal_trapezoid_weights(grid: Grid) -> np.ndarray:
     return w
 
 
-class SigmoidSumKernel(KernelBase):
-    """Sum of coefficient-weighted logistic ridges in the solution value.
+def _wire_profile(omega: float) -> tuple:
+    """Gabor profile sin(omega z) exp(-z^2) and its derivative."""
+    return (
+        lambda z: np.sin(omega * z) * np.exp(-np.square(z)),
+        lambda z: (omega * np.cos(omega * z) - 2.0 * z * np.sin(omega * z)) * np.exp(-np.square(z)),
+    )
 
-    k = sum_j c_j(x, y) * logistic(a_j(x, y) * u + b_j(x, y)), where u is
-    u(x) or u(y) according to ``signature``.
+
+#: Ridge profiles (g, g') by name; the wire profile is :func:`_wire_profile`.
+#: Every g is bounded by 1 in absolute value.  The constant profile g = 1 is
+#: None, so a dense table passes into the quadrature product uncopied.
+_PROFILES = {
+    "none": (None, lambda z: 0.0),
+    "sigmoid": (expit, lambda z: expit(z) * (1.0 - expit(z))),
+    "sin": (np.sin, np.cos),
+}
+
+
+class RidgeKernel(KernelBase):
+    """Sum of ridges in the solution value,
+
+        k = sum_j c_j(x, y) * g(a_j(x, y) * u + b_j(x, y)),
+
+    where u is u(x) or u(y) according to ``signature`` and ``profile`` is
+    the pair (g, g').  Scalar parameters stay scalars, so the table is a
+    broadcast view until the quadrature product; a dense parameter must
+    broadcast to the (M, M) grid table.
     """
 
-    kind = "sigmoid_sum"
-
-    def __init__(self, terms: Sequence[tuple], signature: str = "u(x)"):
+    def __init__(self, terms: Sequence[tuple], profile: tuple, signature: str = "u(y)"):
         if signature not in ("u(x)", "u(y)"):
             raise ValueError(f"signature must be 'u(x)' or 'u(y)', got {signature!r}")
         if not terms:
@@ -106,85 +129,63 @@ class SigmoidSumKernel(KernelBase):
         self.terms = [tuple(t) for t in terms]
         self.signature = signature
         self.uses_ux = signature == "u(x)"
-        self.uses_uy = signature == "u(y)"
-
-    def _arg(self, s, t):
-        return s if self.signature == "u(x)" else t
+        self._g, self._dg = profile
 
     def table(self, x, y, s, t):
-        u = self._arg(s, t)
-        acc = 0.0
+        u = s if self.uses_ux else t
+        acc = None
         for c, a, b in self.terms:
-            acc = acc + _param_at(c, x, y) * expit(_param_at(a, x, y) * u + _param_at(b, x, y))
+            term = _param_at(c, x, y)
+            if self._g is not None:
+                term = term * self._g(_param_at(a, x, y) * u + _param_at(b, x, y))
+            acc = term if acc is None else acc + term
         return np.broadcast_to(acc, np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(u)))
 
     def du(self, x, y, t):
-        if self.signature != "u(y)":
-            raise NotDifferentiableError("kernel reads u(x); no u(y) derivative")
         acc = 0.0
         for c, a, b in self.terms:
             av = _param_at(a, x, y)
-            sig = expit(av * t + _param_at(b, x, y))
-            acc = acc + _param_at(c, x, y) * av * sig * (1.0 - sig)
+            acc = acc + _param_at(c, x, y) * av * self._dg(av * t + _param_at(b, x, y))
         return np.broadcast_to(acc, np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t)))
 
     def sup_bound(self, grid: Grid) -> float:
-        # The logistic factor is below 1, so sup |k| <= sum_j sup |c_j|.
+        """sum_j sup |c_j|, an upper bound for sup |k| since |g| <= 1."""
         return sum(_param_sup(c, grid) for c, _, _ in self.terms)
 
+    def quad_weights(self, grid: Grid) -> np.ndarray:
+        """Quadrature weights, once each dense parameter fits the grid."""
+        m = grid.size
+        for shape in {np.shape(p) for term in self.terms for p in term if not callable(p)}:
+            if len(shape) > 2 or any(n not in (1, m) for n in shape):
+                raise DimensionError(
+                    f"kernel parameter of shape {shape} does not broadcast to the "
+                    f"({m}, {m}) grid table"
+                )
+        return super().quad_weights(grid)
 
-class WireKernel(KernelBase):
+
+class SigmoidSumKernel(RidgeKernel):
+    """Sum of coefficient-weighted logistic ridges in u(x) or u(y)."""
+
+    kind = "sigmoid_sum"
+
+    def __init__(self, terms: Sequence[tuple], signature: str = "u(x)"):
+        super().__init__(terms, _PROFILES["sigmoid"], signature)
+
+
+class WireKernel(RidgeKernel):
     """Wavelet-activation kernel: decaying sinusoid ridges in u."""
 
     kind = "wire"
 
     def __init__(self, omega: float, terms: Sequence[tuple], signature: str = "u(x)"):
-        if signature not in ("u(x)", "u(y)"):
-            raise ValueError(f"signature must be 'u(x)' or 'u(y)', got {signature!r}")
-        if not terms:
-            raise ValueError("need at least one (c, a, b) term")
         self.omega = float(omega)
-        self.terms = [tuple(t) for t in terms]
-        self.signature = signature
-        self.uses_ux = signature == "u(x)"
-        self.uses_uy = signature == "u(y)"
-
-    def _sigma(self, z):
-        return np.sin(self.omega * z) * np.exp(-np.square(z))
-
-    def _sigma_prime(self, z):
-        gauss = np.exp(-np.square(z))
-        return (self.omega * np.cos(self.omega * z) - 2.0 * z * np.sin(self.omega * z)) * gauss
-
-    def table(self, x, y, s, t):
-        u = s if self.signature == "u(x)" else t
-        acc = 0.0
-        for c, a, b in self.terms:
-            acc = acc + _param_at(c, x, y) * self._sigma(_param_at(a, x, y) * u + _param_at(b, x, y))
-        return np.broadcast_to(acc, np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(u)))
-
-    def du(self, x, y, t):
-        if self.signature != "u(y)":
-            raise NotDifferentiableError("kernel reads u(x); no u(y) derivative")
-        acc = 0.0
-        for c, a, b in self.terms:
-            av = _param_at(a, x, y)
-            acc = acc + _param_at(c, x, y) * av * self._sigma_prime(av * t + _param_at(b, x, y))
-        return np.broadcast_to(acc, np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t)))
-
-    def sup_bound(self, grid: Grid) -> float:
-        return sum(_param_sup(c, grid) for c, _, _ in self.terms)
+        super().__init__(terms, _wire_profile(self.omega), signature)
 
 
-_VOLTERRA_NONLINEARITIES = {
-    "none": (lambda t: np.ones_like(np.asarray(t, dtype=float)), lambda t: np.zeros_like(np.asarray(t, dtype=float))),
-    "sigmoid": (expit, lambda t: expit(t) * (1.0 - expit(t))),
-    "sin": (np.sin, np.cos),
-}
-
-
-class VolterraKernel(KernelBase):
-    """Causal kernel base(x, y) * g(u(y)) supported on y <= x.
+class VolterraKernel(RidgeKernel):
+    """Causal kernel base(x, y) * g(u(y)) supported on y <= x: the single
+    ridge term (base, 1, 0).
 
     The causal structure lives in the quadrature weights (row-wise
     trapezoid rules over [a, x]), so the mask is exact on the grid.
@@ -192,50 +193,26 @@ class VolterraKernel(KernelBase):
 
     kind = "volterra"
     causal = True
-    uses_uy = True
 
     def __init__(self, base: TableParam = 1.0, nonlinearity: str = "none"):
-        if nonlinearity not in _VOLTERRA_NONLINEARITIES:
+        if nonlinearity not in _PROFILES:
             raise ValueError(
-                f"unknown nonlinearity {nonlinearity!r}; "
-                f"expected one of {sorted(_VOLTERRA_NONLINEARITIES)}"
+                f"unknown nonlinearity {nonlinearity!r}; expected one of {sorted(_PROFILES)}"
             )
         self.base = base
         self.nonlinearity = nonlinearity
-        if nonlinearity == "none":
-            self.uses_uy = False
-
-    def table(self, x, y, s, t):
-        g, _ = _VOLTERRA_NONLINEARITIES[self.nonlinearity]
-        vals = _param_at(self.base, x, y) * g(t if t is not None else 0.0)
-        return np.broadcast_to(vals, np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t)))
-
-    def du(self, x, y, t):
-        _, gp = _VOLTERRA_NONLINEARITIES[self.nonlinearity]
-        vals = _param_at(self.base, x, y) * gp(t)
-        return np.broadcast_to(vals, np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t)))
-
-    def sup_bound(self, grid: Grid) -> float:
-        return _param_sup(self.base, grid)
+        super().__init__([(base, 1.0, 0.0)], _PROFILES[nonlinearity])
 
 
-class LinearTableKernel(KernelBase):
-    """Plain bivariate table k(x, y); the operator is affine."""
+class LinearTableKernel(RidgeKernel):
+    """Plain bivariate table k(x, y), the single ridge term (table, 0, 0)
+    with the constant profile; the operator is affine."""
 
     kind = "linear_table"
 
     def __init__(self, table: TableParam):
         self._table = table
-
-    def table(self, x, y, s, t):
-        vals = _param_at(self._table, x, y)
-        return np.broadcast_to(vals, np.broadcast_shapes(np.shape(x), np.shape(y)))
-
-    def du(self, x, y, t):
-        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t)))
-
-    def sup_bound(self, grid: Grid) -> float:
-        return _param_sup(self._table, grid)
+        super().__init__([(table, 0.0, 0.0)], _PROFILES["none"])
 
 
 class SoftmaxAttentionKernel(KernelBase):
@@ -246,7 +223,6 @@ class SoftmaxAttentionKernel(KernelBase):
 
     kind = "softmax_attention"
     uses_ux = True
-    uses_uy = True
 
     def __init__(self, a_mat, b_mat):
         self.a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
@@ -271,6 +247,9 @@ class SoftmaxAttentionKernel(KernelBase):
         denom = grid.weights @ num  # integral over x for each y
         return num / denom[None, :]
 
+    def integral(self, grid: Grid, quad: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return ((self.weights_on_grid(grid, values) * quad) @ values.T).T
+
 
 class NonlinearIntegralOperator:
     """Discretized multiplier-plus-integral operator on a grid."""
@@ -291,15 +270,17 @@ class NonlinearIntegralOperator:
             if w_values.ndim == 0:
                 w_values = np.full(grid.size, float(w_values))
         if w_values.shape != (grid.size,):
-            raise DimensionError(f"multiplier field has shape {w_values.shape}")
+            raise DimensionError(
+                f"multiplier field w has shape {w_values.shape}, grid has {grid.size} nodes"
+            )
         w_values = w_values.copy()
         if np.any(np.abs(w_values) < 1e-14):
-            raise ValueError("multiplier field must be bounded away from zero")
+            raise ValueError("multiplier field w must be bounded away from zero")
         self.w_values = w_values
         if bias is not None:
             grid.require_matches(bias.grid)
         self.bias = bias
-        self.channels = kernel.channels if isinstance(kernel, SoftmaxAttentionKernel) else 1
+        self.channels = kernel.channels
         self._quad = kernel.quad_weights(grid)
 
     def w_inv_sup(self) -> float:
@@ -316,17 +297,7 @@ class NonlinearIntegralOperator:
     def kernel_part(self, u: GridFunction) -> GridFunction:
         """K(u) alone, without multiplier and bias."""
         self._check_input(u)
-        if isinstance(self.kernel, SoftmaxAttentionKernel):
-            weights = self.kernel.weights_on_grid(self.grid, u.values)
-            vals = (weights * self.grid.weights[None, :]) @ u.values.T
-            return GridFunction(self.grid, vals.T)
-        vals = u.values[0]
-        x = self.grid.nodes[:, None]
-        y = self.grid.nodes[None, :]
-        s = vals[:, None] if self.kernel.uses_ux else None
-        t = vals[None, :]
-        table = self.kernel.table(x, y, s, t)
-        return GridFunction(self.grid, (table * self._quad) @ vals)
+        return GridFunction(self.grid, self.kernel.integral(self.grid, self._quad, u.values))
 
     def apply(self, u: GridFunction) -> GridFunction:
         self._check_input(u)
@@ -417,8 +388,6 @@ def frechet_derivative(op: NonlinearIntegralOperator, u0: GridFunction) -> np.nd
     u(x) (including attention) raise :class:`NotDifferentiableError`.
     """
     op.grid.require_matches(u0.grid)
-    if isinstance(op.kernel, SoftmaxAttentionKernel):
-        raise NotDifferentiableError("attention kernels are outside the linearized form")
     if op.kernel.uses_ux:
         raise NotDifferentiableError(
             "kernel reads u(x); the derivative formula needs the k(x, y, u(y)) form"
@@ -500,8 +469,6 @@ def estimate_coercivity(
     rng = np.random.default_rng(seed)
     basis = BasisSpec("fourier", (grid.a, grid.b))
     n_modes = min(16, grid.size // 8)
-    from .funcspace import SpectralCoeffs
-
     values = np.empty((n_rays, radii.size))
     for d in range(n_rays):
         coeffs = rng.standard_normal((op.channels, n_modes))
@@ -518,7 +485,7 @@ def estimate_coercivity(
     monotone = bool(np.all(np.diff(min_values) >= -1e-9 * scale))
     slope = None
     condition_ok = None
-    if isinstance(op.kernel, SigmoidSumKernel):
+    if op.kernel.kind == "sigmoid_sum":
         c_k = op.kernel.sup_bound(grid)
         slope = alpha - op.w_inv_sup() * c_k * grid.length
         condition_ok = c_k < 1.0 / (op.w_inv_sup() * grid.length)
@@ -554,8 +521,6 @@ def estimate_contraction(
     grid = op.grid
     basis = BasisSpec("fourier", (grid.a, grid.b))
     n_modes = min(16, grid.size // 8)
-    from .funcspace import SpectralCoeffs
-
     rng = np.random.default_rng(seed)
 
     ch = op.channels

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -252,55 +253,38 @@ def _table_param_to_obj(p) -> Any:
 
 
 def kernel_to_obj(kernel: KernelBase) -> Dict[str, Any]:
-    if isinstance(kernel, SigmoidSumKernel):
-        return {
-            "kind": "sigmoid_sum",
-            "signature": ["x", "y", kernel.signature],
-            "terms": [
-                {
-                    "c": _table_param_to_obj(c),
-                    "a": _table_param_to_obj(a),
-                    "b": _table_param_to_obj(b),
-                }
-                for c, a, b in kernel.terms
-            ],
-        }
-    if isinstance(kernel, WireKernel):
-        return {
-            "kind": "wire",
-            "signature": ["x", "y", kernel.signature],
-            "omega": float(kernel.omega),
-            "terms": [
-                {
-                    "c": _table_param_to_obj(c),
-                    "a": _table_param_to_obj(a),
-                    "b": _table_param_to_obj(b),
-                }
-                for c, a, b in kernel.terms
-            ],
-        }
-    if isinstance(kernel, VolterraKernel):
+    kind = kernel.kind
+    if kind in ("sigmoid_sum", "wire"):
+        obj: Dict[str, Any] = {"kind": kind, "signature": ["x", "y", kernel.signature]}
+        if kind == "wire":
+            obj["omega"] = float(kernel.omega)
+        obj["terms"] = [
+            {
+                "c": _table_param_to_obj(c),
+                "a": _table_param_to_obj(a),
+                "b": _table_param_to_obj(b),
+            }
+            for c, a, b in kernel.terms
+        ]
+        return obj
+    if kind == "volterra":
         sig = ["x", "y"] if kernel.nonlinearity == "none" else ["x", "y", "u(y)"]
         return {
-            "kind": "volterra",
+            "kind": kind,
             "signature": sig,
             "base": _table_param_to_obj(kernel.base),
             "nonlinearity": kernel.nonlinearity,
         }
-    if isinstance(kernel, SoftmaxAttentionKernel):
+    if kind == "softmax_attention":
         return {
-            "kind": "softmax_attention",
+            "kind": kind,
             "signature": ["x", "y", "u(x)", "u(y)"],
             "A": kernel.a_mat,
             "B": kernel.b_mat,
         }
-    if isinstance(kernel, LinearTableKernel):
-        return {
-            "kind": "linear_table",
-            "signature": ["x", "y"],
-            "table": _table_param_to_obj(kernel._table),
-        }
-    raise TypeError(f"cannot serialize kernel of type {type(kernel).__name__}")
+    if kind == "linear_table":
+        return {"kind": kind, "signature": ["x", "y"], "table": _table_param_to_obj(kernel._table)}
+    raise TypeError(f"cannot serialize kernel of kind {kind!r}")
 
 
 def kernel_from_obj(obj: Dict[str, Any]) -> KernelBase:
@@ -332,8 +316,7 @@ def _param_from_obj(p):
     if arr.ndim == 0:
         return float(arr)
     # A dense table is only valid on the grid it was tabulated for; keep it
-    # as an array, so it saves again, and let broadcasting catch shape
-    # mismatches.
+    # as an array, so it saves again.  The operator checks its shape.
     return arr
 
 
@@ -365,13 +348,30 @@ def operator_from_obj(obj: Dict[str, Any], grid: Optional[Grid] = None) -> Nonli
         raise UsageError("operator file names no grid and none was supplied")
     if file_grid is not None and not grid.matches(file_grid):
         raise DimensionError("requested grid disagrees with the grid stored in the operator file")
-    kernel = kernel_from_obj(obj["kernel"])
+    with _file_field("kernel"):
+        kernel = kernel_from_obj(obj["kernel"])
     w = finite_array(obj.get("w", 1.0), "w")
     w = float(w) if w.ndim == 0 else w
     bias = None
     if obj.get("bias") is not None:
-        bias = GridFunction(grid, finite_array(obj["bias"], "bias"))
-    return NonlinearIntegralOperator(grid, kernel, w=w, bias=bias)
+        with _file_field("bias"):
+            bias = GridFunction(grid, finite_array(obj["bias"], "bias"))
+    with _file_field("operator"):
+        return NonlinearIntegralOperator(grid, kernel, w=w, bias=bias)
+
+
+@contextmanager
+def _file_field(name: str):
+    """Report a construction error from file data as a usage error naming
+    the field it came from."""
+    try:
+        yield
+    except UsageError:
+        raise
+    except KeyError as err:
+        raise UsageError(f"operator file: {name} lacks the entry {err}") from None
+    except (TypeError, ValueError) as err:  # DimensionError is a ValueError
+        raise UsageError(f"operator file: bad {name}: {err}") from None
 
 
 def save_operator(op: NonlinearIntegralOperator, path: str):
@@ -412,4 +412,10 @@ def load_atlas(dirpath: str, op: NonlinearIntegralOperator) -> Atlas:
         for name in obj["anchors"]
     ]
     atlas = build_atlas(op, inputs, ell0=int(obj["ell0"]), eps1=float(obj["eps1"]))
+    stored_cells = {tuple(e["cell"]): int(e["anchor"]) for e in obj["cell_map"]}
+    if stored_cells != atlas.cell_map or obj["probe_indices"] != atlas.probe_idx.tolist():
+        raise UsageError(
+            f"stale atlas in {dirpath}: its cell map or probe nodes differ from the "
+            f"ones rebuilt for this operator"
+        )
     return atlas

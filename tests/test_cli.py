@@ -240,6 +240,29 @@ class TestInvert:
         assert code == 64
         assert "non-finite value in w" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, kernel, top", [
+        ("kernel", {"kind": "volterra", "base": 1.0, "nonlinearity": "tanh"}, {}),
+        ("kernel", {"kind": "sigmoid_sum", "signature": ["x", "y", "u(y)"], "terms": []}, {}),
+        ("kernel", {"kind": "sigmoid_sum", "signature": ["x", "y", "u(y)"]}, {}),
+        ("kernel", {"kind": "wire", "terms": [{"c": 0.3, "a": 1.0, "b": 0.0}]}, {}),
+        ("kernel", {"kind": "softmax_attention", "A": [[1.0, 0.5]], "B": [[1.0, 0.5]]}, {}),
+        ("w", {"kind": "volterra"}, {"w": 0}),
+        ("bias", {"kind": "volterra"}, {"bias": [0.5, 0.25]}),
+        ("kernel parameter", {"kind": "volterra", "base": [[1.0, 2.0]]}, {}),
+    ], ids=["unknown_nonlinearity", "empty_terms", "missing_terms", "wire_without_omega",
+            "non_square_attention", "zero_w", "short_bias", "misshapen_base"])
+    def test_malformed_operator_is_usage_error(self, tmp_path, capsys, field, kernel, top):
+        grid = Grid(0.0, 1.0, 65)
+        op = str(tmp_path / "op.json")
+        write_json({"grid": {"a": 0.0, "b": 1.0, "size": 65}, "kernel": kernel, **top}, op)
+        target = str(tmp_path / "target.csv")
+        write_grid_function_csv(GridFunction(grid, np.ones(65)), target)
+        code = main(["invert", "--op", op, "--target", target,
+                     "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 64, err
+        assert err.startswith("operator file:") and field in err
+
     def test_atlas_route(self, tmp_path):
         grid = Grid(0.0, 1.0, 65)
         op = str(tmp_path / "op.json")

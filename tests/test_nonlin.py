@@ -74,6 +74,17 @@ class TestOperator:
         with pytest.raises(DimensionError):
             attn.apply(GridFunction(GRID, np.zeros(GRID.size)))
 
+    def test_dense_parameter_must_fit_the_grid(self):
+        m = GRID.size
+        with pytest.raises(DimensionError, match=r"shape \(1, 2\)"):
+            NonlinearIntegralOperator(GRID, VolterraKernel(np.ones((1, 2))))
+        with pytest.raises(DimensionError, match="does not broadcast"):
+            NonlinearIntegralOperator(
+                GRID, SigmoidSumKernel([(0.1, np.ones((1, m, m)), 0.0)], signature="u(y)")
+            )
+        for shape in [(m, m), (1, m), (m, 1), (m,)]:
+            NonlinearIntegralOperator(GRID, LinearTableKernel(np.ones(shape)))
+
     def test_linear_table_matches_matrix(self):
         rng = np.random.default_rng(61)
         table = rng.standard_normal((GRID.size, GRID.size))

@@ -154,6 +154,8 @@ class TestKernels:
         VolterraKernel(base=2.0, nonlinearity="sigmoid"),
         VolterraKernel(),
         SoftmaxAttentionKernel([[1.0, 0.2], [0.0, 1.0]], [[1.0, 0.0], [0.3, 1.0]]),
+        LinearTableKernel(0.4),
+        WireKernel(2.0, [(0.3, -1.0, 0.0)], signature="u(x)"),
     ])
     def test_kernel_object_round_trip(self, kernel):
         obj = kernel_to_obj(kernel)
@@ -179,6 +181,65 @@ class TestKernels:
         back = load_operator(path)
         u = GridFunction(g, rng.standard_normal(17))
         assert_allclose(back.apply(u).values, op.apply(u).values, atol=0)
+
+
+GOLDEN_GRID = Grid(0.0, 1.0, 3)
+GOLDEN_TABLE = np.array([[0.5, -0.25, 1.0], [0.0, 2.0, 0.125], [-1.5, 0.75, 0.25]])
+
+
+class TestOperatorLayout:
+    """Canonical operator JSON for each kernel layout, pinned byte for byte."""
+
+    @pytest.mark.parametrize("make_op, text", [
+        (lambda: NonlinearIntegralOperator(
+            GOLDEN_GRID,
+            SigmoidSumKernel([(0.2, 2.0, 0.0), (0.1, -1.0, 0.5)], signature="u(x)"),
+            w=1.5, bias=GridFunction(GOLDEN_GRID, np.array([0.1, 0.0, -0.1]))),
+         '{"grid":{"a":0,"b":1,"size":3},"w":[1.5,1.5,1.5],"kernel":{"kind":"sigmoid_sum",'
+         '"signature":["x","y","u(x)"],"terms":[{"c":0.20000000000000001,"a":2,"b":0},'
+         '{"c":0.10000000000000001,"a":-1,"b":0.5}]},'
+         '"bias":[[0.10000000000000001,0,-0.10000000000000001]]}'),
+        (lambda: NonlinearIntegralOperator(
+            GOLDEN_GRID,
+            SigmoidSumKernel([(GOLDEN_TABLE, 1.0, -0.2), (0.1, 2.0, 0.0)], signature="u(y)")),
+         '{"grid":{"a":0,"b":1,"size":3},"w":[1,1,1],"kernel":{"kind":"sigmoid_sum",'
+         '"signature":["x","y","u(y)"],"terms":[{"c":[[0.5,-0.25,1],[0,2,0.125],'
+         '[-1.5,0.75,0.25]],"a":1,"b":-0.20000000000000001},'
+         '{"c":0.10000000000000001,"a":2,"b":0}]}}'),
+        (lambda: NonlinearIntegralOperator(
+            GOLDEN_GRID, WireKernel(3.0, [(0.5, 1.0, 0.1)], signature="u(y)")),
+         '{"grid":{"a":0,"b":1,"size":3},"w":[1,1,1],"kernel":{"kind":"wire",'
+         '"signature":["x","y","u(y)"],"omega":3,"terms":[{"c":0.5,"a":1,'
+         '"b":0.10000000000000001}]}}'),
+        (lambda: NonlinearIntegralOperator(GOLDEN_GRID, VolterraKernel()),
+         '{"grid":{"a":0,"b":1,"size":3},"w":[1,1,1],"kernel":{"kind":"volterra",'
+         '"signature":["x","y"],"base":1,"nonlinearity":"none"}}'),
+        (lambda: NonlinearIntegralOperator(
+            GOLDEN_GRID, VolterraKernel(base=2.0, nonlinearity="sigmoid"),
+            w=np.array([1.0, 2.0, 0.5])),
+         '{"grid":{"a":0,"b":1,"size":3},"w":[1,2,0.5],"kernel":{"kind":"volterra",'
+         '"signature":["x","y","u(y)"],"base":2,"nonlinearity":"sigmoid"}}'),
+        (lambda: NonlinearIntegralOperator(GOLDEN_GRID, LinearTableKernel(0.4)),
+         '{"grid":{"a":0,"b":1,"size":3},"w":[1,1,1],"kernel":{"kind":"linear_table",'
+         '"signature":["x","y"],"table":0.40000000000000002}}'),
+        (lambda: NonlinearIntegralOperator(GOLDEN_GRID, LinearTableKernel(GOLDEN_TABLE), w=1.5),
+         '{"grid":{"a":0,"b":1,"size":3},"w":[1.5,1.5,1.5],"kernel":{"kind":"linear_table",'
+         '"signature":["x","y"],"table":[[0.5,-0.25,1],[0,2,0.125],[-1.5,0.75,0.25]]}}'),
+        (lambda: NonlinearIntegralOperator(
+            GOLDEN_GRID,
+            SoftmaxAttentionKernel([[1.0, 0.2], [0.0, 1.0]], [[1.0, 0.0], [0.3, 1.0]])),
+         '{"grid":{"a":0,"b":1,"size":3},"w":[1,1,1],"kernel":{"kind":"softmax_attention",'
+         '"signature":["x","y","u(x)","u(y)"],"A":[[1,0.20000000000000001],[0,1]],'
+         '"B":[[1,0],[0.29999999999999999,1]]}}'),
+    ], ids=["sigmoid_sum_ux", "sigmoid_sum_uy_table", "wire", "volterra_none",
+            "volterra_sigmoid", "linear_table_scalar", "linear_table_table",
+            "softmax_attention"])
+    def test_layout_is_pinned(self, tmp_path, make_op, text):
+        first, second = str(tmp_path / "op.json"), str(tmp_path / "again.json")
+        save_operator(make_op(), first)
+        assert open(first).read() == text + "\n"
+        save_operator(load_operator(first), second)
+        assert open(second, "rb").read() == open(first, "rb").read()
 
 
 class TestOperatorFiles:
@@ -241,3 +302,14 @@ class TestAtlasFiles:
         assert back.cell_map == atlas.cell_map
         for a, b in zip(atlas.anchors, back.anchors):
             assert_allclose(b.v.values, a.v.values, atol=1e-15)
+
+    def test_stale_atlas_rejected(self, tmp_path):
+        # Saved for w = 1 and loaded with w = 2, the anchor images double and
+        # land in other cells; the load must refuse instead of re-binning.
+        g = Grid(0.0, 1.0, 65)
+        kern = SigmoidSumKernel([(0.4, 1.0, 0.0)], signature="u(y)")
+        training = [GridFunction(g, np.full(65, 0.5 * j)) for j in range(8)]
+        d = str(tmp_path / "atlas")
+        save_atlas(build_atlas(NonlinearIntegralOperator(g, kern, w=1.0), training), d)
+        with pytest.raises(UsageError, match="stale atlas"):
+            load_atlas(d, NonlinearIntegralOperator(g, kern, w=2.0))
