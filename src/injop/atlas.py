@@ -43,9 +43,20 @@ def probe_indices(grid_size: int, ell0: int) -> np.ndarray:
 
 
 def cell_key(g: GridFunction, probe_idx: np.ndarray, eps1: float) -> Tuple[int, ...]:
-    """Integer cell of g: bin index of g(y_l) for each probe node."""
+    """Integer cell of g: bin index of g(y_l) for each probe node.
+
+    Raises :class:`OutOfBasinError`, with an empty trace, when a bin index
+    is not finite: no cell, so no anchor's basin, holds such a g.
+    """
     vals = g.values[0, probe_idx]
-    return tuple(int(math.floor(v / eps1 + 0.5)) for v in vals)
+    with np.errstate(over="ignore"):
+        bins = np.floor(vals / eps1 + 0.5)
+    if not np.all(np.isfinite(bins)):
+        raise OutOfBasinError(
+            f"no finite cell index: probe values {[float(v) for v in vals]} at eps1 = {eps1}",
+            trace=InversionTrace(),
+        )
+    return tuple(int(b) for b in bins)
 
 
 def mask_apply(
@@ -239,7 +250,9 @@ def local_invert(
 
     The residual is checked before each step, so the anchor's own image
     returns in one iteration.  Raises :class:`OutOfBasinError` after
-    ``BASIN_PATIENCE`` consecutive H1 residual increases.
+    ``BASIN_PATIENCE`` consecutive H1 residual increases, or at the first
+    non-finite residual; the trace then holds the finite iterations before
+    it.
     """
     op.grid.require_matches(g.grid)
     u = anchor.v.copy()
@@ -252,6 +265,12 @@ def local_invert(
         diff = op.apply(u).values - g.values
         res_h1 = h1_norm(op.grid, diff)
         res_l2 = float(np.sqrt(np.sum(op.grid.weights * diff**2)))
+        if not (np.isfinite(res_l2) and np.isfinite(res_h1)):
+            raise OutOfBasinError(
+                f"non-finite residual at iteration {m} near anchor {anchor.index} "
+                f"(L2 {res_l2}, H1 {res_h1})",
+                trace=trace,
+            )
         if trace.residuals_h1 and res_h1 > trace.residuals_h1[-1]:
             increases += 1
         elif trace.residuals_h1:

@@ -135,32 +135,6 @@ def certify_bijective_activation(layer: FiniteRankLayer) -> CertReport:
     )
 
 
-def _sample_inputs(layer: FiniteRankLayer, trials: int, seed: int):
-    """Deterministic probes first (zero, +-unit coefficients), then noise."""
-    basis, n, d = layer.basis, layer.n, layer.d_in
-    probes = [SpectralCoeffs(basis, n, np.zeros((d, n)))]
-    for c in range(d):
-        for k in range(n):
-            for sign in (1.0, -1.0):
-                coeffs = np.zeros((d, n))
-                coeffs[c, k] = sign
-                probes.append(SpectralCoeffs(basis, n, coeffs))
-    for t in range(len(probes)):
-        if t >= trials:
-            return
-        yield probes[t]
-    for t in range(len(probes), trials):
-        rng = np.random.default_rng([seed, t])
-        yield SpectralCoeffs(basis, n, rng.standard_normal((d, n)))
-
-
-def _active_rows(layer: FiniteRankLayer, active: np.ndarray) -> np.ndarray:
-    """Rows of the block matrix belonging to the active output channels."""
-    mat = block_matrix(layer)
-    keep = np.tile(active, layer.n)
-    return mat[keep]
-
-
 def certify_relu_dss(
     layer: FiniteRankLayer, grid: Grid, trials: int = 1000, seed: int = 0
 ) -> CertReport:
@@ -174,9 +148,12 @@ def certify_relu_dss(
     * where the pre-activation is <= 0: it dominates the direction's value,
     * where it is > 0: the direction's value vanishes.
 
-    The first direction and scaling that pass yield the witness
-    (v, v - direction), which is re-verified through the layer before
-    being reported.
+    Every kernel direction is tested at every scale of ``_SCALES`` in one
+    array pass per scale.  The passing (direction, scale) pairs are taken
+    direction-major, in scale order, and the first witness
+    (v, v - scale * direction) that re-verifies through the layer is
+    reported.  Probes are made one per trial, since a planted collision
+    ends the search at the first.
     """
     if layer.activation.kind != "relu":
         raise ValueError(f"DSS search expects a relu layer, got {layer.activation.kind!r}")
@@ -185,57 +162,55 @@ def certify_relu_dss(
     sigma_max = float(svals[0]) if svals.size else 0.0
     sigma_min = float(svals[-1]) if mat.shape[0] >= mat.shape[1] else 0.0
 
-    used = 0
-    for v in _sample_inputs(layer, trials, seed):
-        used += 1
+    basis, n, d = layer.basis, layer.n, layer.d_in
+    for trial in range(trials):
+        # Probes: zero, then +-1 on each (channel, mode), then seeded noise.
+        if trial > 2 * d * n:
+            coeffs = np.random.default_rng([seed, trial]).standard_normal((d, n))
+        else:
+            coeffs = np.zeros((d, n))
+            if trial:
+                c, k, s = np.unravel_index(trial - 1, (d, n, 2))
+                coeffs[c, k] = (1.0, -1.0)[s]
+        v = SpectralCoeffs(basis, n, coeffs)
         pre = from_spectral(apply_affine(layer, v), grid).values  # (d_out, M)
         active = np.min(pre, axis=1) > ACTIVE_MARGIN
-        if active.all():
-            c_active = mat
+        if active.any():
+            kernel = scipy.linalg.null_space(mat[np.tile(active, n)])
         else:
-            c_active = _active_rows(layer, active)
-        if c_active.shape[0] == 0:
             kernel = np.eye(mat.shape[1])
-        else:
-            kernel = scipy.linalg.null_space(c_active)
         if kernel.size == 0:
             continue
-        for col in kernel.T:
-            direction = unstack_coeffs(col, layer.basis, layer.n, layer.d_in)
-            dir_vals = from_spectral(apply_finite_rank(layer, direction), grid).values
-            for t in _SCALES:
-                if _satisfies_sign_conditions(pre, active, t * dir_vals):
-                    v2 = SpectralCoeffs(layer.basis, layer.n, v.coeffs - t * direction.coeffs)
-                    residual = verify_collision(layer, v, v2, grid)
-                    if residual <= collision_threshold(layer, v, grid):
-                        return CertReport(
-                            verdict=VERDICT_COUNTEREXAMPLE,
-                            sigma_min=sigma_min,
-                            sigma_max=sigma_max,
-                            trials=used,
-                            seed=seed,
-                            witness=(v, v2),
-                        )
+        # Kernel columns as a batch of stacked coefficients, (k, d_in, N).
+        directions = kernel.T.reshape(-1, n, d).transpose(0, 2, 1)
+        dir_vals = from_spectral(
+            apply_finite_rank(layer, SpectralCoeffs(basis, n, directions)), grid
+        ).values[:, ~active]
+        y = pre[~active]
+        nonpos = y <= 0.0
+        # passes[j, i]: direction j at scale _SCALES[i] meets the sign
+        # conditions on every inactive channel.
+        passes = np.empty((len(directions), len(_SCALES)), dtype=bool)
+        for i, t in enumerate(_SCALES):
+            dt = t * dir_vals
+            bad = np.where(nonpos, y > dt + POINTWISE_TOL, np.abs(dt) > POINTWISE_TOL)
+            passes[:, i] = ~bad.reshape(len(directions), -1).any(axis=1)
+        for j, i in zip(*np.nonzero(passes)):
+            v2 = SpectralCoeffs(basis, n, v.coeffs - _SCALES[i] * directions[j])
+            residual = verify_collision(layer, v, v2, grid)
+            if residual <= collision_threshold(layer, v, grid):
+                return CertReport(
+                    verdict=VERDICT_COUNTEREXAMPLE,
+                    sigma_min=sigma_min,
+                    sigma_max=sigma_max,
+                    trials=trial + 1,
+                    seed=seed,
+                    witness=(v, v2),
+                )
     return CertReport(
         verdict=VERDICT_NO_COUNTEREXAMPLE,
         sigma_min=sigma_min,
         sigma_max=sigma_max,
-        trials=used,
+        trials=max(trials, 0),
         seed=seed,
     )
-
-
-def _satisfies_sign_conditions(
-    pre: np.ndarray, active: np.ndarray, dir_vals: np.ndarray
-) -> bool:
-    for i in range(pre.shape[0]):
-        if active[i]:
-            continue
-        y = pre[i]
-        d = dir_vals[i]
-        nonpos = y <= 0.0
-        if np.any(y[nonpos] > d[nonpos] + POINTWISE_TOL):
-            return False
-        if np.any(np.abs(d[~nonpos]) > POINTWISE_TOL):
-            return False
-    return True

@@ -14,7 +14,6 @@ import argparse
 import glob
 import os
 import sys
-from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional
 
@@ -33,25 +32,6 @@ from .finite_rank import FiniteRankNetwork, truncate_kernel
 from .funcspace import BasisSpec, Grid, GridFunction
 from .nonlin import NonlinearIntegralOperator, VolterraKernel, invert_banach
 from .reduction import lift_to_injective
-
-
-@dataclass
-class RunConfig:
-    command: str
-    net: Optional[str] = None
-    op: Optional[str] = None
-    target: Optional[str] = None
-    anchors: Optional[str] = None
-    mode: str = "relu"
-    method: str = "banach"
-    trials: int = 1000
-    seed: int = 0
-    tol: float = 1e-8
-    grid_size: int = 512
-    rank: int = 8
-    alpha: float = 0.1
-    out_dir: str = "."
-    demo_name: Optional[str] = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,27 +84,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def parse_config(argv: List[str]) -> RunConfig:
+def parse_config(argv: List[str]) -> argparse.Namespace:
     parser = _build_parser()
     if not argv:
         raise UsageError(parser.format_usage().rstrip())
     ns = parser.parse_args(argv)
     if ns.command is None:
         raise UsageError(parser.format_usage().rstrip())
-    cfg = RunConfig(command=ns.command)
-    for name in vars(ns):
-        if name == "command":
-            continue
-        setattr(cfg, name, getattr(ns, name))
-    return cfg
+    return ns
 
 
-def _report_path(cfg: RunConfig, name: str) -> str:
+def _report_path(cfg: argparse.Namespace, name: str) -> str:
     os.makedirs(cfg.out_dir, exist_ok=True)
     return os.path.join(cfg.out_dir, name)
 
 
-def _run_certify(cfg: RunConfig) -> int:
+def _run_certify(cfg: argparse.Namespace) -> int:
     net = serialize.load_network(cfg.net)
     grid = Grid(net.basis.interval[0], net.basis.interval[1], cfg.grid_size)
     layer_reports = []
@@ -156,7 +131,7 @@ def _run_certify(cfg: RunConfig) -> int:
     return 2 if verdict == VERDICT_COUNTEREXAMPLE else 0
 
 
-def _run_lift(cfg: RunConfig) -> int:
+def _run_lift(cfg: argparse.Namespace) -> int:
     net = serialize.load_network(cfg.net)
     mode = "relu" if cfg.mode == "relu" else "injective"
     result = lift_to_injective(net, mode=mode, alpha=cfg.alpha, seed=cfg.seed)
@@ -177,12 +152,12 @@ def _run_lift(cfg: RunConfig) -> int:
     return 0
 
 
-def _invert_outputs(cfg: RunConfig, u, trace, extra=None) -> dict:
+def _invert_outputs(cfg: argparse.Namespace, method: str, u, trace, extra) -> dict:
     serialize.write_grid_function_csv(u, _report_path(cfg, "result.csv"))
     serialize.write_trace_csv(trace, _report_path(cfg, "trace.csv"))
     report = {
         "command": cfg.command,
-        "method": cfg.method,
+        "method": method,
         "tol": cfg.tol,
         "seed": cfg.seed,
         "converged": trace.converged,
@@ -190,12 +165,11 @@ def _invert_outputs(cfg: RunConfig, u, trace, extra=None) -> dict:
         "residual_L2": trace.residuals_l2[-1] if trace.residuals_l2 else None,
         "residual_H1": trace.residuals_h1[-1] if trace.residuals_h1 else None,
     }
-    if extra:
-        report.update(extra)
+    report.update(extra)
     return report
 
 
-def _run_invert(cfg: RunConfig) -> int:
+def _run_invert(cfg: argparse.Namespace) -> int:
     fallback_grid = Grid(0.0, 1.0, cfg.grid_size)
     obj = serialize.read_json(cfg.op)
     op = serialize.operator_from_obj(obj, None if "grid" in obj else fallback_grid)
@@ -221,25 +195,22 @@ def _run_invert(cfg: RunConfig) -> int:
     except DivergenceError as err:
         u = GridFunction(op.grid, np.zeros((op.channels, op.grid.size)))
         trace, extra = err.trace, {"outcome": negative, "detail": str(err)}
-    serialize.write_json(_invert_outputs(cfg, u, trace, extra), _report_path(cfg, "report.json"))
+    report = _invert_outputs(cfg, cfg.method, u, trace, extra)
+    serialize.write_json(report, _report_path(cfg, "report.json"))
     return 0 if trace.converged else 2
 
 
-def _run_truncate(cfg: RunConfig) -> int:
+def _run_truncate(cfg: argparse.Namespace) -> int:
     obj = serialize.read_json(cfg.op)
-    kobj = obj.get("kernel", obj)
-    if kobj.get("kind") != "linear_table":
+    if obj.get("kernel", obj).get("kind") != "linear_table":
         raise UsageError("truncate expects a linear_table kernel file")
-    if "grid" in obj:
-        grid = serialize.grid_from_obj(obj["grid"])
-    else:
-        grid = Grid(0.0, 1.0, cfg.grid_size)
-    table = serialize.finite_array(kobj["table"], "the kernel table")
-    if table.ndim == 0:
-        value = float(table)
-        kernel = lambda x, y: np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), value)
-    else:
-        kernel = lambda x, y: table
+    if "kernel" not in obj:  # a bare kernel object
+        obj = {**obj, "kernel": obj}
+    op = serialize.operator_from_obj(obj, None if "grid" in obj else Grid(0.0, 1.0, cfg.grid_size))
+    grid = op.grid
+    # A contiguous copy: a scalar table broadcasts with zero strides, which
+    # would take matmul off its BLAS path and change the last digits.
+    kernel = lambda x, y: np.array(op.kernel.table(x, y, None, None))
     basis = BasisSpec("fourier", (grid.a, grid.b))
     result = truncate_kernel(kernel, grid, basis, cfg.rank)
     net = FiniteRankNetwork([result.layer])
@@ -254,7 +225,7 @@ def _run_truncate(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_demo(cfg: RunConfig) -> int:
+def _run_demo(cfg: argparse.Namespace) -> int:
     if cfg.demo_name != "volterra":
         raise UsageError(f"unknown demo {cfg.demo_name!r}; available: volterra")
     grid = Grid(0.0, 1.0, cfg.grid_size)
@@ -266,9 +237,8 @@ def _run_demo(cfg: RunConfig) -> int:
     # exactly, so the discrete answer matches the closed form.
     max_err = float(np.max(np.abs(u.values - 1.0)))
     report = _invert_outputs(
-        cfg, u, trace, {"demo": "volterra", "max_error_vs_closed_form": max_err}
+        cfg, "banach", u, trace, {"demo": "volterra", "max_error_vs_closed_form": max_err}
     )
-    report["method"] = "banach"
     serialize.write_json(report, _report_path(cfg, "report.json"))
     return 0 if trace.converged and max_err <= 1e-6 else 2
 
@@ -282,7 +252,7 @@ _HANDLERS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
     return _HANDLERS[cfg.command](cfg)
 
 

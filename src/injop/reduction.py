@@ -262,9 +262,6 @@ def build_reduction_randomized(
     n_in_modes: int,
     out_modes: int,
     seed: int = 0,
-    rotation_scale: float = 0.1,
-    n_jacobian_points: int = 32,
-    n_collision_pairs: int = 10_000,
     max_retries: int = 8,
 ) -> ReductionMap:
     """Draw a random reduction for a black-box graph map and verify it.
@@ -272,12 +269,11 @@ def build_reduction_randomized(
     ``t_map`` sends a (batch, n_in_modes) array of stacked input
     coefficients to the (batch, n_in_modes + out_modes) array of their
     stacked ambient coefficients.  The reference complement is the output
-    block; the tilted complement is its image under exp(rotation_scale * S)
-    for a random unit-norm skew-symmetric S.  Each candidate B is accepted
-    only if the finite difference Jacobian of B o T has full rank n_in_modes at
-    ``n_jacobian_points`` seeded points and no collision shows up among
-    ``n_collision_pairs`` seeded pairs; otherwise a fresh seed is drawn,
-    up to ``max_retries`` times.
+    block; the tilted complement is its image under exp(0.1 S) for a random
+    unit-norm skew-symmetric S.  Each candidate B is accepted only if the
+    finite difference Jacobian of B o T has full rank n_in_modes at 32
+    seeded points and no collision shows up among 10,000 seeded pairs;
+    otherwise a fresh seed is drawn, up to ``max_retries`` times.
     """
     check_reduction_dimensions(n_in_modes, out_modes)
     dtot = n_in_modes + out_modes
@@ -290,14 +286,12 @@ def build_reduction_randomized(
         s = rng.standard_normal((dtot, dtot))
         skew = (s - s.T) / 2.0
         skew /= np.linalg.norm(skew, 2)
-        rot = scipy.linalg.expm(rotation_scale * skew)
+        rot = scipy.linalg.expm(0.1 * skew)
         p = rot @ p_zero @ rot.T
         q = _kato_rotation(p_zero, p)
         b = (q @ p)[n_in_modes:, :]
 
-        if _verify_randomized(
-            t_map, b, n_in_modes, rng, n_jacobian_points, n_collision_pairs
-        ):
+        if _verify_randomized(t_map, b, n_in_modes, rng):
             return ReductionMap(
                 b=b,
                 kind="randomized",
@@ -314,8 +308,9 @@ def build_reduction_randomized(
     )
 
 
-def _verify_randomized(batch_map, b, n_in, rng, n_points, n_pairs) -> bool:
-    # (a) full Jacobian rank at seeded points, forward differences.
+def _verify_randomized(batch_map, b, n_in, rng) -> bool:
+    # (a) full Jacobian rank at 32 seeded points, forward differences.
+    n_points = 32
     points = rng.standard_normal((n_points, n_in))
     h = 1e-6
     probes = [points]
@@ -329,9 +324,9 @@ def _verify_randomized(batch_map, b, n_in, rng, n_points, n_pairs) -> bool:
     svals = np.linalg.svd(jac, compute_uv=False)
     if np.any(svals[:, -1] <= 1e-6 * svals[:, 0]):
         return False
-    # (b) no collisions among seeded pairs.
-    u = rng.standard_normal((n_pairs, n_in))
-    v = rng.standard_normal((n_pairs, n_in))
+    # (b) no collisions among 10,000 seeded pairs.
+    u = rng.standard_normal((10_000, n_in))
+    v = rng.standard_normal((10_000, n_in))
     gap_in = np.linalg.norm(u - v, axis=1)
     gap_out = np.linalg.norm(batch_map(u) @ b.T - batch_map(v) @ b.T, axis=1)
     ok = gap_in > 0

@@ -175,6 +175,43 @@ class TestBasinEscape:
             global_invert(atlas, op, g, tol=1e-10, max_iter=50)
 
 
+class _SquareKernel(KernelBase):
+    """Test-only kernel u(y), so K(u) = int u^2: from a zero anchor the
+    frozen Newton step squares the residual until it overflows."""
+
+    kind = "test_square"
+
+    def table(self, x, y, s, t):
+        return np.broadcast_to(t, np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t)))
+
+    def du(self, x, y, t):
+        return np.ones(np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+class TestNonFinite:
+    def test_local_invert_stops_at_first_non_finite_residual(self):
+        op = NonlinearIntegralOperator(GRID, _SquareKernel())
+        atlas = build_atlas(op, [GridFunction(GRID, np.zeros(GRID.size))], ell0=3, eps1=0.25)
+        g = GridFunction(GRID, np.full(GRID.size, 1e10))
+        with pytest.raises(OutOfBasinError, match="non-finite residual at iteration 5") as err:
+            local_invert(op, atlas.anchors[0], g, tol=1e-10)
+        trace = err.value.trace
+        assert trace.iterations == 4 and len(trace.residuals_h1) == 4
+        assert np.all(np.isfinite(trace.residuals_l2 + trace.residuals_h1))
+
+    @pytest.mark.parametrize("level", [1e200, 1e306, 1e308])
+    def test_huge_target_is_out_of_basin(self, level):
+        op = make_op()
+        atlas = build_atlas(op, training_set(), ell0=3, eps1=0.25)
+        g = GridFunction(GRID, level * (1.0 + 0.5 * GRID.nodes))
+        with pytest.raises(OutOfBasinError) as err:
+            global_invert(atlas, op, g, tol=1e-10)
+        trace = err.value.trace
+        assert not trace.converged
+        assert np.all(np.isfinite(trace.residuals_l2 + trace.residuals_h1))
+
+
 class TestGlobalInvert:
     def test_round_trip_through_cells(self):
         op = make_op()

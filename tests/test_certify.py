@@ -6,10 +6,14 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from injop.certify import (
+    ACTIVE_MARGIN,
+    POINTWISE_TOL,
     VERDICT_CERTIFIED,
     VERDICT_COUNTEREXAMPLE,
     VERDICT_NO_COUNTEREXAMPLE,
     SINGULAR_TOL,
+    _SCALES,
+    CertReport,
     certify_bijective_activation,
     certify_relu_dss,
     collision_threshold,
@@ -19,10 +23,13 @@ from injop.errors import DegenerateWitnessError
 from injop.finite_rank import (
     Activation,
     FiniteRankLayer,
+    apply_affine,
+    apply_finite_rank,
     block_matrix,
+    unstack_coeffs,
     zero_bias,
 )
-from injop.funcspace import BasisSpec, Grid, SpectralCoeffs
+from injop.funcspace import BasisSpec, Grid, SpectralCoeffs, from_spectral
 
 BASIS = BasisSpec("fourier", (0.0, 1.0))
 
@@ -146,6 +153,107 @@ class TestReluSearch:
         layer = make_layer(np.ones((1, 1, 1, 1)), 1, 1, 1)
         with pytest.raises(ValueError):
             certify_relu_dss(layer, Grid(0.0, 1.0, 64))
+
+
+def _reference_relu_dss(layer, grid, trials, seed):
+    """The collision search one probe, direction and scale at a time, with
+    the scalar sign-condition loop: the oracle for the array version."""
+
+    def sample_inputs():
+        basis, n, d = layer.basis, layer.n, layer.d_in
+        probes = [SpectralCoeffs(basis, n, np.zeros((d, n)))]
+        for c in range(d):
+            for k in range(n):
+                for sign in (1.0, -1.0):
+                    coeffs = np.zeros((d, n))
+                    coeffs[c, k] = sign
+                    probes.append(SpectralCoeffs(basis, n, coeffs))
+        yield from probes[:trials]
+        for t in range(len(probes), trials):
+            rng = np.random.default_rng([seed, t])
+            yield SpectralCoeffs(basis, n, rng.standard_normal((d, n)))
+
+    def satisfies_sign_conditions(pre, active, dir_vals):
+        for i in range(pre.shape[0]):
+            if active[i]:
+                continue
+            y, d = pre[i], dir_vals[i]
+            nonpos = y <= 0.0
+            if np.any(y[nonpos] > d[nonpos] + POINTWISE_TOL):
+                return False
+            if np.any(np.abs(d[~nonpos]) > POINTWISE_TOL):
+                return False
+        return True
+
+    mat = block_matrix(layer)
+    svals = np.linalg.svd(mat, compute_uv=False)
+    sigma_max = float(svals[0]) if svals.size else 0.0
+    sigma_min = float(svals[-1]) if mat.shape[0] >= mat.shape[1] else 0.0
+    used = 0
+    for v in sample_inputs():
+        used += 1
+        pre = from_spectral(apply_affine(layer, v), grid).values
+        active = np.min(pre, axis=1) > ACTIVE_MARGIN
+        c_active = mat if active.all() else mat[np.tile(active, layer.n)]
+        if c_active.shape[0] == 0:
+            kernel = np.eye(mat.shape[1])
+        else:
+            kernel = scipy.linalg.null_space(c_active)
+        for col in kernel.T:
+            direction = unstack_coeffs(col, layer.basis, layer.n, layer.d_in)
+            dir_vals = from_spectral(apply_finite_rank(layer, direction), grid).values
+            for t in _SCALES:
+                if satisfies_sign_conditions(pre, active, t * dir_vals):
+                    v2 = SpectralCoeffs(layer.basis, layer.n, v.coeffs - t * direction.coeffs)
+                    if verify_collision(layer, v, v2, grid) <= collision_threshold(layer, v, grid):
+                        return CertReport(VERDICT_COUNTEREXAMPLE, sigma_min, sigma_max, used,
+                                          seed, (v, v2))
+    return CertReport(VERDICT_NO_COUNTEREXAMPLE, sigma_min, sigma_max, used, seed)
+
+
+def _relu_corpus():
+    """Seeded (layer, grid, trials, seed) cases: random biases, planted
+    collisions (bias -50 on mode 1: no channel is active at the zero probe)
+    and all-active layers (bias +50), on square, tall and wide block
+    matrices; then two knife edges that only POINTWISE_TOL decides."""
+    rng = np.random.default_rng(2024)
+    for i in range(36):
+        n, d_in, d_out = (int(k) for k in rng.integers(1, [5, 4, 4]))
+        bias = rng.standard_normal((d_out, n)) * float(rng.choice([0.2, 1.0, 3.0]))
+        bias[:, 0] += (0.0, -50.0, 50.0)[i % 3]
+        layer = make_layer(rng.standard_normal((n, n, d_out, d_in)), d_in, d_out, n,
+                           activation=Activation("relu"), bias=SpectralCoeffs(BASIS, n, bias))
+        grid = Grid(0.0, 1.0, int(rng.choice([64, 97])))
+        yield layer, grid, int(rng.integers(1, 60)), int(rng.integers(1000))
+    # Kernel block -1 and bias 1e-12: at the probe phi_1 the pre-activation
+    # sits 1e-12 above the direction's values.
+    bias = SpectralCoeffs(BASIS, 1, np.array([[1e-12]]))
+    layer = make_layer(-np.ones((1, 1, 1, 1)), 1, 1, 1, activation=Activation("relu"), bias=bias)
+    yield layer, Grid(0.0, 1.0, 64), 5, 0
+    # Channel 0 repeats the kernel rows of the always-active channel 1, so
+    # a kernel direction's values on channel 0, where its pre-activation
+    # changes sign, are rounding noise.
+    c = rng.standard_normal((2, 2, 2, 2))
+    c[:, :, 0] = c[:, :, 1]
+    bias = SpectralCoeffs(BASIS, 2, np.array([[0.0, 1.0], [50.0, 0.0]]))
+    yield make_layer(c, 2, 2, 2, activation=Activation("relu"), bias=bias), Grid(0.0, 1.0, 64), 5, 0
+
+
+def test_relu_search_matches_scalar_reference():
+    verdicts = set()
+    for layer, grid, trials, seed in _relu_corpus():
+        got = certify_relu_dss(layer, grid, trials=trials, seed=seed)
+        want = _reference_relu_dss(layer, grid, trials, seed)
+        assert (got.verdict, got.trials, got.seed) == (want.verdict, want.trials, want.seed)
+        assert (got.sigma_min, got.sigma_max) == (want.sigma_min, want.sigma_max)
+        if want.witness is None:
+            assert got.witness is None
+        else:
+            for a, b in zip(got.witness, want.witness):
+                assert a.coeffs.shape == b.coeffs.shape
+                assert a.coeffs.tobytes() == b.coeffs.tobytes()
+        verdicts.add(want.verdict)
+    assert verdicts == {VERDICT_COUNTEREXAMPLE, VERDICT_NO_COUNTEREXAMPLE}
 
 
 def _identity_blocks(n, d):

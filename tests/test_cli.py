@@ -287,6 +287,27 @@ class TestInvert:
         assert report["anchor"] == 0
         assert report["cell"] is not None
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("level", [1e200, 1e306, 1e308])
+    def test_atlas_huge_target_is_out_of_basin(self, tmp_path, level):
+        grid = Grid(0.0, 1.0, 65)
+        op = str(tmp_path / "op.json")
+        write_contraction_op(op, grid)
+        anchors = tmp_path / "anchors"
+        anchors.mkdir()
+        for j, anchor_level in enumerate([0.0, 1.5]):
+            v = GridFunction(grid, np.full(65, anchor_level))
+            write_grid_function_csv(v, str(anchors / f"anchor_{j}.csv"))
+        target = str(tmp_path / "target.csv")
+        write_grid_function_csv(GridFunction(grid, level * (1.0 + 0.5 * grid.nodes)), target)
+        out = str(tmp_path / "out")
+        code = main(["invert", "--op", op, "--target", target, "--method", "atlas",
+                     "--anchors", str(anchors), "--out-dir", out])
+        assert code == 2
+        report = read_json(os.path.join(out, "report.json"))
+        assert report["outcome"] == "OutOfBasin" and report["converged"] is False
+        assert os.path.isfile(os.path.join(out, "trace.csv"))
+
 
 class TestTruncate:
     def test_linear_table(self, tmp_path):
@@ -314,6 +335,29 @@ class TestTruncate:
         code = main(["truncate", "--op", op_path, "--out-dir", str(tmp_path)])
         assert code == 64
         capsys.readouterr()
+
+    @pytest.mark.filterwarnings("ignore:Hilbert-Schmidt tail")
+    def test_bare_kernel_object(self, tmp_path):
+        table = str(tmp_path / "table.json")
+        write_json({"kind": "linear_table", "table": 0.5}, table)
+        out = str(tmp_path / "out")
+        assert main(["truncate", "--op", table, "--rank", "3", "--grid-size", "64",
+                     "--out-dir", out]) == 0
+        net = read_json(os.path.join(out, "network.json"))
+        assert net["N"] == 3 and net["layers"][0]["C"][0][0][0][0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("kernel", [
+        {"kind": "linear_table", "table": [[1.0, 2.0]]},
+        {"kind": "linear_table"},
+    ], ids=["bad_table_shape", "no_table"])
+    def test_malformed_table_is_usage_error(self, tmp_path, capsys, kernel):
+        op_path = str(tmp_path / "op.json")
+        write_json({"grid": {"a": 0.0, "b": 1.0, "size": 65}, "w": 1.0, "kernel": kernel},
+                   op_path)
+        code = main(["truncate", "--op", op_path, "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 64, err
+        assert err.startswith("operator file:")
 
 
 class TestDemo:

@@ -11,7 +11,7 @@ from injop.errors import (
     NotDifferentiableError,
     SingularOperatorError,
 )
-from injop.funcspace import Grid, GridFunction
+from injop.funcspace import BasisSpec, Grid, GridFunction, SpectralCoeffs, from_spectral
 from injop.nonlin import (
     FactorizedFrechet,
     LinearTableKernel,
@@ -247,3 +247,86 @@ class TestEstimators:
         op = NonlinearIntegralOperator(GRID, kern, w=1.0)
         report = estimate_coercivity(op, alpha=1.0, n_rays=4)
         assert report.analytic_condition_ok is False
+
+
+def _reference_contraction(op, seed):
+    """The sampled Lipschitz constant one pair at a time, evaluating K at
+    both points of every pair: the oracle for the array version."""
+    grid = op.grid
+    basis = BasisSpec("fourier", (grid.a, grid.b))
+    n_modes = min(16, grid.size // 8)
+    rng = np.random.default_rng(seed)
+    ch = op.channels
+
+    def smooth(coeffs):
+        return from_spectral(SpectralCoeffs(basis, n_modes, coeffs), grid)
+
+    base_points = [GridFunction(grid, np.zeros((ch, grid.size)))]
+    base_points.append(smooth(rng.standard_normal((ch, n_modes)) * (2.0 / 8.0)))
+    pairs = []
+    for base in base_points:
+        for k in range(n_modes):
+            coeffs = np.zeros((ch, n_modes))
+            coeffs[:, k] = 1.0
+            probe = smooth(coeffs)
+            for delta in (1e-3, 1.0):
+                pairs.append((base, base + delta * probe))
+    while len(pairs) < 64:
+        u = smooth(rng.standard_normal((ch, n_modes)) * (2.0 / 4.0))
+        v = smooth(rng.standard_normal((ch, n_modes)) * (2.0 / 4.0))
+        pairs.append((u, v))
+    rho = 0.0
+    for u, v in pairs:
+        gap = (u - v).l2_norm()
+        if gap <= 1e-14:
+            continue
+        ku = op.kernel_part(u).values / op.w_values
+        kv = op.kernel_part(v).values / op.w_values
+        out_gap = float(np.sqrt(np.sum(grid.weights * (ku - kv) ** 2)))
+        rho = max(rho, out_gap / gap)
+    return rho
+
+
+def _reference_coercivity_values(op, alpha, n_rays, seed):
+    """Ray probe values one ray at a time (the array version's oracle)."""
+    grid = op.grid
+    radii = np.geomspace(1.0, 1000.0, 13)
+    rng = np.random.default_rng(seed)
+    basis = BasisSpec("fourier", (grid.a, grid.b))
+    n_modes = min(16, grid.size // 8)
+    values = np.empty((n_rays, radii.size))
+    for d in range(n_rays):
+        coeffs = rng.standard_normal((op.channels, n_modes))
+        direction = from_spectral(SpectralCoeffs(basis, n_modes, coeffs), grid)
+        direction = GridFunction(grid, direction.values / direction.l2_norm())
+        unit_sq = float(np.sum(grid.weights * direction.values**2))
+        for j, r in enumerate(radii):
+            ku = op.kernel_part(r * direction)
+            inner = float(np.sum(grid.weights * (ku.values / op.w_values) * direction.values))
+            values[d, j] = alpha * r * unit_sq + inner
+    return values.min(axis=0)
+
+
+@pytest.mark.parametrize("size", [64, 100, 512])
+def test_estimators_match_pairwise_reference(size):
+    # M = 64 and 100 have fewer than 16 probe modes, so random pairs fill
+    # the sample up to 64 pairs; M = 512 uses the probe pairs alone.
+    grid = Grid(0.0, 1.0, size)
+    rng = np.random.default_rng(size)
+    ops = [
+        NonlinearIntegralOperator(
+            grid, SigmoidSumKernel([(0.3, 1.0, 0.0), (0.2, -2.0, 0.5)], "u(y)"), w=2.0
+        ),
+        NonlinearIntegralOperator(grid, WireKernel(3.0, [(0.4, 1.0, 0.0)]), w=lambda x: 1.5 + x),
+        NonlinearIntegralOperator(grid, LinearTableKernel(0.1 * rng.standard_normal((size, size)))),
+        NonlinearIntegralOperator(
+            grid, SoftmaxAttentionKernel(0.5 * np.eye(2), [[0.2, 0.1], [0.0, 0.3]])
+        ),
+    ]
+    for i, op in enumerate(ops):
+        assert estimate_contraction(op, seed=i) == _reference_contraction(op, i)
+    if size < 512:  # the ray reference is slow at M = 512 and not size-specific
+        for op in (ops[0], ops[3]):
+            report = estimate_coercivity(op, alpha=1.0, n_rays=2, seed=1)
+            want = _reference_coercivity_values(op, 1.0, 2, 1)
+            assert report.min_values.tobytes() == want.tobytes()
