@@ -10,17 +10,22 @@ equivalently (i_l - 1/2) eps1 <= g(y_l) < (i_l + 1/2) eps1, so the
 half-open bins are disjoint and exactly one composed mask fires for any
 target.  Local inversion iterates u <- u - A_j^{-1}(F(u) - g) from v_j and
 converges in the discrete H1 norm.
+
+Inversion needs only each anchor's LU factors, its image and the cell map.
+The diagnostic constants (``Atlas.constants``, ``Anchor.inv_h1_norm``) are
+computed on first read: the atlas keeps its operator and rebuilds each
+anchor's derivative matrix then, rather than holding one per anchor.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import OutOfBasinError
 from .funcspace import Grid, GridFunction, h1_distance, h1_norm
@@ -91,7 +96,14 @@ class Anchor:
     v: GridFunction
     g: GridFunction
     fact: FactorizedFrechet
-    inv_h1_norm: float
+    op: NonlinearIntegralOperator = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def inv_h1_norm(self) -> float:
+        """H1 -> H1 norm of the inverse linearization, computed on first read."""
+        return _h1_operator_norm_of_inverse(
+            frechet_derivative(self.op, self.v), _h1_gram_cholesky(self.op.grid)
+        )
 
 
 @dataclass
@@ -101,19 +113,31 @@ class Atlas:
     ell0: int
     anchors: List[Anchor]
     cell_map: Dict[Tuple[int, ...], int]
-    constants: Dict[str, float] = field(default_factory=dict)
+    op: NonlinearIntegralOperator = field(repr=False, compare=False)
     warnings: List[str] = field(default_factory=list)
 
+    @functools.cached_property
+    def constants(self) -> Dict[str, float]:
+        """Lipschitz and basin constants, computed on first read."""
+        return _atlas_constants(self.op, self.anchors, self.eps1)
 
+
+@functools.lru_cache(maxsize=1)
 def _h1_gram_cholesky(grid: Grid) -> np.ndarray:
-    """Lower Cholesky factor of the discrete H1 Gram matrix."""
+    """Lower Cholesky factor of the discrete H1 Gram matrix (read-only,
+    shared by the anchors of the last grid asked for)."""
     m = grid.size
     d = (np.eye(m, k=1)[: m - 1] - np.eye(m)[: m - 1]) / grid.h
     gram = np.diag(grid.weights) + d.T @ (grid.h * d)
-    return np.linalg.cholesky(gram)
+    chol = np.linalg.cholesky(gram)
+    chol.flags.writeable = False
+    return chol
+
 
 def _h1_operator_norm_of_inverse(a_mat: np.ndarray, chol: np.ndarray) -> float:
     """H1 -> H1 operator norm of A^{-1} via the Gram Cholesky factor."""
+    import scipy.linalg
+
     a_inv = np.linalg.inv(a_mat)
     # norm = sigma_max(L^T A^{-1} L^{-T})
     y = scipy.linalg.solve_triangular(chol, a_inv.T, lower=True).T
@@ -205,15 +229,11 @@ def build_atlas(
         raise ValueError(f"eps1 must be positive, got {eps1}")
     grid = op.grid
     idx = probe_indices(grid.size, ell0)
-    chol = _h1_gram_cholesky(grid)
     anchors: List[Anchor] = []
     for j, v in enumerate(training_inputs):
         grid.require_matches(v.grid)
-        g = op.apply(v)
-        a_mat = frechet_derivative(op, v)
-        fact = FactorizedFrechet(a_mat)
-        inv_norm = _h1_operator_norm_of_inverse(a_mat, chol)
-        anchors.append(Anchor(index=j, v=v.copy(), g=g, fact=fact, inv_h1_norm=inv_norm))
+        fact = FactorizedFrechet(frechet_derivative(op, v))
+        anchors.append(Anchor(index=j, v=v.copy(), g=op.apply(v), fact=fact, op=op))
     cell_map: Dict[Tuple[int, ...], int] = {}
     notes: List[str] = []
     for anchor in anchors:
@@ -227,14 +247,13 @@ def build_atlas(
         cell_map[key] = anchor.index
     for note in notes:
         warnings.warn(note)
-    constants = _atlas_constants(op, anchors, eps1)
     return Atlas(
         probe_idx=idx,
         eps1=eps1,
         ell0=int(len(idx)),
         anchors=anchors,
         cell_map=cell_map,
-        constants=constants,
+        op=op,
         warnings=notes,
     )
 
@@ -297,6 +316,13 @@ def local_invert(
     return u, trace
 
 
+def _shown_key(key: Tuple[int, ...]) -> tuple:
+    """The cell key for messages and reports: an index beyond 2**53 is
+    written as the float it was floored from (exact, and a few characters
+    in place of hundreds of digits)."""
+    return tuple(float(i) if abs(i) > 2**53 else i for i in key)
+
+
 def global_invert(
     atlas: Atlas,
     op: NonlinearIntegralOperator,
@@ -323,12 +349,13 @@ def global_invert(
     else:
         j = atlas.cell_map[key]
     anchor = atlas.anchors[j]
+    shown = _shown_key(key)
     try:
         u, trace = local_invert(op, anchor, g, tol=tol, max_iter=max_iter)
     except OutOfBasinError as err:
-        err.trace.meta.update({"cell": list(key), "fallback": fallback})
+        err.trace.meta.update({"cell": list(shown), "fallback": fallback})
         raise OutOfBasinError(
-            f"{err} [cell {key}, fallback={fallback}]", trace=err.trace
+            f"{err} [cell {shown}, fallback={fallback}]", trace=err.trace
         ) from err
-    trace.meta.update({"cell": list(key), "fallback": fallback})
+    trace.meta.update({"cell": list(shown), "fallback": fallback})
     return u, trace

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateWitnessError
 from .finite_rank import (
@@ -89,6 +88,18 @@ def verify_collision(
 def collision_threshold(layer: FiniteRankLayer, v1: SpectralCoeffs, grid: Grid) -> float:
     out1 = apply_layer(layer, v1, grid)
     return POINTWISE_TOL * (1.0 + out1.l2_norm())
+
+
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal null-space basis of a, as columns.
+
+    scipy.linalg.null_space's algorithm on numpy's SVD: singular values at
+    or below max(s) * eps * max(a.shape) count as zero.
+    """
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(a.shape)
+    num = np.sum(s > tol, dtype=int)
+    return vh[num:].T.conj()
 
 
 def certify_bijective_activation(layer: FiniteRankLayer) -> CertReport:
@@ -176,7 +187,7 @@ def certify_relu_dss(
         pre = from_spectral(apply_affine(layer, v), grid).values  # (d_out, M)
         active = np.min(pre, axis=1) > ACTIVE_MARGIN
         if active.any():
-            kernel = scipy.linalg.null_space(mat[np.tile(active, n)])
+            kernel = _null_space(mat[np.tile(active, n)])
         else:
             kernel = np.eye(mat.shape[1])
         if kernel.size == 0:

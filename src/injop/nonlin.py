@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
-from scipy.special import expit
 
 from .errors import (
     DimensionError,
@@ -100,12 +98,19 @@ def _wire_profile(omega: float) -> tuple:
     )
 
 
+def _expit(z):
+    """Logistic sigmoid; scipy.special loads on the first sigmoid kernel."""
+    from scipy.special import expit
+
+    return expit(z)
+
+
 #: Ridge profiles (g, g') by name; the wire profile is :func:`_wire_profile`.
 #: Every g is bounded by 1 in absolute value.  The constant profile g = 1 is
 #: None, so a dense table passes into the quadrature product uncopied.
 _PROFILES = {
     "none": (None, lambda z: 0.0),
-    "sigmoid": (expit, lambda z: expit(z) * (1.0 - expit(z))),
+    "sigmoid": (_expit, lambda z: _expit(z) * (1.0 - _expit(z))),
     "sin": (np.sin, np.cos),
 }
 
@@ -422,9 +427,13 @@ class FactorizedFrechet:
                 f"(sigma_min/sigma_max = {self.sigma_min / max(self.sigma_max, 1e-300):.3e}); "
                 f"injectivity fails at the linearization point"
             )
+        import scipy.linalg
+
         self._lu = scipy.linalg.lu_factor(a_mat)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        import scipy.linalg
+
         return scipy.linalg.lu_solve(self._lu, np.asarray(rhs, dtype=float))
 
 

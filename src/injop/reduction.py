@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionError,
@@ -275,6 +274,8 @@ def build_reduction_randomized(
     seeded points and no collision shows up among 10,000 seeded pairs;
     otherwise a fresh seed is drawn, up to ``max_retries`` times.
     """
+    import scipy.linalg
+
     check_reduction_dimensions(n_in_modes, out_modes)
     dtot = n_in_modes + out_modes
 

@@ -1,9 +1,12 @@
 """Anchored Newton charts, cell routing, and the mask algebra."""
 
+import os
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import injop.atlas
 from injop.errors import OutOfBasinError
 from injop.funcspace import Grid, GridFunction, h1_norm
 from injop.nonlin import (
@@ -20,6 +23,7 @@ from injop.atlas import (
     mask_apply,
     probe_indices,
 )
+from injop.serialize import load_atlas, save_atlas
 
 GRID = Grid(0.0, 1.0, 129)
 
@@ -244,3 +248,61 @@ class TestGlobalInvert:
         assert trace.meta["fallback"] is True
         assert trace.converged
         assert h1_norm(GRID, u.values - u_true.values) <= 1e-8
+
+
+#: Diagnostic values of build_atlas(make_op(), training_set(), ell0=3,
+#: eps1=0.25) as build_atlas computed them eagerly, before they became
+#: values computed on first read; float.hex, so the checks are bit for bit.
+EAGER_INV_H1_NORMS = ["0x1.000000000004dp+0", "0x1.0000000000057p+0", "0x1.00007908c7bd9p+0"]
+EAGER_CONSTANTS = {
+    "domain_length": "0x1.0000000000000p+0", "C_S": "0x1.6a09e667f3bcdp+0",
+    "R2": "0x1.077ea7c8a8604p+2", "kernel_c2": "0x1.98174789cb495p-2",
+    "kernel_c3": "0x1.98174789cb495p-2", "C_0": "0x1.e3c6c71885e62p+4",
+    "C_B": "0x1.00007908c7bd9p+0", "C_L": "0x1.428484bb03eebp+3",
+    "C_A": "0x1.4285b5b2b10f2p+3", "C_H": "0x1.3e1326680c739p+12",
+    "r": "0x1.9c14442a38bb7p-14", "eps0": "0x1.9c138156de790p-18",
+    "eps1": "0x1.0000000000000p-2",
+}
+#: save_atlas's atlas.json for the same atlas, from the eager computation.
+EAGER_ATLAS_JSON = (
+    '{"ell0":3,"eps1":0.25,"probe_indices":[0,64,128],"anchors":["anchor_000.csv",'
+    '"anchor_001.csv","anchor_002.csv"],"cell_map":[{"cell":[0,0,0],"anchor":0},'
+    '{"cell":[5,5,5],"anchor":1},{"cell":[11,11,11],"anchor":2}],"constants":'
+    '{"domain_length":1,"C_S":1.4142135623730951,"R2":4.1171054324672731,'
+    '"kernel_c2":0.39852630404022565,"kernel_c3":0.39852630404022565,'
+    '"C_0":30.236029716294418,"C_B":1.0000072142063259,"C_L":10.078676572098137,'
+    '"C_A":10.078821991927246,"C_H":5089.196876572264,"r":9.8247329023900108e-05,'
+    '"eps0":6.1404137657819236e-06,"eps1":0.25}}\n'
+)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("diagnostic constants computed")
+
+
+class TestLazyConstants:
+    def test_first_read_matches_eager_values(self):
+        atlas = build_atlas(make_op(), training_set(), ell0=3, eps1=0.25)
+        assert [a.inv_h1_norm.hex() for a in atlas.anchors] == EAGER_INV_H1_NORMS
+        assert {k: v.hex() for k, v in atlas.constants.items()} == EAGER_CONSTANTS
+        assert atlas.constants is atlas.constants
+
+    def test_save_atlas_matches_eager_file(self, tmp_path):
+        atlas = build_atlas(make_op(), training_set(), ell0=3, eps1=0.25)
+        save_atlas(atlas, str(tmp_path))
+        with open(os.path.join(tmp_path, "atlas.json")) as fh:
+            assert fh.read() == EAGER_ATLAS_JSON
+
+    def test_load_and_invert_never_compute_constants(self, tmp_path, monkeypatch):
+        op = make_op()
+        save_atlas(build_atlas(op, training_set(), ell0=3, eps1=0.25), str(tmp_path))
+        monkeypatch.setattr(injop.atlas, "_atlas_constants", _refuse)
+        monkeypatch.setattr(injop.atlas, "_h1_operator_norm_of_inverse", _refuse)
+        atlas = load_atlas(str(tmp_path), op)
+        for anchor in atlas.anchors:
+            u_true = GridFunction(GRID, anchor.v.values[0] + 0.05)
+            u, trace = global_invert(atlas, op, op.apply(u_true), tol=1e-10)
+            assert trace.converged
+            assert h1_norm(GRID, u.values - u_true.values) <= 1e-8
+        with pytest.raises(AssertionError, match="constants computed"):
+            atlas.constants

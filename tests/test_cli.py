@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import injop
 from injop.cli import main
 from injop.finite_rank import Activation, FiniteRankLayer, FiniteRankNetwork, zero_bias
 from injop.funcspace import BasisSpec, Grid, GridFunction, SpectralCoeffs
@@ -308,6 +311,29 @@ class TestInvert:
         assert report["outcome"] == "OutOfBasin" and report["converged"] is False
         assert os.path.isfile(os.path.join(out, "trace.csv"))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_atlas_huge_target_detail_is_short(self, tmp_path):
+        # The cell indices of 1e306 * (1 + x/2) are integers of 300+ digits;
+        # the report writes each as the float it was floored from.
+        grid = Grid(0.0, 1.0, 65)
+        op = str(tmp_path / "op.json")
+        write_contraction_op(op, grid)
+        anchors = tmp_path / "anchors"
+        anchors.mkdir()
+        for j, anchor_level in enumerate([0.0, 1.5]):
+            v = GridFunction(grid, np.full(65, anchor_level))
+            write_grid_function_csv(v, str(anchors / f"anchor_{j}.csv"))
+        target = str(tmp_path / "target.csv")
+        write_grid_function_csv(GridFunction(grid, 1e306 * (1.0 + 0.5 * grid.nodes)), target)
+        out = str(tmp_path / "out")
+        code = main(["invert", "--op", op, "--target", target, "--method", "atlas",
+                     "--anchors", str(anchors), "--out-dir", out])
+        assert code == 2
+        report = read_json(os.path.join(out, "report.json"))
+        assert report["outcome"] == "OutOfBasin"
+        assert len(report["detail"]) < 300
+        assert "[cell (4e+306, " in report["detail"]
+
 
 class TestTruncate:
     def test_linear_table(self, tmp_path):
@@ -407,3 +433,62 @@ class TestDeterminism:
                 assert files_equal(
                     os.path.join(out1, fname), os.path.join(out2, fname)
                 ), f"{name}/{fname} differs between runs"
+
+
+def _scipy_modules_after(argvs, cwd):
+    """In a fresh interpreter: the scipy modules loaded after ``import
+    injop`` and after each ``injop.cli.main(argv)`` in turn, with the exit
+    codes."""
+    script = (
+        "import json, sys\n"
+        "import injop, injop.cli\n"
+        "mods = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "seen = [[None, mods()]]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    seen.append([injop.cli.main(argv), mods()])\n"
+        "print(json.dumps(seen))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(injop.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+class TestImportCost:
+    """Commands load scipy only where they use it.  Each check runs in a
+    fresh interpreter, so modules the test session already holds cannot
+    hide an import."""
+
+    def test_import_and_scipy_free_commands(self, tmp_path):
+        net = str(tmp_path / "net.json")
+        write_relu_net(net)
+        table_op = str(tmp_path / "table_op.json")
+        grid = Grid(0.0, 1.0, 33)
+        table = np.exp(-np.abs(grid.nodes[:, None] - grid.nodes[None, :]))
+        save_operator(NonlinearIntegralOperator(grid, LinearTableKernel(table)), table_op)
+        argvs = [
+            ["certify", "--net", net, "--trials", "8", "--grid-size", "65"],
+            ["lift", "--net", net, "--alpha", "0.1"],
+            ["truncate", "--op", table_op, "--rank", "4"],
+            ["demo", "volterra", "--grid-size", "65"],
+        ]
+        argvs = [argv + ["--out-dir", str(tmp_path / f"out{i}")] for i, argv in enumerate(argvs)]
+        seen = _scipy_modules_after(argvs, str(tmp_path))
+        assert seen[0] == [None, []], "import injop loaded scipy"
+        for argv, (code, mods) in zip(argvs, seen[1:]):
+            assert code in (0, 2), argv
+            assert mods == [], f"{argv[0]} loaded {mods}"
+
+    def test_sigmoid_banach_loads_special_only(self, tmp_path):
+        grid = Grid(0.0, 1.0, 65)
+        op = str(tmp_path / "op.json")
+        write_contraction_op(op, grid)
+        target = str(tmp_path / "target.csv")
+        write_grid_function_csv(GridFunction(grid, np.cos(2 * np.pi * grid.nodes)), target)
+        argv = ["invert", "--op", op, "--target", target, "--method", "banach",
+                "--out-dir", str(tmp_path / "out")]
+        (_, before), (code, mods) = _scipy_modules_after([argv], str(tmp_path))
+        assert before == [] and code == 0
+        assert "scipy.special" in mods
+        assert not any(m.startswith("scipy.linalg") for m in mods), mods
