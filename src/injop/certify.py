@@ -187,7 +187,7 @@ def certify_relu_dss(
         pre = from_spectral(apply_affine(layer, v), grid).values  # (d_out, M)
         active = np.min(pre, axis=1) > ACTIVE_MARGIN
         if active.any():
-            kernel = _null_space(mat[np.tile(active, n)])
+            kernel = _null_space(mat[np.tile(active, layer.n_out)])
         else:
             kernel = np.eye(mat.shape[1])
         if kernel.size == 0:

@@ -2,16 +2,16 @@
 
 A layer maps an n-channel function u to an m-channel function via
 
-    (K u)(x) = sum_{k,p <= N} C[k,p] (u, phi_k) phi_p(x),     C[k,p] in R^{m x n},
+    (K u)(x) = sum_{k <= N, p <= N'} C[k,p] (u, phi_k) phi_p(x),     C[k,p] in R^{m x n},
 
-followed by a spectral bias and a pointwise activation.  In coefficient
-space the layer is the block matrix with (p, k) block C[k, p]; activations
-are evaluated on a grid and the result is projected back to the first N
-modes.
+followed by a spectral bias and a pointwise activation.  The output
+order N' is N unless the layer says otherwise.  In coefficient space the
+layer is the block matrix with (p, k) block C[k, p]; activations are
+evaluated on a grid and the result is projected back to the first N' modes.
 
 The layer maps accept a batch: coefficients of shape (B, d, N) pass
 through one einsum, one synthesis product and one analysis product per
-layer, and come out as (B, d', N).  A single function of shape (d, N) is
+layer, and come out as (B, d', N').  A single function of shape (d, N) is
 the unbatched case of the same code.
 """
 
@@ -97,12 +97,14 @@ class FiniteRankLayer:
     d_in, d_out : int
         Input/output channel counts.
     n : int
-        Spectral order N shared by input and output.
-    c : ndarray, shape (n, n, d_out, d_in)
+        Spectral order N of the input.
+    c : ndarray, shape (n, n_out, d_out, d_in)
         Kernel blocks indexed [input mode k][output mode p][out chan][in chan].
     bias : SpectralCoeffs
-        Output-side bias, shape (d_out, n).
+        Output-side bias, shape (d_out, n_out).
     activation : Activation
+    n_out : int, optional
+        Spectral order of the output; defaults to ``n``.
     """
 
     d_in: int
@@ -111,15 +113,18 @@ class FiniteRankLayer:
     c: np.ndarray
     bias: SpectralCoeffs
     activation: Activation = field(default_factory=Activation)
+    n_out: Optional[int] = None
 
     def __post_init__(self):
+        if self.n_out is None:
+            self.n_out = self.n
         self.c = np.asarray(self.c, dtype=float)
-        expected = (self.n, self.n, self.d_out, self.d_in)
+        expected = (self.n, self.n_out, self.d_out, self.d_in)
         if self.c.shape != expected:
-            raise DimensionError(f"kernel blocks have shape {self.c.shape}, expected {expected}")
-        if self.bias.coeffs.shape != (self.d_out, self.n):
+            raise DimensionError(f"kernel blocks C have shape {self.c.shape}, expected {expected}")
+        if self.bias.coeffs.shape != (self.d_out, self.n_out):
             raise DimensionError(
-                f"bias has shape {self.bias.coeffs.shape}, expected {(self.d_out, self.n)}"
+                f"bias has shape {self.bias.coeffs.shape}, expected {(self.d_out, self.n_out)}"
             )
 
     @property
@@ -140,21 +145,25 @@ class FiniteRankNetwork:
     def __post_init__(self):
         if not self.layers:
             raise DimensionError("network needs at least one layer")
-        for prev, nxt in zip(self.layers, self.layers[1:]):
+        for t, (prev, nxt) in enumerate(zip(self.layers, self.layers[1:]), 1):
             if prev.d_out != nxt.d_in:
-                raise DimensionError(
-                    f"layer widths do not chain: {prev.d_out} -> {nxt.d_in}"
-                )
-            if prev.n != nxt.n:
-                raise DimensionError("all layers must share the spectral order")
+                raise DimensionError(f"layer {t}: widths do not chain: {prev.d_out} -> {nxt.d_in}")
+            if prev.n_out != nxt.n:
+                raise DimensionError(f"layer {t}: orders do not chain: {prev.n_out} -> {nxt.n}")
             if prev.basis != nxt.basis:
-                raise DimensionError("all layers must share the basis")
+                raise DimensionError(f"layer {t}: all layers must share the basis")
         if not self.layers[-1].activation.is_identity_map:
-            raise DimensionError("final layer must carry the identity activation")
+            last = len(self.layers) - 1
+            raise DimensionError(f"layer {last}: final layer must carry the identity activation")
 
     @property
     def n(self) -> int:
+        """Input order."""
         return self.layers[0].n
+
+    @property
+    def n_out(self) -> int:
+        return self.layers[-1].n_out
 
     @property
     def basis(self) -> BasisSpec:
@@ -176,7 +185,7 @@ def apply_finite_rank(layer: FiniteRankLayer, u: SpectralCoeffs) -> SpectralCoef
     if u.channels != layer.d_in:
         raise DimensionError(f"{u.channels} channels fed to a d_in={layer.d_in} layer")
     out = np.einsum("kpij,...jk->...ip", layer.c, u.coeffs)
-    return SpectralCoeffs(layer.basis, layer.n, out)
+    return SpectralCoeffs(layer.basis, layer.n_out, out)
 
 
 def apply_affine(layer: FiniteRankLayer, u: SpectralCoeffs) -> SpectralCoeffs:
@@ -187,7 +196,7 @@ def apply_affine(layer: FiniteRankLayer, u: SpectralCoeffs) -> SpectralCoeffs:
 
 
 def apply_layer(layer: FiniteRankLayer, u: SpectralCoeffs, grid: Grid) -> SpectralCoeffs:
-    """Full layer: affine map, activation on the grid, reprojection.
+    """Full layer: affine map, activation on the grid, reprojection to n_out.
 
     Identity-map activations skip the grid round trip, so purely linear
     layers compose exactly.
@@ -197,7 +206,7 @@ def apply_layer(layer: FiniteRankLayer, u: SpectralCoeffs, grid: Grid) -> Spectr
         return z
     g = from_spectral(z, grid)
     activated = GridFunction(grid, layer.activation.apply(g.values))
-    return to_spectral(activated, layer.basis, layer.n)
+    return to_spectral(activated, layer.basis, layer.n_out)
 
 
 def apply_network(net: FiniteRankNetwork, u: SpectralCoeffs, grid: Grid) -> SpectralCoeffs:
@@ -208,12 +217,12 @@ def apply_network(net: FiniteRankNetwork, u: SpectralCoeffs, grid: Grid) -> Spec
 
 
 def block_matrix(layer: FiniteRankLayer) -> np.ndarray:
-    """Dense (N*d_out) x (N*d_in) matrix on mode-major stacked coefficients.
+    """Dense (N'*d_out) x (N*d_in) matrix on mode-major stacked coefficients.
 
     The stacked vector lists mode 1's channels, then mode 2's, and so on;
     block (p, k) of the matrix is C[k, p].
     """
-    return layer.c.transpose(1, 2, 0, 3).reshape(layer.n * layer.d_out, layer.n * layer.d_in)
+    return layer.c.transpose(1, 2, 0, 3).reshape(layer.n_out * layer.d_out, layer.n * layer.d_in)
 
 
 def stack_coeffs(c: SpectralCoeffs) -> np.ndarray:
@@ -228,11 +237,13 @@ def unstack_coeffs(vec: np.ndarray, basis: BasisSpec, n: int, channels: int) -> 
     return SpectralCoeffs(basis, n, vec.reshape(n, channels).T)
 
 
-def blocks_from_matrix(mat: np.ndarray, n: int, d_out: int, d_in: int) -> np.ndarray:
-    """Inverse of :func:`block_matrix`: dense matrix back to C[k, p] blocks."""
-    if mat.shape != (n * d_out, n * d_in):
-        raise DimensionError(f"matrix shape {mat.shape} is not ({n * d_out}, {n * d_in})")
-    return mat.reshape(n, d_out, n, d_in).transpose(2, 0, 1, 3)
+def blocks_from_matrix(mat: np.ndarray, n: int, d_out: int, d_in: int, n_out=None) -> np.ndarray:
+    """Inverse of :func:`block_matrix`: dense matrix back to C[k, p] blocks
+    of input order ``n`` and output order ``n_out`` (default ``n``)."""
+    n_out = n_out or n
+    if mat.shape != (n_out * d_out, n * d_in):
+        raise DimensionError(f"matrix shape {mat.shape} is not ({n_out * d_out}, {n * d_in})")
+    return mat.reshape(n_out, d_out, n, d_in).transpose(2, 0, 1, 3)
 
 
 @dataclass

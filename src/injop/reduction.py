@@ -348,23 +348,6 @@ _PATHWAY_BLOCKS = {
 }
 
 
-def _pad_layer(layer: FiniteRankLayer, n_total: int) -> FiniteRankLayer:
-    if n_total == layer.n:
-        return layer
-    c = np.zeros((n_total, n_total, layer.d_out, layer.d_in))
-    c[: layer.n, : layer.n] = layer.c
-    bias = np.zeros((layer.d_out, n_total))
-    bias[:, : layer.n] = layer.bias.coeffs
-    return FiniteRankLayer(
-        d_in=layer.d_in,
-        d_out=layer.d_out,
-        n=n_total,
-        c=c,
-        bias=SpectralCoeffs(layer.basis, n_total, bias),
-        activation=layer.activation,
-    )
-
-
 def _augment_network(net: FiniteRankNetwork, mode: str) -> FiniteRankNetwork:
     """Attach the identity-carrying pathway in front of every layer.
 
@@ -406,15 +389,20 @@ def _augment_network(net: FiniteRankNetwork, mode: str) -> FiniteRankNetwork:
 
 
 def _fold_explicit(pair: ProjectionPair, layer: FiniteRankLayer):
-    """Kernel blocks and bias of ``layer`` followed by the explicit
-    reduction, i.e. ``b @ block_matrix(layer)`` without forming either.
+    """Kernel blocks and bias, from order n to order n_total, of the
+    order-n ``layer`` followed by the explicit reduction: ``b @
+    block_matrix(layer)`` with the layer's output zero past mode n, formed
+    without either matrix.
 
     B keeps the last ell output channels and replaces each xi row by
     ``amp * (xi row) - alpha * (slot row)``.
     """
     kept = slice(pair.m - pair.ell, None)
-    c = layer.c[:, :, kept].copy()
-    bias = layer.bias.coeffs[kept].copy()
+    n = layer.n
+    c = np.zeros((n, pair.n_total, pair.ell, layer.d_in))
+    c[:, :n] = layer.c[:, :, kept]
+    bias = np.zeros((pair.ell, pair.n_total))
+    bias[:, :n] = layer.bias.coeffs[kept]
     slot_mode, slot_chan = np.divmod(pair.slots, pair.m)
     xi_mode = pair.xi_slots // pair.m
     c[:, xi_mode, -1] = pair.amp * c[:, xi_mode, -1] - pair.alpha * layer.c[:, slot_mode, slot_chan]
@@ -427,8 +415,9 @@ def _fold_explicit(pair: ProjectionPair, layer: FiniteRankLayer):
 class LiftResult:
     """Outcome of lifting a network to a provably injective one.
 
-    ``network`` is the lifted map G at order ``n_total``; ``augmented``
-    is the pathway-carrying map H at the original order; ``eps0`` is the
+    ``network`` is the lifted map G: its hidden layers are H's, at the
+    original order n, and its last layer maps order n to ``n_total``.
+    ``augmented`` is the pathway-carrying map H at order n; ``eps0`` is the
     measured projection tilt driving the closeness guarantee
     ||original(a) - G(a)|| <= 5 * eps0 * ||H(a)||.
     """
@@ -445,7 +434,7 @@ class LiftResult:
 
     def apply(self, a: SpectralCoeffs, grid: Grid) -> SpectralCoeffs:
         """Evaluate the lifted network on an order-n input."""
-        return apply_network(self.network, a.padded(self.n_total), grid)
+        return apply_network(self.network, a, grid)
 
     def apply_augmented(self, a: SpectralCoeffs, grid: Grid) -> SpectralCoeffs:
         return apply_network(self.augmented, a, grid)
@@ -535,23 +524,23 @@ def lift_to_injective(
         reduction = build_reduction_explicit(pair)
     eps0 = float(reduction.meta["tilt"])
 
-    padded = [_pad_layer(layer, n_total) for layer in augmented.layers]
-    final = padded[-1]
+    final = augmented.layers[-1]
     if randomized:
-        b_full = _embed_randomized_b(reduction.b, m, d_in, n, n_total)
-        folded_c = blocks_from_matrix(b_full @ block_matrix(final), n_total, d_out, final.d_in)
-        folded_bias = (b_full @ stack_coeffs(final.bias)).reshape(n_total, d_out).T
+        b = _embed_randomized_b(reduction.b, m, d_in, n)
+        folded_c = blocks_from_matrix(b @ block_matrix(final), n, d_out, final.d_in, n_total)
+        folded_bias = (b @ stack_coeffs(final.bias)).reshape(n_total, d_out).T
     else:
         folded_c, folded_bias = _fold_explicit(pair, final)
     lifted_final = FiniteRankLayer(
         d_in=final.d_in,
         d_out=d_out,
-        n=n_total,
+        n=n,
         c=folded_c,
         bias=SpectralCoeffs(final.basis, n_total, folded_bias),
         activation=Activation(),
+        n_out=n_total,
     )
-    lifted = FiniteRankNetwork(padded[:-1] + [lifted_final])
+    lifted = FiniteRankNetwork(augmented.layers[:-1] + [lifted_final])
     return LiftResult(
         original=net,
         mode=mode,
@@ -595,11 +584,10 @@ def _augmented_coefficient_map(augmented, d_in, d_out, n, n_total):
     return batch_map
 
 
-def _embed_randomized_b(b_sub, m, d_in, n, n_total):
-    """Spread a randomized reduction over the full stacked ambient space."""
-    n_in_modes = n * d_in
-    in_idx = (np.arange(n)[:, None] * m + np.arange(d_in)).ravel()
-    b_full = np.zeros((b_sub.shape[0], m * n_total))
-    b_full[:, in_idx] = b_sub[:, :n_in_modes]
-    b_full[:, _keep_indices(m, m - d_in, n_total)] = b_sub[:, n_in_modes:]
-    return b_full
+def _embed_randomized_b(b_sub, m, d_in, n):
+    """A randomized reduction's columns on the stacked order-n ambient
+    space, the only modes the augmented network writes."""
+    b = np.empty((b_sub.shape[0], n, m))
+    b[:, :, :d_in] = b_sub[:, : n * d_in].reshape(-1, n, d_in)
+    b[:, :, d_in:] = b_sub[:, n * d_in : n * m].reshape(-1, n, m - d_in)
+    return b.reshape(-1, n * m)

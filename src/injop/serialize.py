@@ -88,7 +88,8 @@ def write_json(obj: Any, path: str):
 
 def read_json(path: str) -> Any:
     with open(path) as f:
-        return json.load(f)
+        # format_float writes -0.0 as "-0", which json would read as the int 0.
+        return json.load(f, parse_int=lambda s: -0.0 if s == "-0" else int(s))
 
 
 def finite_array(value: Any, what: str) -> np.ndarray:
@@ -123,40 +124,35 @@ def _activation_from_obj(obj: Dict[str, Any]) -> Activation:
 
 
 def network_to_obj(net: FiniteRankNetwork) -> Dict[str, Any]:
+    """``N`` is the input order; a layer names its output order ``n_out``
+    only where it differs from its input order."""
     layers = []
     for layer in net.layers:
-        layers.append(
-            {
-                "d_in": layer.d_in,
-                "d_out": layer.d_out,
-                "activation": _activation_to_obj(layer.activation),
-                "C": layer.c,
-                "bias": layer.bias.coeffs,
-            }
-        )
+        lobj: Dict[str, Any] = {"d_in": layer.d_in, "d_out": layer.d_out}
+        if layer.n_out != layer.n:
+            lobj["n_out"] = layer.n_out
+        lobj.update(activation=_activation_to_obj(layer.activation), C=layer.c,
+                    bias=layer.bias.coeffs)
+        layers.append(lobj)
     return {"basis": basis_to_obj(net.basis), "N": net.n, "layers": layers}
 
 
 def network_from_obj(obj: Dict[str, Any]) -> FiniteRankNetwork:
-    basis = basis_from_obj(obj["basis"])
-    n = int(obj["N"])
+    with _file_field("network file"):
+        basis = basis_from_obj(obj["basis"])
+        n = int(obj["N"])
+        layer_objs = list(obj["layers"])
     layers = []
-    for lobj in obj["layers"]:
-        d_in = int(lobj["d_in"])
-        d_out = int(lobj["d_out"])
-        c = finite_array(lobj["C"], "kernel blocks C")
-        bias = SpectralCoeffs(basis, n, finite_array(lobj["bias"], "a layer bias"))
-        layers.append(
-            FiniteRankLayer(
-                d_in=d_in,
-                d_out=d_out,
-                n=n,
-                c=c,
-                bias=bias,
-                activation=_activation_from_obj(lobj["activation"]),
-            )
-        )
-    return FiniteRankNetwork(layers)
+    for i, lobj in enumerate(layer_objs):
+        with _file_field(f"network file: layer {i}"):
+            n_out = int(lobj.get("n_out", n))
+            c = finite_array(lobj["C"], "kernel blocks C")
+            bias = SpectralCoeffs(basis, n_out, finite_array(lobj["bias"], "a layer bias"))
+            layers.append(FiniteRankLayer(int(lobj["d_in"]), int(lobj["d_out"]), n, c, bias,
+                                          _activation_from_obj(lobj["activation"]), n_out))
+        n = n_out
+    with _file_field("network file"):
+        return FiniteRankNetwork(layers)
 
 
 def save_network(net: FiniteRankNetwork, path: str):
@@ -348,30 +344,30 @@ def operator_from_obj(obj: Dict[str, Any], grid: Optional[Grid] = None) -> Nonli
         raise UsageError("operator file names no grid and none was supplied")
     if file_grid is not None and not grid.matches(file_grid):
         raise DimensionError("requested grid disagrees with the grid stored in the operator file")
-    with _file_field("kernel"):
+    with _file_field("operator file: kernel"):
         kernel = kernel_from_obj(obj["kernel"])
     w = finite_array(obj.get("w", 1.0), "w")
     w = float(w) if w.ndim == 0 else w
     bias = None
     if obj.get("bias") is not None:
-        with _file_field("bias"):
+        with _file_field("operator file: bias"):
             bias = GridFunction(grid, finite_array(obj["bias"], "bias"))
-    with _file_field("operator"):
+    with _file_field("operator file: operator"):
         return NonlinearIntegralOperator(grid, kernel, w=w, bias=bias)
 
 
 @contextmanager
-def _file_field(name: str):
+def _file_field(where: str):
     """Report a construction error from file data as a usage error naming
-    the field it came from."""
+    where in the file it came from, e.g. ``operator file: kernel``."""
     try:
         yield
     except UsageError:
         raise
     except KeyError as err:
-        raise UsageError(f"operator file: {name} lacks the entry {err}") from None
-    except (TypeError, ValueError) as err:  # DimensionError is a ValueError
-        raise UsageError(f"operator file: bad {name}: {err}") from None
+        raise UsageError(f"{where} lacks the entry {err}") from None
+    except (AttributeError, TypeError, ValueError) as err:  # DimensionError is a ValueError
+        raise UsageError(f"{where}: {err}") from None
 
 
 def save_operator(op: NonlinearIntegralOperator, path: str):

@@ -43,6 +43,16 @@ def make_layer(c, d_in, d_out, n, activation=None, bias=None):
     )
 
 
+def make_rect_layer(c, activation, bias=None):
+    """Layer of input order c.shape[0] and output order c.shape[1]."""
+    n, n_out, d_out, d_in = c.shape
+    return FiniteRankLayer(
+        d_in=d_in, d_out=d_out, n=n, c=c,
+        bias=zero_bias(BASIS, d_out, n_out) if bias is None else bias,
+        activation=activation, n_out=n_out,
+    )
+
+
 def oracle_injective(mat):
     """Independent singularity check via LAPACK's QR-based gesvd driver.
 
@@ -108,6 +118,28 @@ class TestSvdCriterion:
         assert rs.verdict == VERDICT_CERTIFIED and rs.bijective_on_span
         assert rt.verdict == VERDICT_CERTIFIED and not rt.bijective_on_span
 
+    def test_rectangular_agrees_with_oracle(self):
+        # Tall and wide block matrices: input order n, output order n_out.
+        rng = np.random.default_rng(32)
+        act = Activation("leaky_relu", 0.3)
+        grid = Grid(0.0, 1.0, 128)
+        for trial in range(30):
+            n, n_out = (int(k) for k in rng.integers(1, 6, size=2))
+            d_in, d_out = (int(k) for k in rng.integers(1, 4, size=2))
+            c = rng.standard_normal((n, n_out, d_out, d_in))
+            if trial % 3 == 0:
+                c[-1] = c[0]  # two input columns agree: a kernel direction
+            layer = make_rect_layer(c, act)
+            mat = block_matrix(layer)
+            assert mat.shape == (n_out * d_out, n * d_in)
+            report = certify_bijective_activation(layer)
+            assert (report.verdict == VERDICT_CERTIFIED) == oracle_injective(mat)
+            if report.verdict == VERDICT_COUNTEREXAMPLE:
+                v1, v2 = report.witness
+                assert v2.coeffs.shape == (d_in, n)
+                residual = verify_collision(layer, v1, v2, grid)
+                assert residual <= collision_threshold(layer, v1, grid)
+
     def test_rejects_relu(self):
         layer = make_layer(np.ones((1, 1, 1, 1)), 1, 1, 1, activation=Activation("relu"))
         with pytest.raises(ValueError):
@@ -148,6 +180,27 @@ class TestReluSearch:
         assert report.verdict == VERDICT_NO_COUNTEREXAMPLE
         assert report.trials == 40
         assert report.witness is None
+
+    @pytest.mark.parametrize("active_channels", [0, 1])
+    def test_rectangular_layer_with_negative_biases(self, active_channels):
+        # Order 3 in, order 5 out.  A strongly negative constant mode keeps
+        # a channel's pre-activation below zero on every probe, and a
+        # strongly positive one keeps it active; with one active channel
+        # the active rows are that channel's five output modes.
+        n, n_out, d_in, d_out = 3, 5, 2, 3
+        rng = np.random.default_rng(42)
+        coeffs = np.zeros((d_out, n_out))
+        coeffs[:, 0] = -50.0
+        coeffs[:active_channels, 0] = 50.0
+        layer = make_rect_layer(rng.standard_normal((n, n_out, d_out, d_in)), Activation("relu"),
+                                bias=SpectralCoeffs(BASIS, n_out, coeffs))
+        grid = Grid(0.0, 1.0, 128)
+        report = certify_relu_dss(layer, grid, trials=20, seed=0)
+        assert report.verdict == VERDICT_COUNTEREXAMPLE
+        v1, v2 = report.witness
+        assert v1.coeffs.shape == v2.coeffs.shape == (d_in, n)
+        residual = verify_collision(layer, v1, v2, grid)
+        assert residual <= collision_threshold(layer, v1, grid)
 
     def test_rejects_non_relu(self):
         layer = make_layer(np.ones((1, 1, 1, 1)), 1, 1, 1)

@@ -10,14 +10,22 @@ import pytest
 
 import injop
 from injop.cli import main
-from injop.finite_rank import Activation, FiniteRankLayer, FiniteRankNetwork, zero_bias
+from injop.finite_rank import (
+    Activation,
+    FiniteRankLayer,
+    FiniteRankNetwork,
+    apply_network,
+    zero_bias,
+)
 from injop.funcspace import BasisSpec, Grid, GridFunction, SpectralCoeffs
 from injop.nonlin import (
     LinearTableKernel,
     NonlinearIntegralOperator,
     SigmoidSumKernel,
 )
+from injop.reduction import lift_to_injective
 from injop.serialize import (
+    load_network,
     read_json,
     save_network,
     save_operator,
@@ -169,7 +177,65 @@ class TestLift:
         assert report["order_out"] > report["order_in"]
         assert report["row_orthonormality_defect"] <= 1e-10
         lifted = read_json(os.path.join(out, "network.json"))
-        assert lifted["N"] == report["order_out"]
+        assert lifted["N"] == report["order_in"]
+        assert lifted["layers"][-1]["n_out"] == report["order_out"]
+
+    def test_lifted_network_file_round_trips(self, tmp_path):
+        net = str(tmp_path / "net.json")
+        write_relu_net(net)
+        out = str(tmp_path / "out")
+        assert main(["lift", "--net", net, "--alpha", "0.1", "--out-dir", out]) == 0
+        path = os.path.join(out, "network.json")
+        loaded = load_network(path)
+        res = lift_to_injective(load_network(net), mode="relu", alpha=0.1)
+        grid = Grid(0.0, 1.0, 512)
+        a = SpectralCoeffs(BASIS, res.n, np.random.default_rng(9).standard_normal((5, 1, res.n)))
+        assert np.array_equal(apply_network(loaded, a, grid).coeffs, res.apply(a, grid).coeffs)
+        again = str(tmp_path / "again.json")
+        save_network(loaded, again)
+        assert files_equal(path, again)
+
+    def test_certify_reads_lifted_network(self, tmp_path):
+        net = str(tmp_path / "net.json")
+        write_relu_net(net)
+        lifted = str(tmp_path / "lifted")
+        assert main(["lift", "--net", net, "--out-dir", lifted]) == 0
+        out = str(tmp_path / "out")
+        code = main(["certify", "--net", os.path.join(lifted, "network.json"),
+                     "--trials", "20", "--out-dir", out])
+        assert code in (0, 2)
+        report = read_json(os.path.join(out, "report.json"))
+        assert len(report["layers"]) == 2
+
+
+def _layer_obj(d_in, d_out, n, kind="identity", c_shape=None):
+    return {"d_in": d_in, "d_out": d_out, "activation": {"kind": kind},
+            "C": np.zeros(c_shape or (n, n, d_out, d_in)).tolist(),
+            "bias": np.zeros((d_out, n)).tolist()}
+
+
+def _without_c(layer):
+    del layer["C"]
+    return layer
+
+
+@pytest.mark.parametrize("command", ["certify", "lift"])
+@pytest.mark.parametrize("layers, message", [
+    ([_layer_obj(1, 1, 2, c_shape=(1, 1))], "layer 0: kernel blocks C have shape (1, 1)"),
+    ([_layer_obj(1, 1, 2, "relu"), _without_c(_layer_obj(1, 1, 2))],
+     "layer 1 lacks the entry 'C'"),
+    ([_layer_obj(1, 1, 2), _layer_obj(1, 1, 2, "relu")],
+     "layer 1: final layer must carry the identity activation"),
+    ([[1.0, 2.0]], "layer 0: "),
+], ids=["misshapen_c", "missing_c", "relu_last_layer", "layer_not_an_object"])
+def test_malformed_network_is_usage_error(tmp_path, capsys, command, layers, message):
+    net = str(tmp_path / "net.json")
+    write_json({"basis": {"kind": "fourier", "interval": [0.0, 1.0]}, "N": 2,
+                "layers": layers}, net)
+    code = main([command, "--net", net, "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 64, err
+    assert err.startswith("network file: ") and message in err
 
 
 class TestInvert:

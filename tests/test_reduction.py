@@ -10,6 +10,7 @@ from injop.finite_rank import (
     Activation,
     FiniteRankLayer,
     FiniteRankNetwork,
+    apply_network,
     block_matrix,
     stack_coeffs,
     zero_bias,
@@ -19,7 +20,6 @@ from injop.reduction import (
     _augment_network,
     _kato_rotation,
     _keep_indices,
-    _pad_layer,
     build_projection_pair,
     build_reduction_explicit,
     build_reduction_randomized,
@@ -101,8 +101,8 @@ class TestClosedFormPair:
         pair = res.pair
         keep = _keep_indices(pair.m, pair.ell, pair.n_total)
         b_full = (_kato_rotation(pair.p_zero, pair.p_alpha) @ pair.p_alpha)[keep]
-        final = _pad_layer(res.augmented.layers[-1], res.n_total)
-        folded = res.network.layers[-1]
+        final = padded_layer(res.augmented.layers[-1], res.n_total)
+        folded = padded_layer(res.network.layers[-1], res.n_total)
         assert np.max(np.abs(block_matrix(folded) - b_full @ block_matrix(final))) <= 1e-13
         bias_dense = b_full @ stack_coeffs(final.bias)
         assert np.max(np.abs(stack_coeffs(folded.bias) - bias_dense)) <= 1e-13
@@ -130,6 +130,35 @@ class TestClosedFormPair:
         res = lift_to_injective(net, mode="relu", alpha=0.1)
         assert res.pair.dim == 864
         assert res.eps0 == 0.1
+
+
+class TestRectangularLift:
+    """The lifted net keeps H's hidden layers at order n; only its folded
+    last layer maps order n to n_total."""
+
+    @pytest.mark.parametrize("mode, randomized, shape", [
+        ("relu", False, (3, 2, 3, 2)),
+        ("injective", False, (3, 2, 3, 2)),
+        ("relu", True, (3, 1, 2, 1)),
+        ("relu", False, (6, 8, 8, 8)),
+    ], ids=["relu", "injective", "randomized", "n6_d8"])
+    def test_only_last_layer_reaches_n_total(self, mode, randomized, shape):
+        n, d_in, width, d_out = shape
+        rng = np.random.default_rng(63)
+        act = Activation("relu") if mode == "relu" else Activation("leaky_relu", 0.5)
+        net = deep_net(rng, 3, act, n=n, d_in=d_in, width=width, d_out=d_out)
+        res = lift_to_injective(net, mode=mode, alpha=0.1, randomized=randomized)
+        *hidden, last = res.network.layers
+        assert all(layer.n == layer.n_out == n for layer in hidden)
+        assert last.c.shape == (n, res.n_total, d_out, last.d_in)
+        assert (res.network.n, res.network.n_out) == (n, res.n_total)
+        # The same map with every layer padded to n_total.
+        padded = FiniteRankNetwork([padded_layer(layer, res.n_total)
+                                    for layer in res.network.layers])
+        grid = Grid(0.0, 1.0, 512)
+        a = SpectralCoeffs(BASIS, n, rng.standard_normal((4, d_in, n)))
+        ref = apply_network(padded, a.padded(res.n_total), grid).coeffs
+        assert np.max(np.abs(res.apply(a, grid).coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestAugment:
@@ -250,6 +279,17 @@ def deep_net(rng, depth, act, n, d_in, width, d_out):
     ])
 
 
+def padded_layer(layer, n_total):
+    """``layer`` with its input and output orders zero-padded to n_total."""
+    c = np.zeros((n_total, n_total, layer.d_out, layer.d_in))
+    c[: layer.n, : layer.n_out] = layer.c
+    bias = np.zeros((layer.d_out, n_total))
+    bias[:, : layer.n_out] = layer.bias.coeffs
+    return FiniteRankLayer(d_in=layer.d_in, d_out=layer.d_out, n=n_total, c=c,
+                           bias=SpectralCoeffs(layer.basis, n_total, bias),
+                           activation=layer.activation)
+
+
 def check_closeness(res, grid, rng, count=20):
     for _ in range(count):
         a = SpectralCoeffs(BASIS, res.n, rng.standard_normal((res.original.d_in, res.n)))
@@ -351,6 +391,16 @@ class TestLift:
             assert res.reduction.meta["attempt"] == 0
             assert res.reduction.meta["tilt"] == pytest.approx(tilt, rel=1e-12)
             assert res.eps0 == res.reduction.meta["tilt"]
+
+    def test_apply_checks_input_order(self):
+        net = relu_net(np.random.default_rng(59), n=4)
+        res = lift_to_injective(net, mode="relu", alpha=0.1)
+        assert res.n_total == 8
+        grid = Grid(0.0, 1.0, 256)
+        short = SpectralCoeffs(BASIS, 3, np.ones((1, 3)))
+        for apply in (res.apply, res.apply_augmented, res.apply_original):
+            with pytest.raises(DimensionError):
+                apply(short, grid)
 
     def test_mode_validation(self):
         rng = np.random.default_rng(56)

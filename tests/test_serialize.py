@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from injop.errors import UsageError
-from injop.finite_rank import Activation, FiniteRankLayer, FiniteRankNetwork
+from injop.finite_rank import Activation, FiniteRankLayer, FiniteRankNetwork, zero_bias
 from injop.funcspace import BasisSpec, Grid, GridFunction, SpectralCoeffs
 from injop.nonlin import (
     InversionTrace,
@@ -90,11 +90,61 @@ class TestNetworkFiles:
         with open(path, "rb") as fh1, open(path2, "rb") as fh2:
             assert fh1.read() == fh2.read()
 
+    def test_negative_zero_keeps_its_sign(self, tmp_path):
+        net = random_network(np.random.default_rng(83))
+        net.layers[0].c[0, 0, 0, 0] = -0.0
+        path = str(tmp_path / "net.json")
+        save_network(net, path)
+        assert np.signbit(load_network(path).layers[0].c[0, 0, 0, 0])
+
     def test_file_ends_with_newline(self, tmp_path):
         path = str(tmp_path / "net.json")
         save_network(random_network(np.random.default_rng(0)), path)
         with open(path, "rb") as fh:
             assert fh.read().endswith(b"\n")
+
+
+def golden_network(rectangular=False):
+    """Two dyadic layers at order 2; the rectangular variant's last layer
+    maps order 2 to order 3."""
+    hidden = FiniteRankLayer(
+        d_in=1, d_out=2, n=2,
+        c=np.arange(8.0).reshape(2, 2, 2, 1) / 8.0 - 0.25,
+        bias=SpectralCoeffs(BASIS, 2, np.array([[0.1, 0.0], [-0.5, 0.25]])),
+        activation=Activation("leaky_relu", 0.2),
+    )
+    c = np.array([1.0, -2.0, 0.5, 0.0, 0.0, 3.0, -0.125, 1.0]).reshape(2, 2, 1, 2)
+    if rectangular:
+        c = np.concatenate([c, np.full((2, 1, 1, 2), 0.75)], axis=1)
+        final = FiniteRankLayer(d_in=2, d_out=1, n=2, c=c, bias=zero_bias(BASIS, 1, 3), n_out=3)
+    else:
+        final = FiniteRankLayer(d_in=2, d_out=1, n=2, c=c, bias=zero_bias(BASIS, 1, 2))
+    return FiniteRankNetwork([hidden, final])
+
+
+class TestNetworkLayout:
+    """Canonical network JSON, pinned byte for byte.  A square network's
+    file names no output orders; a layer whose output order differs from
+    its input order carries ``n_out``."""
+
+    HIDDEN = ('{"d_in":1,"d_out":2,"activation":{"kind":"leaky_relu","a":0.20000000000000001},'
+              '"C":[[[[-0.25],[-0.125]],[[0],[0.125]]],[[[0.25],[0.375]],[[0.5],[0.625]]]],'
+              '"bias":[[0.10000000000000001,0],[-0.5,0.25]]}')
+
+    @pytest.mark.parametrize("rectangular, final", [
+        (False, '{"d_in":2,"d_out":1,"activation":{"kind":"identity"},'
+                '"C":[[[[1,-2]],[[0.5,0]]],[[[0,3]],[[-0.125,1]]]],"bias":[[0,0]]}'),
+        (True, '{"d_in":2,"d_out":1,"n_out":3,"activation":{"kind":"identity"},'
+               '"C":[[[[1,-2]],[[0.5,0]],[[0.75,0.75]]],[[[0,3]],[[-0.125,1]],[[0.75,0.75]]]],'
+               '"bias":[[0,0,0]]}'),
+    ], ids=["square", "rectangular"])
+    def test_layout_is_pinned(self, tmp_path, rectangular, final):
+        first, second = str(tmp_path / "net.json"), str(tmp_path / "again.json")
+        save_network(golden_network(rectangular), first)
+        text = '{"basis":{"kind":"fourier","interval":[0,1]},"N":2,"layers":[%s,%s]}\n'
+        assert open(first).read() == text % (self.HIDDEN, final)
+        save_network(load_network(first), second)
+        assert open(second, "rb").read() == open(first, "rb").read()
 
 
 class TestGridCsv:
