@@ -8,7 +8,10 @@ The operators are
 
 discretized with the grid quadrature (per-row causal trapezoid weights for
 Volterra kernels).  The scalar kernels are one ridge family; softmax
-attention computes its own integral.  Linearization is available exactly
+attention computes its own integral.  A scalar integral whose kernel table
+has a zero stride (it depends on x alone or on y alone, as for every ridge
+kernel with scalar parameters) costs one M x M matvec; any other table costs
+the dense M x M product table * quad.  Linearization is available exactly
 for the kernels that read at most u(y), matching the derivative formula
 
     (A_{u0} w)(x) = W(x) w(x)
@@ -70,10 +73,19 @@ class KernelBase:
         return np.broadcast_to(grid.weights[None, :], (grid.size, grid.size)).copy()
 
     def integral(self, grid: Grid, quad: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """K(u) on the grid: row sums of table(x, y, u(x), u(y)) u(y) * quad."""
+        """K(u) on the grid: row sums of table(x, y, u(x), u(y)) u(y) * quad.
+
+        A zero stride proves that every row (or every column) of the table
+        is the same memory, so the table factors out of the quadrature and
+        the integral is one matvec; any other table takes the M x M product.
+        """
         vals = values[0]
         s = vals[:, None] if self.uses_ux else None
         table = self.table(grid.nodes[:, None], grid.nodes[None, :], s, vals[None, :])
+        if table.strides[0] == 0:
+            return quad @ (table[0] * vals)
+        if table.strides[1] == 0:
+            return table[:, 0] * (quad @ vals)
         return (table * quad) @ vals
 
 
@@ -99,10 +111,10 @@ def _wire_profile(omega: float) -> tuple:
 
 
 def _expit(z):
-    """Logistic sigmoid; scipy.special loads on the first sigmoid kernel."""
-    from scipy.special import expit
-
-    return expit(z)
+    """Logistic sigmoid, scipy.special.expit's formula; exp(-z) overflows
+    to inf for z below about -709, where the result is exactly 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 #: Ridge profiles (g, g') by name; the wire profile is :func:`_wire_profile`.
@@ -443,6 +455,15 @@ def solve_frechet(a_mat: np.ndarray, rhs: GridFunction) -> GridFunction:
     return GridFunction(rhs.grid, fact.solve(rhs.values[0]))
 
 
+def _probe_modes(grid: Grid) -> int:
+    """Fourier modes in the estimators' smooth probes: M // 8, at most 16."""
+    if grid.size < 8:
+        raise ValueError(
+            f"the operator estimators need a grid of at least 8 nodes, got {grid.size}"
+        )
+    return min(16, grid.size // 8)
+
+
 @dataclass
 class CoercivityReport:
     """Ray-probe summary for F(u) = alpha u + W^-1 K(u)."""
@@ -476,7 +497,7 @@ def estimate_coercivity(
     grid = op.grid
     rng = np.random.default_rng(seed)
     basis = BasisSpec("fourier", (grid.a, grid.b))
-    n_modes = min(16, grid.size // 8)
+    n_modes = _probe_modes(grid)
     coeffs = rng.standard_normal((n_rays, op.channels, n_modes))
     rays = from_spectral(SpectralCoeffs(basis, n_modes, coeffs), grid).values
     rays = rays / np.sqrt(np.sum(grid.weights * rays**2, axis=(1, 2)))[:, None, None]
@@ -523,7 +544,7 @@ def estimate_contraction(op: NonlinearIntegralOperator, seed: int = 0) -> float:
     """
     grid = op.grid
     basis = BasisSpec("fourier", (grid.a, grid.b))
-    n_modes = min(16, grid.size // 8)
+    n_modes = _probe_modes(grid)
     rng = np.random.default_rng(seed)
     ch = op.channels
 

@@ -1,5 +1,8 @@
 """Nonlinear integral operators: quadrature, fixed points, linearization."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,6 +23,7 @@ from injop.nonlin import (
     SoftmaxAttentionKernel,
     VolterraKernel,
     WireKernel,
+    _expit,
     causal_trapezoid_weights,
     estimate_coercivity,
     estimate_contraction,
@@ -107,6 +111,99 @@ class TestOperator:
         op = NonlinearIntegralOperator(GRID, kern)
         u = GridFunction(GRID, np.full((1, GRID.size), 3.0))
         assert_allclose(op.apply(u).values[0], 6.0, atol=1e-12)
+
+
+def _kernel_table(op, u):
+    vals = u.values[0]
+    s = vals[:, None] if op.kernel.uses_ux else None
+    return op.kernel.table(op.grid.nodes[:, None], op.grid.nodes[None, :], s, vals[None, :])
+
+
+def _product_kernel_part(op, u):
+    """K(u) as the full quadrature product of the broadcast kernel table:
+    the reference for every kernel table."""
+    m = op.grid.size
+    return (np.broadcast_to(_kernel_table(op, u), (m, m)) * op._quad) @ u.values[0]
+
+
+#: Ridge kernels with scalar parameters; each table depends on x alone or y
+#: alone, so the integral is one matvec.
+SCALAR_KERNELS = {
+    "sigmoid_sum_ux": lambda: SigmoidSumKernel([(0.3, 1.0, 0.0), (0.2, -2.0, 0.5)], "u(x)"),
+    "sigmoid_sum_uy": lambda: SigmoidSumKernel([(0.3, 1.0, 0.0), (0.2, -2.0, 0.5)], "u(y)"),
+    "wire_ux": lambda: WireKernel(3.0, [(0.4, 1.0, 0.0), (-0.2, 0.5, 0.3)], "u(x)"),
+    "wire_uy": lambda: WireKernel(3.0, [(0.4, 1.0, 0.0), (-0.2, 0.5, 0.3)], "u(y)"),
+    "volterra_none": lambda: VolterraKernel(0.7, "none"),
+    "volterra_sigmoid": lambda: VolterraKernel(0.7, "sigmoid"),
+    "volterra_sin": lambda: VolterraKernel(0.7, "sin"),
+    "linear_table_scalar": lambda: LinearTableKernel(0.4),
+}
+
+
+def _probe_input(grid, seed):
+    rng = np.random.default_rng(seed)
+    return GridFunction(
+        grid, 1.5 * np.sin(2 * np.pi * grid.nodes) + 0.5 * rng.standard_normal(grid.size)
+    )
+
+
+class TestIntegral:
+    @pytest.mark.parametrize("size", [64, 512, 1024])
+    @pytest.mark.parametrize("name", sorted(SCALAR_KERNELS))
+    def test_scalar_kernels_match_the_product(self, name, size):
+        grid = Grid(0.0, 1.0, size)
+        op = NonlinearIntegralOperator(grid, SCALAR_KERNELS[name](), w=1.5)
+        u = _probe_input(grid, size)
+        table = _kernel_table(op, u)
+        assert 0 in table.strides  # the case the matvec serves
+        got = op.kernel_part(u).values[0]
+        want = _product_kernel_part(op, u)
+        # Rounding is relative to the integral of |k u|: a u(y) kernel's
+        # K(u) is one sum over y, and it may cancel far below its terms.
+        scale = (np.abs(np.broadcast_to(table, (size, size))) * op._quad) @ np.abs(u.values[0])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(scale)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda m, rng: LinearTableKernel(rng.standard_normal((m, m))),
+            lambda m, rng: SigmoidSumKernel(
+                [(lambda x, y: 0.3 * np.cos(x - y), 1.0, 0.0)], "u(y)"
+            ),
+            lambda m, rng: SigmoidSumKernel([(rng.standard_normal((m, 1)), 1.0, 0.0)], "u(y)"),
+        ],
+        ids=["dense_linear_table", "callable_c", "column_c_on_uy"],
+    )
+    def test_dense_tables_keep_the_product_bit_for_bit(self, make):
+        grid = Grid(0.0, 1.0, 64)
+        op = NonlinearIntegralOperator(grid, make(grid.size, np.random.default_rng(5)))
+        u = _probe_input(grid, 6)
+        assert op.kernel_part(u).values[0].tobytes() == _product_kernel_part(op, u).tobytes()
+
+    def test_scalar_kernel_allocates_no_grid_table(self):
+        # The product form allocates an M x M table (32 MB at M = 2048).
+        m = 2048
+        grid = Grid(0.0, 1.0, m)
+        op = NonlinearIntegralOperator(grid, SigmoidSumKernel([(0.3, 1.0, 0.0)], "u(y)"))
+        u = _probe_input(grid, 7)
+        tracemalloc.start()
+        try:
+            op.kernel_part(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 8 / 4
+
+    def test_logistic_profile_within_4_ulp_of_scipy(self):
+        from scipy.special import expit
+
+        z = np.linspace(-800.0, 800.0, 200_001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _expit(z)
+        want = expit(z)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+        assert got[0] == 0.0 and got[-1] == 1.0
 
 
 class TestBanach:
@@ -241,6 +338,19 @@ class TestEstimators:
         lower = report.analytic_slope * report.radii - 1e-8
         assert np.all(report.min_values >= lower)
         assert report.half_slope_threshold_radius == report.radii[0]
+
+    @pytest.mark.parametrize("size", [4, 7])
+    def test_estimators_refuse_grids_under_8_nodes(self, size):
+        op = NonlinearIntegralOperator(Grid(0.0, 1.0, size), LinearTableKernel(0.4))
+        with pytest.raises(ValueError, match=f"at least 8 nodes, got {size}"):
+            estimate_contraction(op)
+        with pytest.raises(ValueError, match=f"at least 8 nodes, got {size}"):
+            estimate_coercivity(op, alpha=1.0, n_rays=2)
+
+    def test_estimators_run_on_an_8_node_grid(self):
+        op = NonlinearIntegralOperator(Grid(0.0, 1.0, 8), LinearTableKernel(0.4))
+        assert np.isfinite(estimate_contraction(op))
+        assert np.all(np.isfinite(estimate_coercivity(op, alpha=1.0, n_rays=2).min_values))
 
     def test_coercivity_flags_violated_condition(self):
         kern = SigmoidSumKernel([(5.0, 1.0, 0.0)], signature="u(y)")
