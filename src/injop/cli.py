@@ -84,6 +84,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+#: Allowed range of each numeric flag, by argparse destination; a command
+#: without the flag skips its check.
+_FLAG_RANGES = {
+    "grid_size": (lambda v: v >= 2, "--grid-size must be at least 2"),
+    "alpha": (lambda v: 0.0 < v < 0.5, "--alpha must lie in (0, 1/2)"),
+    "rank": (lambda v: v >= 1, "--rank must be at least 1"),
+    "trials": (lambda v: v >= 0, "--trials must be at least 0"),
+}
+
+
 def parse_config(argv: List[str]) -> argparse.Namespace:
     parser = _build_parser()
     if not argv:
@@ -91,6 +101,10 @@ def parse_config(argv: List[str]) -> argparse.Namespace:
     ns = parser.parse_args(argv)
     if ns.command is None:
         raise UsageError(parser.format_usage().rstrip())
+    for dest, (ok, rule) in _FLAG_RANGES.items():
+        value = getattr(ns, dest, None)
+        if value is not None and not ok(value):
+            raise UsageError(f"{rule}, got {value}")
     return ns
 
 
@@ -170,9 +184,10 @@ def _invert_outputs(cfg: argparse.Namespace, method: str, u, trace, extra) -> di
 
 
 def _run_invert(cfg: argparse.Namespace) -> int:
-    fallback_grid = Grid(0.0, 1.0, cfg.grid_size)
     obj = serialize.read_json(cfg.op)
-    op = serialize.operator_from_obj(obj, None if "grid" in obj else fallback_grid)
+    with serialize.file_field("operator file"):
+        grid = None if "grid" in obj else Grid(0.0, 1.0, cfg.grid_size)
+    op = serialize.operator_from_obj(obj, grid)
     z = serialize.read_grid_function_csv(cfg.target, op.grid)
     if cfg.method == "banach":
         solve, negative = invert_banach, "Diverged"
@@ -202,8 +217,9 @@ def _run_invert(cfg: argparse.Namespace) -> int:
 
 def _run_truncate(cfg: argparse.Namespace) -> int:
     obj = serialize.read_json(cfg.op)
-    if obj.get("kernel", obj).get("kind") != "linear_table":
-        raise UsageError("truncate expects a linear_table kernel file")
+    with serialize.file_field("operator file"):
+        if obj.get("kernel", obj).get("kind") != "linear_table":
+            raise UsageError("truncate expects a linear_table kernel file")
     if "kernel" not in obj:  # a bare kernel object
         obj = {**obj, "kernel": obj}
     op = serialize.operator_from_obj(obj, None if "grid" in obj else Grid(0.0, 1.0, cfg.grid_size))

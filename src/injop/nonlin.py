@@ -6,12 +6,14 @@ The operators are
     F(u)(x) = W(x) u(x) + K(u)(x) + b(x),
     K(u)(x) = integral of k(x, y, u(x), u(y)) u(y) dy,
 
-discretized with the grid quadrature (per-row causal trapezoid weights for
-Volterra kernels).  The scalar kernels are one ridge family; softmax
-attention computes its own integral.  A scalar integral whose kernel table
-has a zero stride (it depends on x alone or on y alone, as for every ridge
-kernel with scalar parameters) costs one M x M matvec; any other table costs
-the dense M x M product table * quad.  Linearization is available exactly
+discretized with the grid quadrature: the grid's own weight row, or
+per-row causal trapezoid weights for Volterra kernels.  The scalar kernels
+are one ridge family; softmax attention computes its own integral.  A scalar
+integral whose kernel table has a zero stride (it depends on x alone or on
+y alone, as for every ridge kernel with scalar parameters) costs one dot
+product of length M, or one M x M matvec against the causal table for a
+Volterra kernel; any other table costs the dense M x M product
+table * quad.  Linearization is available exactly
 for the kernels that read at most u(y), matching the derivative formula
 
     (A_{u0} w)(x) = W(x) w(x)
@@ -68,22 +70,27 @@ class KernelBase:
         raise NotImplementedError
 
     def quad_weights(self, grid: Grid) -> np.ndarray:
+        """Quadrature over y: the grid's weight row, shape (M,), which every
+        consumer broadcasts along the rows of an (M, M) table; a causal
+        kernel gets the (M, M) table of per-row trapezoid weights."""
         if self.causal:
             return causal_trapezoid_weights(grid)
-        return np.broadcast_to(grid.weights[None, :], (grid.size, grid.size)).copy()
+        return grid.weights
 
     def integral(self, grid: Grid, quad: np.ndarray, values: np.ndarray) -> np.ndarray:
         """K(u) on the grid: row sums of table(x, y, u(x), u(y)) u(y) * quad.
 
         A zero stride proves that every row (or every column) of the table
-        is the same memory, so the table factors out of the quadrature and
-        the integral is one matvec; any other table takes the M x M product.
+        is the same memory, so the table factors out of the quadrature: the
+        integral is one dot product of length M against the weight row, or
+        one M x M matvec against a causal table.  Any other table takes the
+        dense M x M product.
         """
         vals = values[0]
         s = vals[:, None] if self.uses_ux else None
         table = self.table(grid.nodes[:, None], grid.nodes[None, :], s, vals[None, :])
         if table.strides[0] == 0:
-            return quad @ (table[0] * vals)
+            return np.full(grid.size, quad @ (table[0] * vals))
         if table.strides[1] == 0:
             return table[:, 0] * (quad @ vals)
         return (table * quad) @ vals

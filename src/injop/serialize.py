@@ -138,20 +138,20 @@ def network_to_obj(net: FiniteRankNetwork) -> Dict[str, Any]:
 
 
 def network_from_obj(obj: Dict[str, Any]) -> FiniteRankNetwork:
-    with _file_field("network file"):
+    with file_field("network file"):
         basis = basis_from_obj(obj["basis"])
         n = int(obj["N"])
         layer_objs = list(obj["layers"])
     layers = []
     for i, lobj in enumerate(layer_objs):
-        with _file_field(f"network file: layer {i}"):
+        with file_field(f"network file: layer {i}"):
             n_out = int(lobj.get("n_out", n))
             c = finite_array(lobj["C"], "kernel blocks C")
             bias = SpectralCoeffs(basis, n_out, finite_array(lobj["bias"], "a layer bias"))
             layers.append(FiniteRankLayer(int(lobj["d_in"]), int(lobj["d_out"]), n, c, bias,
                                           _activation_from_obj(lobj["activation"]), n_out))
         n = n_out
-    with _file_field("network file"):
+    with file_field("network file"):
         return FiniteRankNetwork(layers)
 
 
@@ -215,7 +215,10 @@ def read_grid_function_csv(path: str, grid: Optional[Grid] = None) -> GridFuncti
     if grid is None:
         grid = Grid(float(xs[0]), float(xs[-1]), len(xs))
     if len(xs) != grid.size or not np.allclose(xs, grid.nodes, atol=1e-9):
-        raise DimensionError(f"{path}: node column does not match the expected grid")
+        raise UsageError(
+            f"{path}: node column of {len(xs)} nodes on [{xs[0]}, {xs[-1]}] does not match "
+            f"the expected grid of {grid.size} nodes on [{grid.a}, {grid.b}]"
+        )
     return GridFunction(grid, data[:, 1:].T.copy())
 
 
@@ -337,27 +340,28 @@ def operator_to_obj(op: NonlinearIntegralOperator) -> Dict[str, Any]:
 
 
 def operator_from_obj(obj: Dict[str, Any], grid: Optional[Grid] = None) -> NonlinearIntegralOperator:
-    file_grid = grid_from_obj(obj["grid"]) if "grid" in obj else None
+    with file_field("operator file: grid"):
+        file_grid = grid_from_obj(obj["grid"]) if "grid" in obj else None
     if grid is None:
         grid = file_grid
     if grid is None:
         raise UsageError("operator file names no grid and none was supplied")
     if file_grid is not None and not grid.matches(file_grid):
         raise DimensionError("requested grid disagrees with the grid stored in the operator file")
-    with _file_field("operator file: kernel"):
+    with file_field("operator file: kernel"):
         kernel = kernel_from_obj(obj["kernel"])
     w = finite_array(obj.get("w", 1.0), "w")
     w = float(w) if w.ndim == 0 else w
     bias = None
     if obj.get("bias") is not None:
-        with _file_field("operator file: bias"):
+        with file_field("operator file: bias"):
             bias = GridFunction(grid, finite_array(obj["bias"], "bias"))
-    with _file_field("operator file: operator"):
+    with file_field("operator file: operator"):
         return NonlinearIntegralOperator(grid, kernel, w=w, bias=bias)
 
 
 @contextmanager
-def _file_field(where: str):
+def file_field(where: str):
     """Report a construction error from file data as a usage error naming
     where in the file it came from, e.g. ``operator file: kernel``."""
     try:

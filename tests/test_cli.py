@@ -128,6 +128,31 @@ class TestUsage:
         assert main(["--help"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("certify", "--grid-size", "1"),
+        ("certify", "--grid-size", "0"),
+        ("demo", "--grid-size", "1"),
+        ("invert", "--grid-size", "1"),
+        ("truncate", "--grid-size", "0"),
+        ("lift", "--alpha", "0.7"),
+        ("truncate", "--rank", "0"),
+        ("certify", "--trials", "-1"),
+    ])
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, command, flag, value):
+        net = str(tmp_path / "net.json")
+        write_injective_net(net)
+        op = str(tmp_path / "op.json")  # no grid: truncate uses --grid-size
+        write_json({"kind": "linear_table", "table": 0.5}, op)
+        target = str(tmp_path / "t.csv")
+        write_grid_function_csv(GridFunction(Grid(0.0, 1.0, 33), np.zeros(33)), target)
+        inputs = {"certify": ["--net", net], "lift": ["--net", net], "demo": ["volterra"],
+                  "invert": ["--op", op, "--target", target], "truncate": ["--op", op]}
+        out = str(tmp_path / "out")
+        code = main([command, *inputs[command], flag, value, "--out-dir", out])
+        err = capsys.readouterr().err
+        assert code == 64, err
+        assert err.startswith(f"{flag} must ") and not os.path.exists(out)
+
 
 class TestCertify:
     def test_injective_network_exits_zero(self, tmp_path):
@@ -318,8 +343,14 @@ class TestInvert:
         ("w", {"kind": "volterra"}, {"w": 0}),
         ("bias", {"kind": "volterra"}, {"bias": [0.5, 0.25]}),
         ("kernel parameter", {"kind": "volterra", "base": [[1.0, 2.0]]}, {}),
+        ("grid lacks the entry 'b'", {"kind": "volterra"}, {"grid": {"a": 0.0, "size": 65}}),
+        ("grid: grid needs at least 2 nodes", {"kind": "volterra"},
+         {"grid": {"a": 0.0, "b": 1.0, "size": 1}}),
+        ("grid: empty interval", {"kind": "volterra"}, {"grid": {"a": 1.0, "b": 0.0, "size": 65}}),
+        ("grid: invalid literal", {"kind": "volterra"}, {"grid": {"a": 0.0, "b": 1.0, "size": "x"}}),
     ], ids=["unknown_nonlinearity", "empty_terms", "missing_terms", "wire_without_omega",
-            "non_square_attention", "zero_w", "short_bias", "misshapen_base"])
+            "non_square_attention", "zero_w", "short_bias", "misshapen_base", "grid_without_b",
+            "one_node_grid", "reversed_grid", "non_integer_grid_size"])
     def test_malformed_operator_is_usage_error(self, tmp_path, capsys, field, kernel, top):
         grid = Grid(0.0, 1.0, 65)
         op = str(tmp_path / "op.json")
@@ -331,6 +362,45 @@ class TestInvert:
         err = capsys.readouterr().err
         assert code == 64, err
         assert err.startswith("operator file:") and field in err
+
+    def test_operator_file_of_one_number_is_usage_error(self, tmp_path, capsys):
+        op = str(tmp_path / "op.json")
+        write_json(5, op)
+        target = str(tmp_path / "target.csv")
+        write_grid_function_csv(GridFunction(Grid(0.0, 1.0, 65), np.ones(65)), target)
+        code = main(["invert", "--op", op, "--target", target,
+                     "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 64, err
+        assert err.startswith("operator file:")
+
+    def test_target_on_another_grid_is_usage_error(self, tmp_path, capsys):
+        op = str(tmp_path / "op.json")
+        write_contraction_op(op, Grid(0.0, 1.0, 65))
+        target = str(tmp_path / "target.csv")
+        write_grid_function_csv(GridFunction(Grid(0.0, 1.0, 33), np.ones(33)), target)
+        code = main(["invert", "--op", op, "--target", target,
+                     "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 64, err
+        assert err.startswith(target) and "33 nodes" in err and "65 nodes" in err
+
+    def test_anchor_on_another_grid_is_usage_error(self, tmp_path, capsys):
+        grid = Grid(0.0, 1.0, 65)
+        op = str(tmp_path / "op.json")
+        write_contraction_op(op, grid)
+        anchors = tmp_path / "anchors"
+        anchors.mkdir()
+        write_grid_function_csv(GridFunction(grid, np.zeros(65)), str(anchors / "anchor_0.csv"))
+        coarse = str(anchors / "anchor_1.csv")
+        write_grid_function_csv(GridFunction(Grid(0.0, 1.0, 33), np.ones(33)), coarse)
+        target = str(tmp_path / "target.csv")
+        write_grid_function_csv(GridFunction(grid, np.full(65, 0.1)), target)
+        code = main(["invert", "--op", op, "--target", target, "--method", "atlas",
+                     "--anchors", str(anchors), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 64, err
+        assert err.startswith(coarse) and "33 nodes" in err and "65 nodes" in err
 
     def test_atlas_route(self, tmp_path):
         grid = Grid(0.0, 1.0, 65)
@@ -446,6 +516,19 @@ class TestTruncate:
         op_path = str(tmp_path / "op.json")
         write_json({"grid": {"a": 0.0, "b": 1.0, "size": 65}, "w": 1.0, "kernel": kernel},
                    op_path)
+        code = main(["truncate", "--op", op_path, "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 64, err
+        assert err.startswith("operator file:")
+
+
+    @pytest.mark.parametrize("obj", [
+        [{"kind": "linear_table", "table": 0.5}],
+        {"grid": {"a": 0.0, "b": 1.0, "size": 65}, "kernel": [{"kind": "linear_table"}]},
+    ], ids=["top_level_list", "kernel_list"])
+    def test_list_shaped_file_is_usage_error(self, tmp_path, capsys, obj):
+        op_path = str(tmp_path / "op.json")
+        write_json(obj, op_path)
         code = main(["truncate", "--op", op_path, "--out-dir", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 64, err

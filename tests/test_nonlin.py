@@ -181,18 +181,56 @@ class TestIntegral:
         assert op.kernel_part(u).values[0].tobytes() == _product_kernel_part(op, u).tobytes()
 
     def test_scalar_kernel_allocates_no_grid_table(self):
-        # The product form allocates an M x M table (32 MB at M = 2048).
+        # An M x M table, for the product or for the quadrature weights,
+        # takes 32 MB at M = 2048.
         m = 2048
         grid = Grid(0.0, 1.0, m)
-        op = NonlinearIntegralOperator(grid, SigmoidSumKernel([(0.3, 1.0, 0.0)], "u(y)"))
         u = _probe_input(grid, 7)
         tracemalloc.start()
         try:
+            op = NonlinearIntegralOperator(grid, SigmoidSumKernel([(0.3, 1.0, 0.0)], "u(y)"))
             op.kernel_part(u)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < m * m * 8 / 4
+
+    @pytest.mark.parametrize("make", [
+        SCALAR_KERNELS["sigmoid_sum_uy"], SCALAR_KERNELS["wire_ux"],
+        lambda: LinearTableKernel(np.eye(64)), lambda: SoftmaxAttentionKernel([[1.0]], [[0.5]]),
+    ], ids=["sigmoid_sum_uy", "wire_ux", "dense_linear_table", "softmax_attention"])
+    def test_ordinary_quadrature_is_the_grid_weight_row(self, make):
+        grid = Grid(0.0, 1.0, 64)
+        assert NonlinearIntegralOperator(grid, make())._quad is grid.weights
+
+    def test_y_only_integral_is_a_writable_row(self):
+        grid = Grid(0.0, 1.0, 64)
+        op = NonlinearIntegralOperator(grid, SCALAR_KERNELS["sigmoid_sum_uy"]())
+        u = _probe_input(grid, 8)
+        row = op.kernel.integral(grid, op._quad, u.values)
+        assert row.shape == (grid.size,) and row.flags.writeable
+        assert np.all(row == row[0])
+
+    def test_grid_weights_survive_every_consumer(self):
+        grid = Grid(0.0, 1.0, 64)
+        before = grid.weights.copy()
+        op = NonlinearIntegralOperator(grid, SCALAR_KERNELS["sigmoid_sum_uy"](), w=1.5)
+        u = _probe_input(grid, 9)
+        op.apply(u)
+        frechet_derivative(op, u)[:] = 7.0
+        estimate_contraction(op)
+        assert grid.weights.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("name", ["sigmoid_sum_uy", "wire_uy", "linear_table_scalar"])
+    def test_frechet_is_the_broadcast_weight_product(self, name):
+        grid = Grid(0.0, 1.0, 64)
+        op = NonlinearIntegralOperator(grid, SCALAR_KERNELS[name](), w=1.5)
+        u0 = _probe_input(grid, 10)
+        x, y, t = grid.nodes[:, None], grid.nodes[None, :], u0.values[0][None, :]
+        table, slope = op.kernel.table(x, y, None, t), op.kernel.du(x, y, t)
+        want = np.broadcast_to(grid.weights, (grid.size, grid.size)) * (table + t * slope)
+        want[np.arange(grid.size), np.arange(grid.size)] += op.w_values
+        assert frechet_derivative(op, u0).tobytes() == want.tobytes()
 
     def test_logistic_profile_within_4_ulp_of_scipy(self):
         from scipy.special import expit

@@ -166,7 +166,7 @@ class TestGridCsv:
         path = str(tmp_path / "f.csv")
         write_grid_function_csv(f, path)
         read_grid_function_csv(path, grid=g)
-        with pytest.raises(Exception):
+        with pytest.raises(UsageError, match="33 nodes .* 32 nodes"):
             read_grid_function_csv(path, grid=Grid(0.0, 1.0, 32))
 
     def test_bad_header_is_usage_error(self, tmp_path):
