@@ -27,7 +27,7 @@ from .certify import (
     certify_bijective_activation,
     certify_relu_dss,
 )
-from .errors import DivergenceError, InjopError, UsageError
+from .errors import AliasingGuardError, DivergenceError, InjopError, UsageError
 from .finite_rank import FiniteRankNetwork, truncate_kernel
 from .funcspace import BasisSpec, Grid, GridFunction
 from .nonlin import NonlinearIntegralOperator, VolterraKernel, invert_banach
@@ -228,7 +228,12 @@ def _run_truncate(cfg: argparse.Namespace) -> int:
     # would take matmul off its BLAS path and change the last digits.
     kernel = lambda x, y: np.array(op.kernel.table(x, y, None, None))
     basis = BasisSpec("fourier", (grid.a, grid.b))
-    result = truncate_kernel(kernel, grid, basis, cfg.rank)
+    try:
+        result = truncate_kernel(kernel, grid, basis, cfg.rank)
+    except AliasingGuardError as err:
+        raise UsageError(
+            f"--rank {cfg.rank} is too high for the {grid.size}-node grid: {err}"
+        ) from None
     net = FiniteRankNetwork([result.layer])
     serialize.save_network(net, _report_path(cfg, "network.json"))
     report = {

@@ -54,4 +54,4 @@ class OutOfBasinError(DivergenceError):
 
 
 class UsageError(InjopError, ValueError):
-    """Bad command-line arguments."""
+    """Bad input from outside the program."""

@@ -30,7 +30,7 @@ from .funcspace import (
     GridFunction,
     SpectralCoeffs,
     from_spectral,
-    mode_table,
+    resolved_mode_table,
     to_spectral,
 )
 
@@ -269,8 +269,10 @@ def truncate_kernel(
 
     Rounding can push the bracket slightly negative when the kernel is
     numerically inside the span; the tail is clamped to zero and flagged.
+    Raises :class:`AliasingGuardError` when the grid does not resolve
+    modes 1..n, the guard of :func:`to_spectral`.
     """
-    basis.require_matches_grid(grid)
+    phi_w = resolved_mode_table(basis, grid, n).analysis.T  # (n, M)
     x = grid.nodes[:, None]
     y = grid.nodes[None, :]
     table = np.asarray(kernel(x, y), dtype=float)
@@ -278,7 +280,6 @@ def truncate_kernel(
         raise DimensionError(
             f"kernel table has shape {table.shape}, expected {(grid.size, grid.size)}"
         )
-    phi_w = mode_table(basis, grid, n).analysis.T  # (n, M)
     # C[k, p] = sum_{s,t} w_s w_t k(x_s, y_t) phi_k(y_t) phi_p(x_s)
     coeff = phi_w @ table.T @ phi_w.T  # rows k (input mode), cols p (output mode)
     hs_sq = float(np.sum(grid.weights[:, None] * grid.weights[None, :] * table**2))

@@ -17,8 +17,9 @@ arithmetic here treat the whole array as one function.
 The trapezoid rule on a uniform closed grid is exact for periodic
 trigonometric polynomials, so the Fourier modes stay orthonormal under the
 discrete inner product as long as the grid resolves them; ``to_spectral``
-enforces the guard ``size >= 8 * n`` before projecting, and refuses a grid
-on which the modes are not orthonormal under the quadrature.
+and ``finite_rank.truncate_kernel`` enforce the guard ``size >= 8 * n``
+before projecting, and refuse a grid on which the modes are not
+orthonormal under the quadrature (:func:`resolved_mode_table`).
 
 The synthesis and analysis tables of each (basis, grid, n) are built once
 by :meth:`BasisSpec.eval_modes` and kept, read-only, in a bounded
@@ -335,27 +336,36 @@ def inner_product(f: GridFunction, g: GridFunction) -> float:
     return float(np.sum(f.grid.weights * f.values * g.values))
 
 
-def to_spectral(f: GridFunction, basis: BasisSpec, n: int) -> SpectralCoeffs:
-    """Project a grid function onto the first n basis modes.
+def resolved_mode_table(basis: BasisSpec, grid: Grid, n: int) -> ModeTable:
+    """The :class:`ModeTable` of modes 1..n, for projecting onto them.
 
-    Requires ``f.grid.size >= 8 * n`` so the quadrature resolves products
+    Requires ``grid.size >= 8 * n`` so the quadrature resolves products
     of the retained modes, and modes that are orthonormal under the grid
     quadrature (Gram defect at most ``GRAM_DEFECT_TOL``; step modes need
-    their dyadic breakpoints on grid nodes).  A batch of functions is
-    projected in one product.
+    their dyadic breakpoints on grid nodes); raises
+    :class:`AliasingGuardError` otherwise.
     """
-    basis.require_matches_grid(f.grid)
-    if f.grid.size < ALIASING_FACTOR * n:
+    basis.require_matches_grid(grid)
+    if grid.size < ALIASING_FACTOR * n:
         raise AliasingGuardError(
-            f"grid size {f.grid.size} < {ALIASING_FACTOR} * {n}; refine the grid "
+            f"grid size {grid.size} < {ALIASING_FACTOR} * {n}; refine the grid "
             f"or lower the order"
         )
-    table = mode_table(basis, f.grid, n)
+    table = mode_table(basis, grid, n)
     if table.gram_defect > GRAM_DEFECT_TOL:
         raise AliasingGuardError(
-            f"{basis.kind} modes 1..{n} are not orthonormal on a {f.grid.size}-node grid "
+            f"{basis.kind} modes 1..{n} are not orthonormal on a {grid.size}-node grid "
             f"(quadrature Gram defect {table.gram_defect:.3e} > {GRAM_DEFECT_TOL:.0e})"
         )
+    return table
+
+
+def to_spectral(f: GridFunction, basis: BasisSpec, n: int) -> SpectralCoeffs:
+    """Project a grid function onto the first n basis modes, on a grid that
+    resolves them (:func:`resolved_mode_table`).  A batch of functions is
+    projected in one product.
+    """
+    table = resolved_mode_table(basis, f.grid, n)
     return SpectralCoeffs(basis, n, f.values @ table.analysis)
 
 

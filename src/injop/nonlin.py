@@ -6,14 +6,15 @@ The operators are
     F(u)(x) = W(x) u(x) + K(u)(x) + b(x),
     K(u)(x) = integral of k(x, y, u(x), u(y)) u(y) dy,
 
-discretized with the grid quadrature: the grid's own weight row, or
-per-row causal trapezoid weights for Volterra kernels.  The scalar kernels
-are one ridge family; softmax attention computes its own integral.  A scalar
-integral whose kernel table has a zero stride (it depends on x alone or on
-y alone, as for every ridge kernel with scalar parameters) costs one dot
-product of length M, or one M x M matvec against the causal table for a
-Volterra kernel; any other table costs the dense M x M product
-table * quad.  Linearization is available exactly
+discretized with the trapezoid rule on the grid: over the whole interval,
+or over [a, x_i] at each node x_i for a causal (Volterra) kernel.  The
+scalar kernels are one ridge family; softmax attention computes its own
+integral.  A scalar integral whose kernel table has a zero stride (it
+depends on x alone or on y alone, as for every ridge kernel with scalar
+parameters) is one trapezoid sum: a dot product of length M, or a running
+sum for a Volterra kernel.  Any other table costs the dense M x M product
+with the quadrature weights, which are built only for it.  Linearization
+is available exactly
 for the kernels that read at most u(y), matching the derivative formula
 
     (A_{u0} w)(x) = W(x) w(x)
@@ -69,43 +70,48 @@ class KernelBase:
         """Derivative with respect to the u(y) argument."""
         raise NotImplementedError
 
-    def quad_weights(self, grid: Grid) -> np.ndarray:
-        """Quadrature over y: the grid's weight row, shape (M,), which every
-        consumer broadcasts along the rows of an (M, M) table; a causal
-        kernel gets the (M, M) table of per-row trapezoid weights."""
-        if self.causal:
-            return causal_trapezoid_weights(grid)
-        return grid.weights
+    def check_grid(self, grid: Grid):
+        """Raise :class:`DimensionError` if a parameter does not fit the grid."""
 
-    def integral(self, grid: Grid, quad: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """K(u) on the grid: row sums of table(x, y, u(x), u(y)) u(y) * quad.
+    def integral(self, grid: Grid, values: np.ndarray) -> np.ndarray:
+        """K(u) on the grid: the trapezoid integral over y of
+        table(x, y, u(x), u(y)) u(y).
 
         A zero stride proves that every row (or every column) of the table
-        is the same memory, so the table factors out of the quadrature: the
-        integral is one dot product of length M against the weight row, or
-        one M x M matvec against a causal table.  Any other table takes the
-        dense M x M product.
+        is the same memory, so the table factors out of the integral, which
+        is then one trapezoid sum.  Any other table takes the dense M x M
+        product with the quadrature weights.
         """
         vals = values[0]
         s = vals[:, None] if self.uses_ux else None
         table = self.table(grid.nodes[:, None], grid.nodes[None, :], s, vals[None, :])
         if table.strides[0] == 0:
-            return np.full(grid.size, quad @ (table[0] * vals))
+            return trapezoid(grid, table[0] * vals, self.causal)
         if table.strides[1] == 0:
-            return table[:, 0] * (quad @ vals)
-        return (table * quad) @ vals
+            return table[:, 0] * trapezoid(grid, vals, self.causal)
+        return (table * quad_weights(grid, self.causal)) @ vals
 
 
-def causal_trapezoid_weights(grid: Grid) -> np.ndarray:
-    """Row i carries composite trapezoid weights for integrating over
-    [a, x_i]; entries beyond the diagonal are exactly zero."""
-    m = grid.size
-    h = grid.h
-    w = np.zeros((m, m))
-    for i in range(1, m):
-        w[i, : i + 1] = h
-        w[i, 0] = h / 2.0
-        w[i, i] = h / 2.0
+def trapezoid(grid: Grid, f: np.ndarray, causal: bool) -> np.ndarray:
+    """Trapezoid integral of f along its last axis (y) for every node x_i:
+    over [a, x_i] when causal, a running sum that is 0 at x_0; otherwise
+    over the whole interval, the same value at every node."""
+    if causal:
+        return grid.h * (np.cumsum(f, axis=-1) - 0.5 * (f[..., :1] + f))
+    return np.full(grid.size, grid.weights @ f)
+
+
+def quad_weights(grid: Grid, causal: bool) -> np.ndarray:
+    """Trapezoid weights over y for a dense (M, M) table product: the grid's
+    weight row, shape (M,), broadcast along the table's rows, or for a causal
+    kernel a new (M, M) table whose row i integrates over [a, x_i]."""
+    if not causal:
+        return grid.weights
+    m, h = grid.size, grid.h
+    w = np.tri(m) * h
+    w[:, 0] = h / 2.0
+    np.fill_diagonal(w, h / 2.0)
+    w[0, 0] = 0.0
     return w
 
 
@@ -176,8 +182,8 @@ class RidgeKernel(KernelBase):
         """sum_j sup |c_j|, an upper bound for sup |k| since |g| <= 1."""
         return sum(_param_sup(c, grid) for c, _, _ in self.terms)
 
-    def quad_weights(self, grid: Grid) -> np.ndarray:
-        """Quadrature weights, once each dense parameter fits the grid."""
+    def check_grid(self, grid: Grid):
+        """Each dense parameter must broadcast to the (M, M) grid table."""
         m = grid.size
         for shape in {np.shape(p) for term in self.terms for p in term if not callable(p)}:
             if len(shape) > 2 or any(n not in (1, m) for n in shape):
@@ -185,7 +191,6 @@ class RidgeKernel(KernelBase):
                     f"kernel parameter of shape {shape} does not broadcast to the "
                     f"({m}, {m}) grid table"
                 )
-        return super().quad_weights(grid)
 
 
 class SigmoidSumKernel(RidgeKernel):
@@ -211,8 +216,8 @@ class VolterraKernel(RidgeKernel):
     """Causal kernel base(x, y) * g(u(y)) supported on y <= x: the single
     ridge term (base, 1, 0).
 
-    The causal structure lives in the quadrature weights (row-wise
-    trapezoid rules over [a, x]), so the mask is exact on the grid.
+    The causal structure lives in the quadrature (trapezoid rules over
+    [a, x_i]), so the mask is exact on the grid.
     """
 
     kind = "volterra"
@@ -271,8 +276,8 @@ class SoftmaxAttentionKernel(KernelBase):
         denom = grid.weights @ num  # integral over x for each y
         return num / denom[None, :]
 
-    def integral(self, grid: Grid, quad: np.ndarray, values: np.ndarray) -> np.ndarray:
-        return ((self.weights_on_grid(grid, values) * quad) @ values.T).T
+    def integral(self, grid: Grid, values: np.ndarray) -> np.ndarray:
+        return ((self.weights_on_grid(grid, values) * grid.weights) @ values.T).T
 
 
 class NonlinearIntegralOperator:
@@ -305,7 +310,7 @@ class NonlinearIntegralOperator:
             grid.require_matches(bias.grid)
         self.bias = bias
         self.channels = kernel.channels
-        self._quad = kernel.quad_weights(grid)
+        kernel.check_grid(grid)
 
     def w_inv_sup(self) -> float:
         """Operator norm of the inverse multiplier, max 1/|W|."""
@@ -321,7 +326,7 @@ class NonlinearIntegralOperator:
     def kernel_part(self, u: GridFunction) -> GridFunction:
         """K(u) alone, without multiplier and bias."""
         self._check_input(u)
-        return GridFunction(self.grid, self.kernel.integral(self.grid, self._quad, u.values))
+        return GridFunction(self.grid, self.kernel.integral(self.grid, u.values))
 
     def apply(self, u: GridFunction) -> GridFunction:
         self._check_input(u)
@@ -422,7 +427,7 @@ def frechet_derivative(op: NonlinearIntegralOperator, u0: GridFunction) -> np.nd
     t = vals[None, :]
     table = op.kernel.table(x, y, None, t)
     slope = op.kernel.du(x, y, t)
-    a = op._quad * (table + vals[None, :] * slope)
+    a = quad_weights(op.grid, op.kernel.causal) * (table + vals[None, :] * slope)
     a[np.arange(op.grid.size), np.arange(op.grid.size)] += op.w_values
     return a
 

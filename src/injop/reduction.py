@@ -34,6 +34,7 @@ from .errors import (
     DimensionError,
     IllConditionedError,
     ReductionVerificationError,
+    UsageError,
 )
 from .finite_rank import (
     Activation,
@@ -490,12 +491,12 @@ def lift_to_injective(
         out_modes >= 2 * n_in_modes + 1) instead of the explicit one.
     """
     if mode not in LIFT_MODES:
-        raise ValueError(f"mode must be one of {LIFT_MODES}, got {mode!r}")
+        raise UsageError(f"mode must be one of {LIFT_MODES}, got {mode!r}")
     hidden = net.layers[:-1]
     kinds = {layer.activation.kind for layer in hidden}
     if mode == "relu":
         if kinds - {"relu"}:
-            raise ValueError(f"relu mode expects all-ReLU hidden layers, got {sorted(kinds)}")
+            raise UsageError(f"relu mode expects all-ReLU hidden layers, got {sorted(kinds)}")
     else:
         bad = [
             layer.activation.kind
@@ -503,7 +504,7 @@ def lift_to_injective(
             if not (layer.activation.is_injective and layer.activation.kind in ("identity", "leaky_relu"))
         ]
         if bad:
-            raise ValueError(
+            raise UsageError(
                 f"injective mode expects Identity/LeakyReLU hidden layers, got {bad}"
             )
 

@@ -84,6 +84,19 @@ def write_relu_net(path, seed=6):
     save_network(FiniteRankNetwork([hidden, final]), path)
 
 
+def write_hidden_net(path, activation, seed=7):
+    rng = np.random.default_rng(seed)
+    n = 2
+    hidden = FiniteRankLayer(
+        d_in=1, d_out=1, n=n, c=rng.standard_normal((n, n, 1, 1)),
+        bias=zero_bias(BASIS, 1, n), activation=activation,
+    )
+    final = FiniteRankLayer(
+        d_in=1, d_out=1, n=n, c=rng.standard_normal((n, n, 1, 1)), bias=zero_bias(BASIS, 1, n),
+    )
+    save_network(FiniteRankNetwork([hidden, final]), path)
+
+
 def write_contraction_op(path, grid):
     kern = SigmoidSumKernel([(0.3, 1.0, 0.0)], signature="u(y)")
     save_operator(NonlinearIntegralOperator(grid, kern, w=1.0), path)
@@ -219,6 +232,21 @@ class TestLift:
         again = str(tmp_path / "again.json")
         save_network(loaded, again)
         assert files_equal(path, again)
+
+    @pytest.mark.parametrize("activation, mode", [
+        (Activation("sigmoid"), "bijective"),
+        (Activation("relu"), "bijective"),
+        (Activation("leaky_relu", 0.2), "relu"),
+    ], ids=["sigmoid_bijective", "relu_bijective", "leaky_relu_relu"])
+    def test_mode_the_network_cannot_use_is_usage_error(self, tmp_path, capsys, activation,
+                                                        mode):
+        net = str(tmp_path / "net.json")
+        write_hidden_net(net, activation)
+        out = str(tmp_path / "out")
+        code = main(["lift", "--net", net, "--mode", mode, "--out-dir", out])
+        err = capsys.readouterr().err
+        assert code == 64, err
+        assert "mode expects" in err and not os.path.exists(out)
 
     def test_certify_reads_lifted_network(self, tmp_path):
         net = str(tmp_path / "net.json")
@@ -489,6 +517,19 @@ class TestTruncate:
         assert report["hs_tail"] <= 1e-6
         net = read_json(os.path.join(out, "network.json"))
         assert net["N"] == 4
+
+    @pytest.mark.parametrize("size, rank", [(33, 33), (64, 200)])
+    def test_rank_beyond_the_grid_is_usage_error(self, tmp_path, capsys, size, rank):
+        grid = Grid(0.0, 1.0, size)
+        table = np.exp(-np.abs(grid.nodes[:, None] - grid.nodes[None, :]))
+        op_path = str(tmp_path / "op.json")
+        save_operator(NonlinearIntegralOperator(grid, LinearTableKernel(table)), op_path)
+        out = str(tmp_path / "out")
+        code = main(["truncate", "--op", op_path, "--rank", str(rank), "--out-dir", out])
+        err = capsys.readouterr().err
+        assert code == 64, err
+        assert err.startswith(f"--rank {rank} ") and f"{size}-node grid" in err
+        assert not os.path.exists(out)
 
     def test_wrong_kernel_kind_is_usage_error(self, tmp_path, capsys):
         grid = Grid(0.0, 1.0, 33)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from injop.errors import DimensionError
+from injop.errors import AliasingGuardError, DimensionError
 from injop.finite_rank import (
     Activation,
     FiniteRankLayer,
@@ -215,6 +215,18 @@ class TestTruncateKernel:
         assert_allclose(coeff, np.diag(rates[:4]), atol=1e-10)
         expected_tail = math.sqrt(sum(a * a for a in rates[4:]))
         assert_allclose(res.hs_tail, expected_tail, rtol=1e-6)
+
+    @pytest.mark.parametrize("basis, size, n", [
+        (BASIS, 33, 33),
+        (BASIS, 64, 200),
+        (BasisSpec("step_haar", (0.0, 1.0)), 100, 3),
+    ], ids=["fourier_33_nodes_rank_33", "fourier_64_nodes_rank_200", "step_haar_off_dyadic"])
+    def test_unresolved_order_is_refused(self, basis, size, n):
+        # The guards of to_spectral: size >= 8 n, and modes orthonormal
+        # under the quadrature (step modes miss the nodes of a 100-node grid).
+        grid = Grid(0.0, 1.0, size)
+        with pytest.raises(AliasingGuardError):
+            truncate_kernel(lambda x, y: np.exp(-np.abs(x - y)), grid, basis, n)
 
     def test_inside_span_kernel_clamps(self):
         grid = Grid(0.0, 1.0, 256)

@@ -24,24 +24,37 @@ from injop.nonlin import (
     VolterraKernel,
     WireKernel,
     _expit,
-    causal_trapezoid_weights,
     estimate_coercivity,
     estimate_contraction,
     frechet_derivative,
     invert_banach,
+    quad_weights,
     solve_frechet,
 )
 
 GRID = Grid(0.0, 1.0, 201)
 
 
+def _loop_causal_weights(grid):
+    """Causal trapezoid table built row by row: row i holds the weights
+    over [a, x_i].  The reference for the closed-form table."""
+    m = grid.size
+    h = grid.h
+    w = np.zeros((m, m))
+    for i in range(1, m):
+        w[i, : i + 1] = h
+        w[i, 0] = h / 2.0
+        w[i, i] = h / 2.0
+    return w
+
+
 class TestQuadrature:
-    def test_causal_weights_integrate_constants(self):
-        w = causal_trapezoid_weights(GRID)
+    def test_causal_quad_weights_integrate_constants(self):
+        w = quad_weights(GRID, True)
         assert_allclose(w.sum(axis=1), GRID.nodes - GRID.a, atol=1e-13)
 
-    def test_causal_weights_strictly_upper_zero(self):
-        w = causal_trapezoid_weights(GRID)
+    def test_causal_quad_weights_strictly_upper_zero(self):
+        w = quad_weights(GRID, True)
         assert np.all(w[np.triu_indices(GRID.size, k=1)] == 0.0)
         assert np.all(w[0] == 0.0)
         h = GRID.h
@@ -50,6 +63,16 @@ class TestQuadrature:
             assert w[i, i] == h / 2.0
             if i > 1:
                 assert_allclose(w[i, 1:i], h)
+
+    @pytest.mark.parametrize("size", [2, 3, 64, 201, 1024])
+    def test_causal_quad_weights_match_the_row_loop(self, size):
+        grid = Grid(0.0, 1.0, size)
+        assert quad_weights(grid, True).tobytes() == _loop_causal_weights(grid).tobytes()
+
+    def test_causal_quad_weights_are_built_per_call(self):
+        first = quad_weights(GRID, True)
+        first[:] = 7.0
+        assert quad_weights(GRID, True).tobytes() == _loop_causal_weights(GRID).tobytes()
 
     def test_volterra_integrates_linear_exactly(self):
         # Row-wise trapezoid rules are exact on polynomials of degree one,
@@ -123,7 +146,8 @@ def _product_kernel_part(op, u):
     """K(u) as the full quadrature product of the broadcast kernel table:
     the reference for every kernel table."""
     m = op.grid.size
-    return (np.broadcast_to(_kernel_table(op, u), (m, m)) * op._quad) @ u.values[0]
+    quad = quad_weights(op.grid, op.kernel.causal)
+    return (np.broadcast_to(_kernel_table(op, u), (m, m)) * quad) @ u.values[0]
 
 
 #: Ridge kernels with scalar parameters; each table depends on x alone or y
@@ -160,7 +184,8 @@ class TestIntegral:
         want = _product_kernel_part(op, u)
         # Rounding is relative to the integral of |k u|: a u(y) kernel's
         # K(u) is one sum over y, and it may cancel far below its terms.
-        scale = (np.abs(np.broadcast_to(table, (size, size))) * op._quad) @ np.abs(u.values[0])
+        quad = quad_weights(grid, op.kernel.causal)
+        scale = (np.abs(np.broadcast_to(table, (size, size))) * quad) @ np.abs(u.values[0])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(scale)
 
     @pytest.mark.parametrize(
@@ -180,20 +205,47 @@ class TestIntegral:
         u = _probe_input(grid, 6)
         assert op.kernel_part(u).values[0].tobytes() == _product_kernel_part(op, u).tobytes()
 
-    def test_scalar_kernel_allocates_no_grid_table(self):
-        # An M x M table, for the product or for the quadrature weights,
-        # takes 32 MB at M = 2048.
-        m = 2048
+    @staticmethod
+    def _kernel_part_peak(kernel, m):
+        """Peak bytes traced while building an operator on an m-node grid
+        and taking one kernel_part."""
         grid = Grid(0.0, 1.0, m)
         u = _probe_input(grid, 7)
         tracemalloc.start()
         try:
-            op = NonlinearIntegralOperator(grid, SigmoidSumKernel([(0.3, 1.0, 0.0)], "u(y)"))
+            op = NonlinearIntegralOperator(grid, kernel)
             op.kernel_part(u)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak
+
+    def test_scalar_kernel_allocates_no_grid_table(self):
+        # An M x M table, for the product or for the quadrature weights,
+        # takes 32 MB at M = 2048.
+        m = 2048
+        peak = self._kernel_part_peak(SigmoidSumKernel([(0.3, 1.0, 0.0)], "u(y)"), m)
         assert peak < m * m * 8 / 4
+
+    def test_volterra_kernel_allocates_no_grid_table(self):
+        # The causal integral of a y-only table is a running sum: neither
+        # the operator nor the integral builds the causal weight table.
+        m = 2048
+        peak = self._kernel_part_peak(VolterraKernel(0.7, "sigmoid"), m)
+        assert peak < m * m * 8 / 4
+
+    @pytest.mark.parametrize("make", [
+        lambda m, rng: VolterraKernel(rng.standard_normal((m, m)), "sigmoid"),
+        lambda m, rng: VolterraKernel(lambda x, y: 0.5 * np.cos(x - y), "none"),
+    ], ids=["dense_base_sigmoid", "callable_base"])
+    @pytest.mark.parametrize("size", [64, 201])
+    def test_dense_volterra_is_the_loop_table_product(self, make, size):
+        grid = Grid(0.0, 1.0, size)
+        op = NonlinearIntegralOperator(grid, make(size, np.random.default_rng(11)))
+        u = _probe_input(grid, 12)
+        table = np.broadcast_to(_kernel_table(op, u), (size, size))
+        want = (table * _loop_causal_weights(grid)) @ u.values[0]
+        assert op.kernel_part(u).values[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("make", [
         SCALAR_KERNELS["sigmoid_sum_uy"], SCALAR_KERNELS["wire_ux"],
@@ -201,13 +253,13 @@ class TestIntegral:
     ], ids=["sigmoid_sum_uy", "wire_ux", "dense_linear_table", "softmax_attention"])
     def test_ordinary_quadrature_is_the_grid_weight_row(self, make):
         grid = Grid(0.0, 1.0, 64)
-        assert NonlinearIntegralOperator(grid, make())._quad is grid.weights
+        assert quad_weights(grid, make().causal) is grid.weights
 
     def test_y_only_integral_is_a_writable_row(self):
         grid = Grid(0.0, 1.0, 64)
         op = NonlinearIntegralOperator(grid, SCALAR_KERNELS["sigmoid_sum_uy"]())
         u = _probe_input(grid, 8)
-        row = op.kernel.integral(grid, op._quad, u.values)
+        row = op.kernel.integral(grid, u.values)
         assert row.shape == (grid.size,) and row.flags.writeable
         assert np.all(row == row[0])
 
@@ -229,6 +281,17 @@ class TestIntegral:
         x, y, t = grid.nodes[:, None], grid.nodes[None, :], u0.values[0][None, :]
         table, slope = op.kernel.table(x, y, None, t), op.kernel.du(x, y, t)
         want = np.broadcast_to(grid.weights, (grid.size, grid.size)) * (table + t * slope)
+        want[np.arange(grid.size), np.arange(grid.size)] += op.w_values
+        assert frechet_derivative(op, u0).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["volterra_none", "volterra_sigmoid", "volterra_sin"])
+    def test_volterra_frechet_is_the_loop_table_product(self, name):
+        grid = Grid(0.0, 1.0, 64)
+        op = NonlinearIntegralOperator(grid, SCALAR_KERNELS[name](), w=1.5)
+        u0 = _probe_input(grid, 13)
+        x, y, t = grid.nodes[:, None], grid.nodes[None, :], u0.values[0][None, :]
+        table, slope = op.kernel.table(x, y, None, t), op.kernel.du(x, y, t)
+        want = _loop_causal_weights(grid) * (table + t * slope)
         want[np.arange(grid.size), np.arange(grid.size)] += op.w_values
         assert frechet_derivative(op, u0).tobytes() == want.tobytes()
 
