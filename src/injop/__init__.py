@@ -73,7 +73,6 @@ from .nonlin import (
     estimate_contraction,
     frechet_derivative,
     invert_banach,
-    solve_frechet,
 )
 from .atlas import (
     Anchor,

@@ -267,11 +267,12 @@ def local_invert(
 ) -> tuple:
     """Newton iteration with the frozen anchor linearization.
 
-    The residual is checked before each step, so the anchor's own image
-    returns in one iteration.  Raises :class:`OutOfBasinError` after
-    ``BASIN_PATIENCE`` consecutive H1 residual increases, or at the first
-    non-finite residual; the trace then holds the finite iterations before
-    it.
+    ``op`` is the operator the anchor was built for.  The residual is checked
+    before each step, the first being the stored image ``anchor.g`` minus g,
+    so n iterations evaluate F n - 1 times and the anchor's own image returns
+    in one iteration.  Raises :class:`OutOfBasinError` after ``BASIN_PATIENCE``
+    consecutive H1 residual increases, or at the first non-finite residual;
+    the trace then holds the finite iterations before it.
     """
     op.grid.require_matches(g.grid)
     u = anchor.v.copy()
@@ -281,7 +282,7 @@ def local_invert(
     increases = 0
     prev_step: Optional[float] = None
     for m in range(1, max_iter + 1):
-        diff = op.apply(u).values - g.values
+        diff = (op.apply(u).values if m > 1 else anchor.g.values) - g.values
         res_h1 = h1_norm(op.grid, diff)
         res_l2 = float(np.sqrt(np.sum(op.grid.weights * diff**2)))
         if not (np.isfinite(res_l2) and np.isfinite(res_h1)):

@@ -185,11 +185,6 @@ class BasisSpec:
                 out[k - 1] = np.where(inside, 2.0 ** (k / 2.0) / np.sqrt(length), 0.0)
         return out
 
-    def gram(self, grid: Grid, n: int) -> np.ndarray:
-        """Gram matrix of the first n modes under the grid quadrature
-        (read-only, shared with the table cache)."""
-        return mode_table(self, grid, n).gram
-
 
 class ModeTable:
     """Read-only tables of the first n modes of a basis on a grid.
@@ -310,14 +305,6 @@ class SpectralCoeffs:
 
     def copy(self) -> "SpectralCoeffs":
         return SpectralCoeffs(self.basis, self.n, self.coeffs.copy())
-
-    def padded(self, n_new: int) -> "SpectralCoeffs":
-        """Zero-pad (or error on shrink) to a higher order."""
-        if n_new < self.n:
-            raise DimensionError(f"cannot pad order {self.n} down to {n_new}")
-        out = np.zeros(self.coeffs.shape[:-1] + (n_new,))
-        out[..., : self.n] = self.coeffs
-        return SpectralCoeffs(self.basis, n_new, out)
 
 
 def _channel_array(arr) -> np.ndarray:

@@ -135,7 +135,7 @@ def _expit(z):
 #: None, so a dense table passes into the quadrature product uncopied.
 _PROFILES = {
     "none": (None, lambda z: 0.0),
-    "sigmoid": (_expit, lambda z: _expit(z) * (1.0 - _expit(z))),
+    "sigmoid": (_expit, lambda z: (s := _expit(z)) * (1.0 - s)),
     "sin": (np.sin, np.cos),
 }
 
@@ -328,12 +328,15 @@ class NonlinearIntegralOperator:
         self._check_input(u)
         return GridFunction(self.grid, self.kernel.integral(self.grid, u.values))
 
-    def apply(self, u: GridFunction) -> GridFunction:
-        self._check_input(u)
-        out = self.w_values * u.values + self.kernel_part(u).values
+    def _affine(self, u: GridFunction, k_values: np.ndarray) -> np.ndarray:
+        """W u + K(u) + b from the values of K(u)."""
+        out = self.w_values * u.values + k_values
         if self.bias is not None:
             out = out + self.bias.values
-        return GridFunction(self.grid, out)
+        return out
+
+    def apply(self, u: GridFunction) -> GridFunction:
+        return GridFunction(self.grid, self._affine(u, self.kernel_part(u).values))
 
 
 @dataclass
@@ -368,22 +371,25 @@ def invert_banach(
 ) -> tuple:
     """Invert F(u) = z by the contraction iteration u <- W^-1 (z - b - K(u)).
 
-    Starts from u = 0; iteration m is the m-th application of the map.
-    Raises :class:`DivergenceError` (with the trace attached) after
-    ``DIVERGENCE_PATIENCE`` consecutive residual increases, or at the first
-    non-finite residual; the trace then holds the finite iterations before
-    it.
+    Starts from u = 0; iteration m is the m-th application of the map, and
+    its K(u) serves both its residual and the next update (n iterations take
+    n + 1 kernel integrals).  Raises :class:`DivergenceError` (with the
+    trace attached) after ``DIVERGENCE_PATIENCE`` consecutive residual
+    increases, or at the first non-finite residual; the trace then holds the
+    finite iterations before it.
     """
     op.grid.require_matches(z.grid)
     rhs = z.values.copy()
     if op.bias is not None:
         rhs = rhs - op.bias.values
     u = GridFunction(op.grid, np.zeros_like(z.values))
+    k_u = op.kernel_part(u).values
     trace = InversionTrace(meta={"method": "banach", "tol": tol})
     increases = 0
     for m in range(1, max_iter + 1):
-        u = GridFunction(op.grid, (rhs - op.kernel_part(u).values) / op.w_values)
-        diff = op.apply(u).values - z.values
+        u = GridFunction(op.grid, (rhs - k_u) / op.w_values)
+        k_u = op.kernel_part(u).values
+        diff = op._affine(u, k_u) - z.values
         res_l2 = float(np.sqrt(np.sum(op.grid.weights * diff**2)))
         res_h1 = h1_norm(op.grid, diff)
         if not (np.isfinite(res_l2) and np.isfinite(res_h1)):
@@ -459,12 +465,6 @@ class FactorizedFrechet:
         import scipy.linalg
 
         return scipy.linalg.lu_solve(self._lu, np.asarray(rhs, dtype=float))
-
-
-def solve_frechet(a_mat: np.ndarray, rhs: GridFunction) -> GridFunction:
-    """Solve A w = rhs for the correction w on the grid."""
-    fact = FactorizedFrechet(a_mat)
-    return GridFunction(rhs.grid, fact.solve(rhs.values[0]))
 
 
 def _probe_modes(grid: Grid) -> int:

@@ -87,9 +87,14 @@ def write_json(obj: Any, path: str):
 
 
 def read_json(path: str) -> Any:
+    """Parse a JSON file.  Content that is not JSON text is a usage error
+    naming the path; an error reading the file stays a fault."""
     with open(path) as f:
-        # format_float writes -0.0 as "-0", which json would read as the int 0.
-        return json.load(f, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+        try:
+            # format_float writes -0.0 as "-0", which json would read as the int 0.
+            return json.load(f, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise UsageError(f"{path}: not valid JSON: {err}") from None
 
 
 def finite_array(value: Any, what: str) -> np.ndarray:
@@ -407,13 +412,20 @@ def save_atlas(atlas: Atlas, dirpath: str):
 
 def load_atlas(dirpath: str, op: NonlinearIntegralOperator) -> Atlas:
     obj = read_json(os.path.join(dirpath, "atlas.json"))
-    inputs = [
-        read_grid_function_csv(os.path.join(dirpath, name), op.grid)
-        for name in obj["anchors"]
-    ]
-    atlas = build_atlas(op, inputs, ell0=int(obj["ell0"]), eps1=float(obj["eps1"]))
-    stored_cells = {tuple(e["cell"]): int(e["anchor"]) for e in obj["cell_map"]}
-    if stored_cells != atlas.cell_map or obj["probe_indices"] != atlas.probe_idx.tolist():
+    with file_field("atlas file"):
+        names = obj["anchors"]
+        if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
+            raise TypeError("anchors must be a non-empty list of CSV file names")
+        ell0, eps1 = int(obj["ell0"]), float(obj["eps1"])
+        if not 1 <= ell0 <= op.grid.size:
+            raise ValueError(f"ell0 must lie in [1, {op.grid.size}], got {ell0}")
+        if not (math.isfinite(eps1) and eps1 > 0):
+            raise ValueError(f"eps1 must be finite and positive, got {eps1}")
+        stored_cells = {tuple(e["cell"]): int(e["anchor"]) for e in obj["cell_map"]}
+        stored_probes = obj["probe_indices"]
+    inputs = [read_grid_function_csv(os.path.join(dirpath, name), op.grid) for name in names]
+    atlas = build_atlas(op, inputs, ell0=ell0, eps1=eps1)
+    if stored_cells != atlas.cell_map or stored_probes != atlas.probe_idx.tolist():
         raise UsageError(
             f"stale atlas in {dirpath}: its cell map or probe nodes differ from the "
             f"ones rebuilt for this operator"

@@ -139,6 +139,38 @@ class TestLocalInvert:
         assert all(r < 1.0 for r in trace.ratios)
 
 
+class TestEvaluations:
+    """Newton starts from the anchor's stored image, so n iterations
+    evaluate F (one kernel integral each) n - 1 times."""
+
+    def test_converged_run(self, integral_calls):
+        op = make_op()
+        anchor = build_atlas(op, training_set(), ell0=3, eps1=0.25).anchors[0]
+        g = op.apply(GridFunction(GRID, 0.1 * np.cos(2 * np.pi * GRID.nodes)))
+        integral_calls.clear()
+        _, trace = local_invert(op, anchor, g, tol=1e-10)
+        assert trace.converged and trace.iterations > 2
+        assert len(integral_calls) == trace.iterations - 1
+
+    def test_run_to_max_iter(self, integral_calls):
+        op = make_op()
+        anchor = build_atlas(op, training_set(), ell0=3, eps1=0.25).anchors[0]
+        g = op.apply(GridFunction(GRID, np.cos(2 * np.pi * GRID.nodes)))
+        integral_calls.clear()
+        _, trace = local_invert(op, anchor, g, tol=1e-14, max_iter=3)
+        assert not trace.converged and trace.iterations == 3
+        assert len(integral_calls) == 2
+
+    def test_anchor_image_needs_no_evaluation(self, integral_calls):
+        op = make_op()
+        atlas = build_atlas(op, training_set(), ell0=3, eps1=0.25)
+        integral_calls.clear()
+        for anchor in atlas.anchors:
+            _, trace = local_invert(op, anchor, anchor.g)
+            assert trace.converged and trace.iterations == 1
+        assert integral_calls == []
+
+
 class _FoldKernel(KernelBase):
     """Test-only kernel -2|u(y)|: flat slope at 0, slope -2 away from it.
 

@@ -23,10 +23,13 @@ from injop.nonlin import (
     NonlinearIntegralOperator,
     SigmoidSumKernel,
 )
+from injop.atlas import build_atlas
 from injop.reduction import lift_to_injective
 from injop.serialize import (
     load_network,
+    load_operator,
     read_json,
+    save_atlas,
     save_network,
     save_operator,
     write_grid_function_csv,
@@ -497,6 +500,99 @@ class TestInvert:
         assert report["outcome"] == "OutOfBasin"
         assert len(report["detail"]) < 300
         assert "[cell (4e+306, " in report["detail"]
+
+
+def write_saved_atlas(tmp_path):
+    """An operator file, a target near anchor 0 and an atlas saved for the
+    operator, on 65 nodes: (operator path, target path, atlas directory)."""
+    grid = Grid(0.0, 1.0, 65)
+    op = str(tmp_path / "op.json")
+    write_contraction_op(op, grid)
+    live = load_operator(op)
+    anchors = [GridFunction(grid, np.full(65, level)) for level in (0.0, 1.5)]
+    atlas_dir = str(tmp_path / "atlas")
+    save_atlas(build_atlas(live, anchors), atlas_dir)
+    target = str(tmp_path / "target.csv")
+    write_grid_function_csv(live.apply(GridFunction(grid, np.full(65, 0.1))), target)
+    return op, target, atlas_dir
+
+
+def truncate_file(path):
+    """Cut a text file in half."""
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text[: len(text) // 2])
+
+
+class TestSavedAtlas:
+    def test_saved_atlas_route(self, tmp_path):
+        op, target, atlas_dir = write_saved_atlas(tmp_path)
+        out = str(tmp_path / "out")
+        code = main(["invert", "--op", op, "--target", target, "--method", "atlas",
+                     "--anchors", atlas_dir, "--tol", "1e-10", "--out-dir", out])
+        assert code == 0
+        report = read_json(os.path.join(out, "report.json"))
+        assert report["outcome"] == "Converged" and report["anchor"] == 0
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("anchors", None, "atlas file lacks the entry 'anchors'"),
+        ("anchors", 3, "atlas file: anchors must be a non-empty list"),
+        ("anchors", [], "atlas file: anchors must be a non-empty list"),
+        ("eps1", "x", "atlas file: could not convert string to float"),
+        ("eps1", -1, "atlas file: eps1 must be finite and positive, got -1.0"),
+        ("cell_map", None, "atlas file lacks the entry 'cell_map'"),
+        ("ell0", "a", "atlas file: invalid literal for int()"),
+        ("ell0", 0, "atlas file: ell0 must lie in [1, 65], got 0"),
+    ], ids=["no_anchors", "anchors_not_a_list", "no_anchor_names", "eps1_not_a_number",
+            "eps1_negative", "no_cell_map", "ell0_not_an_integer", "ell0_zero"])
+    def test_malformed_atlas_file_is_usage_error(self, tmp_path, capsys, key, value, message):
+        op, target, atlas_dir = write_saved_atlas(tmp_path)
+        path = os.path.join(atlas_dir, "atlas.json")
+        obj = read_json(path)
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+        write_json(obj, path)
+        code = main(["invert", "--op", op, "--target", target, "--method", "atlas",
+                     "--anchors", atlas_dir, "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 64, err
+        assert err.startswith(message)
+
+    def test_truncated_atlas_file_is_usage_error(self, tmp_path, capsys):
+        op, target, atlas_dir = write_saved_atlas(tmp_path)
+        path = os.path.join(atlas_dir, "atlas.json")
+        truncate_file(path)
+        code = main(["invert", "--op", op, "--target", target, "--method", "atlas",
+                     "--anchors", atlas_dir, "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 64, err
+        assert err.startswith(f"{path}: not valid JSON")
+
+
+@pytest.mark.parametrize("command", ["certify", "lift", "invert", "certify_binary"])
+def test_unparsable_json_is_usage_error(tmp_path, capsys, command):
+    if command == "invert":
+        grid = Grid(0.0, 1.0, 65)
+        path = str(tmp_path / "atlas_op.json")
+        write_contraction_op(path, grid)
+        target = str(tmp_path / "target.csv")
+        write_grid_function_csv(GridFunction(grid, np.ones(65)), target)
+        argv = ["invert", "--op", path, "--target", target]
+    else:
+        path = str(tmp_path / "relu_net.json")
+        write_relu_net(path)
+        argv = [command.split("_")[0], "--net", path]
+    truncate_file(path)
+    if command == "certify_binary":  # half a file, then bytes that are not UTF-8
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe")
+    code = main(argv + ["--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 64, err
+    assert err.startswith(f"{path}: not valid JSON")
 
 
 class TestTruncate:

@@ -54,14 +54,14 @@ def test_grid_mismatch_raises():
 def test_fourier_gram_is_identity():
     g = Grid(0.0, 1.0, 512)
     basis = BasisSpec("fourier", (0.0, 1.0))
-    gram = basis.gram(g, 16)
+    gram = mode_table(basis, g, 16).gram
     assert_allclose(gram, np.eye(16), atol=1e-12)
 
 
 def test_fourier_gram_identity_on_shifted_interval():
     g = Grid(-2.0, 3.0, 640)
     basis = BasisSpec("fourier", (-2.0, 3.0))
-    gram = basis.gram(g, 10)
+    gram = mode_table(basis, g, 10).gram
     assert_allclose(gram, np.eye(10), atol=1e-12)
 
 
@@ -70,7 +70,7 @@ def test_step_haar_gram_exact_on_dyadic_grid():
     # quadrature integrates the indicators without boundary error.
     g = Grid(0.0, 1.0, 513)
     basis = BasisSpec("step_haar", (0.0, 1.0))
-    gram = basis.gram(g, 6)
+    gram = mode_table(basis, g, 6).gram
     assert_allclose(gram, np.eye(6), atol=1e-13)
 
 
@@ -182,16 +182,6 @@ def test_inner_product_channel_mismatch():
         inner_product(f, h)
 
 
-def test_padded_coefficients():
-    basis = BasisSpec("fourier", (0.0, 1.0))
-    c = SpectralCoeffs(basis, 3, np.arange(3.0))
-    p = c.padded(6)
-    assert p.n == 6
-    assert_allclose(p.coeffs, [[0.0, 1.0, 2.0, 0.0, 0.0, 0.0]])
-    with pytest.raises(DimensionError):
-        p.padded(2)
-
-
 def test_from_callable_broadcasts_constants():
     g = Grid(0.0, 1.0, 32)
     f = GridFunction.from_callable(g, lambda x: 1.0 + 0.0 * x, lambda x: x)
@@ -215,7 +205,7 @@ def test_mode_tables_built_once_and_read_only(monkeypatch):
     f = GridFunction(g, rng.standard_normal((2, 776)))
     first = to_spectral(f, basis, 7)
     from_spectral(first, g)
-    basis.gram(g, 7)
+    mode_table(basis, g, 7).gram
     assert calls == [7]
 
     table = mode_table(basis, g, 7)
@@ -241,6 +231,5 @@ def test_batched_transforms_match_single_functions():
         single = from_spectral(SpectralCoeffs(basis, 9, coeffs[b]), g)
         assert_allclose(batch.values[b], single.values, atol=1e-12)
         assert_allclose(back.coeffs[b], to_spectral(single, basis, 9).coeffs, atol=1e-12)
-    assert SpectralCoeffs(basis, 9, coeffs).padded(12).coeffs.shape == (5, 2, 12)
     with pytest.raises(DimensionError):
         GridFunction(g, np.zeros((1, 5, 2, 256)))

@@ -14,9 +14,18 @@ from injop.errors import (
     NotDifferentiableError,
     SingularOperatorError,
 )
-from injop.funcspace import BasisSpec, Grid, GridFunction, SpectralCoeffs, from_spectral
+from injop.funcspace import (
+    BasisSpec,
+    Grid,
+    GridFunction,
+    SpectralCoeffs,
+    from_spectral,
+    h1_norm,
+)
 from injop.nonlin import (
+    DIVERGENCE_PATIENCE,
     FactorizedFrechet,
+    InversionTrace,
     LinearTableKernel,
     NonlinearIntegralOperator,
     SigmoidSumKernel,
@@ -29,7 +38,6 @@ from injop.nonlin import (
     frechet_derivative,
     invert_banach,
     quad_weights,
-    solve_frechet,
 )
 
 GRID = Grid(0.0, 1.0, 201)
@@ -353,6 +361,27 @@ class TestBanach:
         assert trace is not None and not trace.converged
         assert trace.residuals_l2 == [] and trace.rows() == []
 
+    @pytest.mark.parametrize("case", ["converges", "max_iter", "diverges"])
+    def test_one_kernel_integral_per_iterate(self, integral_calls, case):
+        # Each iterate's K(u) serves its residual and the next update, so
+        # n iterations take n + 1 integrals: the one at u = 0 and one each.
+        if case == "diverges":
+            op = NonlinearIntegralOperator(GRID, LinearTableKernel(3.0))
+            z = GridFunction(GRID, np.ones(GRID.size))
+            with pytest.raises(DivergenceError, match="increased") as err:
+                invert_banach(op, z, tol=1e-12, max_iter=100)
+            trace = err.value.trace
+            assert trace.iterations > DIVERGENCE_PATIENCE
+        else:
+            op = NonlinearIntegralOperator(GRID, SigmoidSumKernel([(0.3, 1.0, 0.0)], "u(y)"))
+            z = GridFunction(GRID, 1.0 + GRID.nodes)
+            max_iter = 100 if case == "converges" else 4
+            _, trace = invert_banach(op, z, tol=1e-12, max_iter=max_iter)
+            assert trace.converged == (case == "converges")
+            if case == "max_iter":
+                assert trace.iterations == max_iter
+        assert len(integral_calls) == trace.iterations + 1
+
     def test_trace_rows_pair_ratios(self):
         kern = SigmoidSumKernel([(0.3, 1.0, 0.0)], signature="u(y)")
         op = NonlinearIntegralOperator(GRID, kern)
@@ -362,6 +391,96 @@ class TestBanach:
         assert rows[0][3] is None
         assert rows[1][3] == trace.ratios[0]
         assert [r[0] for r in rows] == list(range(1, trace.iterations + 1))
+
+
+def _reference_banach(op, z, tol, max_iter):
+    """The contraction loop that evaluates F(u) in full for each residual,
+    integrating K twice per iterate: the oracle for invert_banach."""
+    rhs = z.values.copy()
+    if op.bias is not None:
+        rhs = rhs - op.bias.values
+    u = GridFunction(op.grid, np.zeros_like(z.values))
+    trace = InversionTrace()
+    increases = 0
+    for m in range(1, max_iter + 1):
+        u = GridFunction(op.grid, (rhs - op.kernel_part(u).values) / op.w_values)
+        diff = op.apply(u).values - z.values
+        res_l2 = float(np.sqrt(np.sum(op.grid.weights * diff**2)))
+        res_h1 = h1_norm(op.grid, diff)
+        if not (np.isfinite(res_l2) and np.isfinite(res_h1)):
+            raise DivergenceError(f"non-finite residual at iteration {m}", trace=trace)
+        if trace.residuals_l2:
+            prev = trace.residuals_l2[-1]
+            trace.ratios.append(res_l2 / prev if prev > 0 else 0.0)
+            increases = increases + 1 if res_l2 > prev else 0
+        trace.residuals_l2.append(res_l2)
+        trace.residuals_h1.append(res_h1)
+        trace.iterations = m
+        if res_l2 <= tol:
+            trace.converged = True
+            return u, trace
+        if increases >= DIVERGENCE_PATIENCE:
+            raise DivergenceError("residual increased", trace=trace)
+    return u, trace
+
+
+def _banach_outcome(solve, op, z):
+    """(solution bytes or None, trace fields, error type) of one solve."""
+    try:
+        u, trace = solve(op, z, 1e-12, 60)
+        solution, error = u.values.tobytes(), None
+    except DivergenceError as err:
+        solution, trace, error = None, err.trace, type(err)
+    fields = (trace.residuals_l2, trace.residuals_h1, trace.ratios, trace.iterations,
+              trace.converged)
+    return solution, fields, error
+
+
+BANACH_GRID = Grid(0.0, 1.0, 64)
+_NODES = BANACH_GRID.nodes
+
+#: (operator, target) pairs for the reference comparison.
+BANACH_CASES = {
+    "sigmoid_sum_uy_bias": lambda: (
+        NonlinearIntegralOperator(
+            BANACH_GRID, SigmoidSumKernel([(0.3, 1.0, 0.0), (0.2, -2.0, 0.5)], "u(y)"),
+            w=1.5, bias=GridFunction(BANACH_GRID, np.sin(2 * np.pi * _NODES))),
+        GridFunction(BANACH_GRID, 1.0 + _NODES)),
+    "volterra_sigmoid": lambda: (
+        NonlinearIntegralOperator(BANACH_GRID, VolterraKernel(0.7, "sigmoid")),
+        GridFunction(BANACH_GRID, np.cos(3 * _NODES))),
+    "wire_ux": lambda: (
+        NonlinearIntegralOperator(BANACH_GRID, WireKernel(3.0, [(0.4, 1.0, 0.0)]),
+                                  w=lambda x: 1.5 + x),
+        GridFunction(BANACH_GRID, 0.5 - _NODES**2)),
+    "dense_linear_table": lambda: (
+        NonlinearIntegralOperator(
+            BANACH_GRID,
+            LinearTableKernel(0.2 * np.random.default_rng(3).standard_normal((64, 64)))),
+        GridFunction(BANACH_GRID, np.exp(_NODES))),
+    "softmax_attention": lambda: (
+        NonlinearIntegralOperator(
+            BANACH_GRID, SoftmaxAttentionKernel(0.5 * np.eye(2), [[0.2, 0.1], [0.0, 0.3]]),
+            w=2.0),
+        GridFunction(BANACH_GRID, np.stack([np.sin(_NODES), 1.0 - _NODES]))),
+    "diverges": lambda: (
+        NonlinearIntegralOperator(BANACH_GRID, LinearTableKernel(3.0)),
+        GridFunction(BANACH_GRID, np.ones(64))),
+    "non_finite_target": lambda: (
+        NonlinearIntegralOperator(BANACH_GRID, SigmoidSumKernel([(0.3, 1.0, 0.0)], "u(y)")),
+        GridFunction(BANACH_GRID, np.where(np.arange(64) == 17, np.nan, 1.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BANACH_CASES))
+def test_banach_matches_full_evaluation_reference(name):
+    op, z = BANACH_CASES[name]()
+    got = _banach_outcome(invert_banach, op, z)
+    assert got == _banach_outcome(_reference_banach, op, z)
+    if name in ("diverges", "non_finite_target"):
+        assert got[2] is DivergenceError
+    else:
+        assert got[1][4]  # converged
 
 
 class TestFrechet:
@@ -413,10 +532,9 @@ class TestFrechet:
     def test_solve_round_trip(self):
         rng = np.random.default_rng(66)
         a = rng.standard_normal((30, 30)) + 5.0 * np.eye(30)
-        g = Grid(0.0, 1.0, 30)
-        rhs = GridFunction(g, rng.standard_normal(30))
-        w = solve_frechet(a, rhs)
-        assert_allclose(a @ w.values[0], rhs.values[0], atol=1e-10)
+        rhs = rng.standard_normal(30)
+        w = FactorizedFrechet(a).solve(rhs)
+        assert_allclose(a @ w, rhs, atol=1e-10)
 
 
 class TestEstimators:
