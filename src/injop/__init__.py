@@ -25,7 +25,6 @@ from .funcspace import (
     from_spectral,
     h1_distance,
     h1_norm,
-    inner_product,
     to_spectral,
 )
 from .finite_rank import (

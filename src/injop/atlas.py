@@ -1,8 +1,8 @@
 """Newton-type local inversion around anchor points, glued into a global
 inverse by indicator masks over probe-node bins.
 
-An atlas holds anchors (v_j, g_j = F(v_j), factorized derivative A_j) and a
-map from integer cells to anchors.  A target g lands in the cell
+An atlas holds anchors (v_j, g_j = F(v_j), inverse derivative A_j^{-1}) and
+a map from integer cells to anchors.  A target g lands in the cell
 
     i_l = floor(g(y_l) / eps1 + 1/2)   for probe nodes y_l,
 
@@ -11,10 +11,10 @@ half-open bins are disjoint and exactly one composed mask fires for any
 target.  Local inversion iterates u <- u - A_j^{-1}(F(u) - g) from v_j and
 converges in the discrete H1 norm.
 
-Inversion needs only each anchor's LU factors, its image and the cell map.
-The diagnostic constants (``Atlas.constants``, ``Anchor.inv_h1_norm``) are
-computed on first read: the atlas keeps its operator and rebuilds each
-anchor's derivative matrix then, rather than holding one per anchor.
+Inversion needs only each anchor's inverse derivative, its image and the
+cell map.  The diagnostic constants (``Atlas.constants``,
+``Anchor.inv_h1_norm``) are computed on first read; C_B reads that same
+inverse, and the kernel bounds read the operator the atlas keeps.
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ BASIN_PATIENCE = 5
 
 
 def probe_indices(grid_size: int, ell0: int) -> np.ndarray:
-    """ell0 equispaced node indices, endpoints included."""
+    """ell0 equispaced node indices, endpoints included, repeats dropped."""
     if not 1 <= ell0 <= grid_size:
         raise ValueError(f"need 1 <= ell0 <= grid size, got {ell0}")
-    return np.unique(np.linspace(0, grid_size - 1, ell0).round().astype(int))
+    idx = np.linspace(0, grid_size - 1, ell0).round().astype(int)
+    return idx[np.diff(idx, prepend=-1) > 0]  # np.unique would import numpy.ma
 
 
 def cell_key(g: GridFunction, probe_idx: np.ndarray, eps1: float) -> Tuple[int, ...]:
@@ -90,20 +91,17 @@ def compose_cell_masks(
 
 @dataclass
 class Anchor:
-    """Training input with its image and factorized local linearization."""
+    """Training input with its image and inverted local linearization."""
 
     index: int
     v: GridFunction
     g: GridFunction
     fact: FactorizedFrechet
-    op: NonlinearIntegralOperator = field(repr=False, compare=False)
 
     @functools.cached_property
     def inv_h1_norm(self) -> float:
         """H1 -> H1 norm of the inverse linearization, computed on first read."""
-        return _h1_operator_norm_of_inverse(
-            frechet_derivative(self.op, self.v), _h1_gram_cholesky(self.op.grid)
-        )
+        return _h1_operator_norm_of_inverse(self.fact.inverse, _h1_gram_cholesky(self.v.grid))
 
 
 @dataclass
@@ -134,11 +132,10 @@ def _h1_gram_cholesky(grid: Grid) -> np.ndarray:
     return chol
 
 
-def _h1_operator_norm_of_inverse(a_mat: np.ndarray, chol: np.ndarray) -> float:
-    """H1 -> H1 operator norm of A^{-1} via the Gram Cholesky factor."""
+def _h1_operator_norm_of_inverse(a_inv: np.ndarray, chol: np.ndarray) -> float:
+    """H1 -> H1 operator norm of A^{-1}, given A^{-1}, via the Gram Cholesky factor."""
     import scipy.linalg
 
-    a_inv = np.linalg.inv(a_mat)
     # norm = sigma_max(L^T A^{-1} L^{-T})
     y = scipy.linalg.solve_triangular(chol, a_inv.T, lower=True).T
     z = chol.T @ y
@@ -233,7 +230,7 @@ def build_atlas(
     for j, v in enumerate(training_inputs):
         grid.require_matches(v.grid)
         fact = FactorizedFrechet(frechet_derivative(op, v))
-        anchors.append(Anchor(index=j, v=v.copy(), g=op.apply(v), fact=fact, op=op))
+        anchors.append(Anchor(index=j, v=v.copy(), g=op.apply(v), fact=fact))
     cell_map: Dict[Tuple[int, ...], int] = {}
     notes: List[str] = []
     for anchor in anchors:

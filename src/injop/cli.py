@@ -91,6 +91,7 @@ _FLAG_RANGES = {
     "alpha": (lambda v: 0.0 < v < 0.5, "--alpha must lie in (0, 1/2)"),
     "rank": (lambda v: v >= 1, "--rank must be at least 1"),
     "trials": (lambda v: v >= 0, "--trials must be at least 0"),
+    "tol": (lambda v: 0.0 < v < float("inf"), "--tol must be finite and positive"),
 }
 
 

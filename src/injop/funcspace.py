@@ -315,14 +315,6 @@ def _channel_array(arr) -> np.ndarray:
     return arr
 
 
-def inner_product(f: GridFunction, g: GridFunction) -> float:
-    """Quadrature L2 inner product; channels are summed."""
-    f.grid.require_matches(g.grid)
-    if f.channels != g.channels:
-        raise DimensionError(f"channel mismatch: {f.channels} vs {g.channels}")
-    return float(np.sum(f.grid.weights * f.values * g.values))
-
-
 def resolved_mode_table(basis: BasisSpec, grid: Grid, n: int) -> ModeTable:
     """The :class:`ModeTable` of modes 1..n, for projecting onto them.
 

@@ -444,27 +444,34 @@ FRECHET_SINGULAR_TOL = 1e-10
 
 
 class FactorizedFrechet:
-    """LU factorization of a derivative matrix with a singularity check."""
+    """Read-only inverse of a derivative matrix, with a singularity check.
+
+    sigma_max/sigma_min <= ||A||_F ||A^{-1}||_F (Higham, ch. 14-15), so a
+    bound under 1 / (2 FRECHET_SINGULAR_TOL) passes; the 2 covers the
+    rounding of the computed inverse.  The singular values decide the rest.
+    """
 
     def __init__(self, a_mat: np.ndarray):
         a_mat = np.asarray(a_mat, dtype=float)
-        svals = np.linalg.svd(a_mat, compute_uv=False)
-        self.sigma_max = float(svals[0])
-        self.sigma_min = float(svals[-1])
-        if self.sigma_min <= FRECHET_SINGULAR_TOL * self.sigma_max:
-            raise SingularOperatorError(
-                f"linearized operator is numerically singular "
-                f"(sigma_min/sigma_max = {self.sigma_min / max(self.sigma_max, 1e-300):.3e}); "
-                f"injectivity fails at the linearization point"
-            )
-        import scipy.linalg
-
-        self._lu = scipy.linalg.lu_factor(a_mat)
+        try:
+            inverse = np.linalg.inv(a_mat)
+            bound = np.linalg.norm(a_mat) * np.linalg.norm(inverse)
+        except np.linalg.LinAlgError:
+            inverse, bound = None, np.inf
+        if not bound * FRECHET_SINGULAR_TOL < 0.5:
+            svals = np.linalg.svd(a_mat, compute_uv=False)
+            sigma_max, sigma_min = float(svals[0]), float(svals[-1])
+            if inverse is None or sigma_min <= FRECHET_SINGULAR_TOL * sigma_max:
+                raise SingularOperatorError(
+                    f"linearized operator is numerically singular "
+                    f"(sigma_min/sigma_max = {sigma_min / max(sigma_max, 1e-300):.3e}); "
+                    f"injectivity fails at the linearization point"
+                )
+        inverse.flags.writeable = False
+        self.inverse = inverse
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        import scipy.linalg
-
-        return scipy.linalg.lu_solve(self._lu, np.asarray(rhs, dtype=float))
+        return self.inverse @ np.asarray(rhs, dtype=float)
 
 
 def _probe_modes(grid: Grid) -> int:

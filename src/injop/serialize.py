@@ -81,9 +81,10 @@ def _write_json(obj: Any, out: List[str]):
 
 
 def write_json(obj: Any, path: str):
+    """Canonical JSON; the file is opened only once the text is built."""
+    text = canonical_json(obj) + "\n"
     with open(path, "w") as f:
-        f.write(canonical_json(obj))
-        f.write("\n")
+        f.write(text)
 
 
 def read_json(path: str) -> Any:
@@ -204,13 +205,16 @@ def write_grid_function_csv(f: GridFunction, path: str):
 
 def read_grid_function_csv(path: str, grid: Optional[Grid] = None) -> GridFunction:
     """Rebuild a grid function; the grid is inferred from the x column
-    unless one is supplied (then the nodes must agree)."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("x"):
-        raise UsageError(f"{path}: expected a grid-function CSV with an x,ch0,... header")
-    try:
+    unless one is supplied (then the nodes must agree).  Bad content is a
+    usage error naming the path; an error reading the file stays a fault."""
+    try:  # UnicodeDecodeError is a ValueError; OSError is not
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+        if not lines or not lines[0].startswith("x"):
+            raise ValueError("expected a grid-function CSV with an x,ch0,... header")
         rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
+        if len({len(row) for row in rows}) > 1:
+            raise ValueError("rows have differing numbers of columns")
     except ValueError as err:
         raise UsageError(f"{path}: {err}") from None
     data = finite_array(rows, path)

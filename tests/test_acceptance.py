@@ -361,7 +361,7 @@ def test_08_volterra_round_trip(capsys):
             problems.append(f"input {t}: relative error {rel}")
 
     # The linearization at a fixed state is lower triangular with near-unit
-    # diagonal, and the LU solve agrees with forward substitution.
+    # diagonal, and the FactorizedFrechet solve agrees with forward substitution.
     u0 = GridFunction(grid, 0.5 * np.sin(2 * np.pi * grid.nodes))
     a = frechet_derivative(op, u0)
     upper = a[np.triu_indices(grid.size, k=1)]
@@ -375,9 +375,9 @@ def test_08_volterra_round_trip(capsys):
     forward = scipy.linalg.solve_triangular(a, rhs, lower=True)
     from injop.nonlin import FactorizedFrechet
 
-    lu = FactorizedFrechet(a).solve(rhs)
-    if np.max(np.abs(forward - lu)) > 1e-10:
-        problems.append("LU vs forward substitution disagree")
+    solved = FactorizedFrechet(a).solve(rhs)
+    if np.max(np.abs(forward - solved)) > 1e-10:
+        problems.append("FactorizedFrechet vs forward substitution disagree")
     _line(capsys, 8, f"volterra round trip (50 inputs, worst rel err {worst:.2e} <= 1e-6)",
           problems)
 

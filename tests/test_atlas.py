@@ -11,6 +11,7 @@ import injop.atlas
 from injop.errors import OutOfBasinError
 from injop.funcspace import Grid, GridFunction, h1_norm
 from injop.nonlin import (
+    FactorizedFrechet,
     KernelBase,
     NonlinearIntegralOperator,
     SigmoidSumKernel,
@@ -106,6 +107,16 @@ class TestBuild:
         assert atlas.constants["R2"] == pytest.approx(
             max(v.h1_norm() for v in training_set()), rel=1e-12
         )
+
+    def test_svd_runs_only_near_the_singularity_floor(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        atlas = build_atlas(make_op(), training_set(), ell0=3, eps1=0.25)
+        assert len(atlas.anchors) == 3 and calls == []
+        # The Frobenius bound fails here, so the SVD decides, and accepts.
+        FactorizedFrechet(np.diag(np.r_[np.ones(63), 3e-10]))
+        assert len(calls) == 1
 
     def test_duplicate_cells_warn_and_keep_first(self):
         op = make_op()

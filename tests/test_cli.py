@@ -153,6 +153,10 @@ class TestUsage:
         ("lift", "--alpha", "0.7"),
         ("truncate", "--rank", "0"),
         ("certify", "--trials", "-1"),
+        ("invert", "--tol", "inf"),
+        ("invert", "--tol", "nan"),
+        ("demo", "--tol", "0"),
+        ("invert", "--tol", "-1"),
     ])
     def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, command, flag, value):
         net = str(tmp_path / "net.json")
@@ -432,6 +436,31 @@ class TestInvert:
         err = capsys.readouterr().err
         assert code == 64, err
         assert err.startswith(coarse) and "33 nodes" in err and "65 nodes" in err
+
+    @pytest.mark.parametrize("which, tail", [
+        ("target", b",\xff"), ("anchor", b",\xff"), ("target", b""),
+    ], ids=["target_not_utf8", "anchor_not_utf8", "target_short_row"])
+    def test_malformed_grid_function_csv_is_usage_error(self, tmp_path, capsys, which, tail):
+        grid = Grid(0.0, 1.0, 65)
+        op = str(tmp_path / "op.json")
+        write_contraction_op(op, grid)
+        anchors = tmp_path / "anchors"
+        anchors.mkdir()
+        anchor = str(anchors / "anchor_0.csv")
+        write_grid_function_csv(GridFunction(grid, np.zeros(65)), anchor)
+        target = str(tmp_path / "target.csv")
+        write_grid_function_csv(GridFunction(grid, np.full(65, 0.1)), target)
+        path = target if which == "target" else anchor
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
+        lines[9] = lines[9].split(b",")[0] + tail  # row 9 keeps only its node, then the tail
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines) + b"\n")
+        code = main(["invert", "--op", op, "--target", target, "--method", "atlas",
+                     "--anchors", str(anchors), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 64, err
+        assert err.startswith(path)
 
     def test_atlas_route(self, tmp_path):
         grid = Grid(0.0, 1.0, 65)
@@ -765,6 +794,23 @@ class TestImportCost:
         for argv, (code, mods) in zip(argvs, seen[1:]):
             assert code in (0, 2), argv
             assert mods == [], f"{argv[0]} loaded {mods}"
+
+    def test_atlas_commands_load_no_scipy(self, tmp_path):
+        op, target, atlas_dir = write_saved_atlas(tmp_path)
+        grid = Grid(0.0, 1.0, 65)
+        anchors = tmp_path / "anchors"
+        anchors.mkdir()
+        for j, level in enumerate([0.0, 1.5]):
+            v = GridFunction(grid, np.full(65, level))
+            write_grid_function_csv(v, str(anchors / f"anchor_{j}.csv"))
+        argvs = [["invert", "--op", op, "--target", target, "--method", "atlas",
+                  "--anchors", source, "--out-dir", str(tmp_path / f"out{i}")]
+                 for i, source in enumerate([str(anchors), atlas_dir])]
+        seen = _scipy_modules_after(argvs, str(tmp_path))
+        assert seen[0] == [None, []]
+        for argv, (code, mods) in zip(argvs, seen[1:]):
+            assert code == 0, argv
+            assert mods == [], f"atlas from {argv[8]} loaded {mods}"
 
     def test_sigmoid_banach_loads_no_scipy(self, tmp_path):
         grid = Grid(0.0, 1.0, 65)

@@ -20,7 +20,6 @@ from injop.funcspace import (
     from_spectral,
     h1_distance,
     h1_norm,
-    inner_product,
     mode_table,
     to_spectral,
 )
@@ -172,14 +171,6 @@ def test_h1_distance_symmetry():
     h = GridFunction(g, rng.standard_normal(128))
     assert_allclose(h1_distance(f, h), h1_distance(h, f), rtol=1e-14)
     assert h1_distance(f, f) == 0.0
-
-
-def test_inner_product_channel_mismatch():
-    g = Grid(0.0, 1.0, 16)
-    f = GridFunction(g, np.zeros((1, 16)))
-    h = GridFunction(g, np.zeros((2, 16)))
-    with pytest.raises(DimensionError):
-        inner_product(f, h)
 
 
 def test_from_callable_broadcasts_constants():

@@ -24,6 +24,7 @@ from injop.funcspace import (
 )
 from injop.nonlin import (
     DIVERGENCE_PATIENCE,
+    FRECHET_SINGULAR_TOL,
     FactorizedFrechet,
     InversionTrace,
     LinearTableKernel,
@@ -529,12 +530,49 @@ class TestFrechet:
         with pytest.raises(SingularOperatorError):
             FactorizedFrechet(mat)
 
+    def test_verdict_matches_svd_rule(self):
+        verdicts = []
+        for a in _verdict_sweep():
+            try:
+                FactorizedFrechet(a)
+                got = False
+            except SingularOperatorError:
+                got = True
+            want = _svd_rule_singular(a)
+            assert got == want, (a.shape, np.linalg.svd(a, compute_uv=False)[[0, -1]])
+            verdicts.append(want)
+        assert 0 < sum(verdicts) < len(verdicts)
+
     def test_solve_round_trip(self):
         rng = np.random.default_rng(66)
         a = rng.standard_normal((30, 30)) + 5.0 * np.eye(30)
         rhs = rng.standard_normal(30)
-        w = FactorizedFrechet(a).solve(rhs)
-        assert_allclose(a @ w, rhs, atol=1e-10)
+        fact = FactorizedFrechet(a)
+        assert_allclose(a @ fact.solve(rhs), rhs, atol=1e-10)
+        assert not fact.inverse.flags.writeable
+
+
+def _svd_rule_singular(a):
+    """The reference verdict: singular iff sigma_min <= FRECHET_SINGULAR_TOL * sigma_max."""
+    svals = np.linalg.svd(a, compute_uv=False)
+    return bool(svals[-1] <= FRECHET_SINGULAR_TOL * svals[0])
+
+
+def _verdict_sweep():
+    """Exactly singular matrices, then diagonal and randomly rotated ones
+    whose singular values run from 1 down to a ratio on either side of the
+    floor, including ratios where the Frobenius bound fails but the SVD
+    accepts (diag(1, ..., 1, 3e-10) at M = 64)."""
+    rng = np.random.default_rng(12)
+    mats = [np.ones((4, 4)), np.zeros((3, 3)), np.diag([1.0, 0.0])]
+    ratios = [1e-13, 1e-11, 5e-11, 0.99e-10, 1.01e-10, 2e-10, 3e-10, 1e-9, 1e-8, 1e-7]
+    for m in (4, 16, 64):
+        q1 = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        q2 = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        for ratio in ratios:
+            mats.append(np.diag(np.r_[np.ones(m - 1), ratio]))
+            mats.append((q1 * np.geomspace(1.0, ratio, m)) @ q2.T)
+    return mats
 
 
 class TestEstimators:

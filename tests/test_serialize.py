@@ -57,6 +57,16 @@ class TestFloats:
         assert canonical_json(obj) == canonical_json(obj)
         assert "0.33333333333333331" in canonical_json(obj)
 
+    def test_unserializable_object_leaves_file_as_it_was(self, tmp_path):
+        path = str(tmp_path / "report.json")
+        write_json({"residual": 0.5}, path)
+        with open(path, "rb") as fh:
+            before = fh.read()
+        with pytest.raises(ValueError, match="non-finite"):
+            write_json({"residual": float("nan")}, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+
 
 def random_network(rng, n=3):
     hidden = FiniteRankLayer(
