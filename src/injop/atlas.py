@@ -101,7 +101,7 @@ class Anchor:
     @functools.cached_property
     def inv_h1_norm(self) -> float:
         """H1 -> H1 norm of the inverse linearization, computed on first read."""
-        return _h1_operator_norm_of_inverse(self.fact.inverse, _h1_gram_cholesky(self.v.grid))
+        return _h1_operator_norm_of_inverse(self.fact.inverse, self.v.grid)
 
 
 @dataclass
@@ -121,25 +121,22 @@ class Atlas:
 
 
 @functools.lru_cache(maxsize=1)
-def _h1_gram_cholesky(grid: Grid) -> np.ndarray:
-    """Lower Cholesky factor of the discrete H1 Gram matrix (read-only,
-    shared by the anchors of the last grid asked for)."""
+def _h1_gram_cholesky(grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factor L of the discrete H1 Gram matrix, and L^{-1}; read-only,
+    shared by the anchors of the last grid asked for."""
     m = grid.size
     d = (np.eye(m, k=1)[: m - 1] - np.eye(m)[: m - 1]) / grid.h
     gram = np.diag(grid.weights) + d.T @ (grid.h * d)
     chol = np.linalg.cholesky(gram)
-    chol.flags.writeable = False
-    return chol
+    chol_inv = np.linalg.inv(chol)
+    chol.flags.writeable = chol_inv.flags.writeable = False
+    return chol, chol_inv
 
 
-def _h1_operator_norm_of_inverse(a_inv: np.ndarray, chol: np.ndarray) -> float:
-    """H1 -> H1 operator norm of A^{-1}, given A^{-1}, via the Gram Cholesky factor."""
-    import scipy.linalg
-
-    # norm = sigma_max(L^T A^{-1} L^{-T})
-    y = scipy.linalg.solve_triangular(chol, a_inv.T, lower=True).T
-    z = chol.T @ y
-    return float(np.linalg.svd(z, compute_uv=False)[0])
+def _h1_operator_norm_of_inverse(a_inv: np.ndarray, grid: Grid) -> float:
+    """H1 -> H1 norm of A^{-1}: sigma_max(L^T A^{-1} L^{-T}), L the H1 Gram Cholesky factor."""
+    chol, chol_inv = _h1_gram_cholesky(grid)
+    return float(np.linalg.svd(chol.T @ a_inv @ chol_inv.T, compute_uv=False)[0])
 
 
 def _measured_kernel_bounds(op: NonlinearIntegralOperator, t_max: float) -> Tuple[float, float]:

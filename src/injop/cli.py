@@ -27,7 +27,7 @@ from .certify import (
     certify_bijective_activation,
     certify_relu_dss,
 )
-from .errors import AliasingGuardError, DivergenceError, InjopError, UsageError
+from .errors import AliasingGuardError, DivergenceError, UsageError
 from .finite_rank import FiniteRankNetwork, truncate_kernel
 from .funcspace import BasisSpec, Grid, GridFunction
 from .nonlin import NonlinearIntegralOperator, VolterraKernel, invert_banach
@@ -189,7 +189,8 @@ def _run_invert(cfg: argparse.Namespace) -> int:
     with serialize.file_field("operator file"):
         grid = None if "grid" in obj else Grid(0.0, 1.0, cfg.grid_size)
     op = serialize.operator_from_obj(obj, grid)
-    z = serialize.read_grid_function_csv(cfg.target, op.grid)
+    read_input = partial(serialize.read_grid_function_csv, grid=op.grid, channels=op.channels)
+    z = read_input(cfg.target)
     if cfg.method == "banach":
         solve, negative = invert_banach, "Diverged"
     else:
@@ -201,7 +202,7 @@ def _run_invert(cfg: argparse.Namespace) -> int:
             paths = sorted(glob.glob(os.path.join(cfg.anchors, "*.csv")))
             if not paths:
                 raise UsageError(f"no anchor CSV files under {cfg.anchors}")
-            atlas = build_atlas(op, [serialize.read_grid_function_csv(p, op.grid) for p in paths])
+            atlas = build_atlas(op, [read_input(p) for p in paths])
         solve, negative = partial(global_invert, atlas), "OutOfBasin"
     try:
         u, trace = solve(op, z, tol=cfg.tol, max_iter=200)
@@ -292,9 +293,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as err:
         print(str(err), file=sys.stderr)
         return 64
-    except InjopError as err:
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
-        return 1
     except Exception as err:  # faults are distinct from negatives
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 1

@@ -37,6 +37,12 @@ from .funcspace import (
 ACTIVATION_KINDS = ("identity", "relu", "leaky_relu", "sigmoid")
 
 
+def expit(x):
+    """Logistic sigmoid; exp(-x) overflows to inf for x < -709.78, where the result is 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 @dataclass(frozen=True)
 class Activation:
     """Pointwise activation; ``a`` is the LeakyReLU negative-side slope."""
@@ -60,7 +66,7 @@ class Activation:
             return np.maximum(x, 0.0)
         if self.kind == "leaky_relu":
             return np.maximum(x, 0.0) - self.a * np.maximum(-x, 0.0)
-        return 1.0 / (1.0 + np.exp(-x))  # sigmoid
+        return expit(x)  # sigmoid
 
     @property
     def is_injective(self) -> bool:

@@ -34,6 +34,7 @@ from .errors import (
     NotDifferentiableError,
     SingularOperatorError,
 )
+from .finite_rank import expit
 from .funcspace import BasisSpec, Grid, GridFunction, SpectralCoeffs, from_spectral, h1_norm
 
 TableParam = Union[float, np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]
@@ -123,19 +124,12 @@ def _wire_profile(omega: float) -> tuple:
     )
 
 
-def _expit(z):
-    """Logistic sigmoid, scipy.special.expit's formula; exp(-z) overflows
-    to inf for z below about -709, where the result is exactly 0."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
-
-
 #: Ridge profiles (g, g') by name; the wire profile is :func:`_wire_profile`.
 #: Every g is bounded by 1 in absolute value.  The constant profile g = 1 is
 #: None, so a dense table passes into the quadrature product uncopied.
 _PROFILES = {
     "none": (None, lambda z: 0.0),
-    "sigmoid": (_expit, lambda z: (s := _expit(z)) * (1.0 - s)),
+    "sigmoid": (expit, lambda z: (s := expit(z)) * (1.0 - s)),
     "sin": (np.sin, np.cos),
 }
 

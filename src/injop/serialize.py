@@ -203,23 +203,27 @@ def write_grid_function_csv(f: GridFunction, path: str):
         fh.write("\n")
 
 
-def read_grid_function_csv(path: str, grid: Optional[Grid] = None) -> GridFunction:
+def read_grid_function_csv(path: str, grid: Optional[Grid] = None,
+                           channels: Optional[int] = None) -> GridFunction:
     """Rebuild a grid function; the grid is inferred from the x column
-    unless one is supplied (then the nodes must agree).  Bad content is a
-    usage error naming the path; an error reading the file stays a fault."""
+    unless one is supplied (then the nodes must agree), and a supplied
+    channel count must match the file's.  Bad content is a usage error
+    naming the path; an error reading the file stays a fault."""
     try:  # UnicodeDecodeError is a ValueError; OSError is not
         with open(path) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
         if not lines or not lines[0].startswith("x"):
             raise ValueError("expected a grid-function CSV with an x,ch0,... header")
         rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
-        if len({len(row) for row in rows}) > 1:
-            raise ValueError("rows have differing numbers of columns")
+        if len({len(row) for row in rows} | {lines[0].count(",") + 1}) > 1:
+            raise ValueError("header and rows have differing numbers of columns")
     except ValueError as err:
         raise UsageError(f"{path}: {err}") from None
     data = finite_array(rows, path)
     if data.ndim != 2 or data.shape[1] < 2:
         raise UsageError(f"{path}: need at least one channel column")
+    if channels is not None and data.shape[1] - 1 != channels:
+        raise UsageError(f"{path}: {data.shape[1] - 1} channel column(s), expected {channels}")
     xs = data[:, 0]
     if grid is None:
         grid = Grid(float(xs[0]), float(xs[-1]), len(xs))
@@ -427,7 +431,7 @@ def load_atlas(dirpath: str, op: NonlinearIntegralOperator) -> Atlas:
             raise ValueError(f"eps1 must be finite and positive, got {eps1}")
         stored_cells = {tuple(e["cell"]): int(e["anchor"]) for e in obj["cell_map"]}
         stored_probes = obj["probe_indices"]
-    inputs = [read_grid_function_csv(os.path.join(dirpath, name), op.grid) for name in names]
+    inputs = [read_grid_function_csv(os.path.join(dirpath, n), op.grid, op.channels) for n in names]
     atlas = build_atlas(op, inputs, ell0=ell0, eps1=eps1)
     if stored_cells != atlas.cell_map or stored_probes != atlas.probe_idx.tolist():
         raise UsageError(

@@ -462,6 +462,42 @@ class TestInvert:
         assert code == 64, err
         assert err.startswith(path)
 
+    @pytest.mark.parametrize("which", ["target", "anchor"])
+    def test_grid_function_with_wrong_channel_count_is_usage_error(self, tmp_path, capsys,
+                                                                    which):
+        grid = Grid(0.0, 1.0, 65)
+        op = str(tmp_path / "op.json")
+        write_contraction_op(op, grid)
+        anchors = tmp_path / "anchors"
+        anchors.mkdir()
+        anchor = str(anchors / "anchor_0.csv")
+        target = str(tmp_path / "target.csv")
+        for path in (anchor, target):
+            write_grid_function_csv(GridFunction(grid, np.full(65, 0.1)), path)
+        path = target if which == "target" else anchor
+        write_grid_function_csv(GridFunction(grid, np.full((2, 65), 0.1)), path)
+        code = main(["invert", "--op", op, "--target", target, "--method", "atlas",
+                     "--anchors", str(anchors), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 64, err
+        assert err.startswith(path) and "2 channel column(s), expected 1" in err
+
+    def test_header_wider_than_rows_is_usage_error(self, tmp_path, capsys):
+        grid = Grid(0.0, 1.0, 65)
+        op = str(tmp_path / "op.json")
+        write_contraction_op(op, grid)
+        target = str(tmp_path / "target.csv")
+        write_grid_function_csv(GridFunction(grid, np.full(65, 0.1)), target)
+        lines = open(target).read().splitlines()
+        assert lines[0] == "x,ch0"
+        with open(target, "w") as fh:
+            fh.write("\n".join(["x,ch0,ch1"] + lines[1:]) + "\n")
+        code = main(["invert", "--op", op, "--target", target,
+                     "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 64, err
+        assert err.startswith(target) and "header" in err
+
     def test_atlas_route(self, tmp_path):
         grid = Grid(0.0, 1.0, 65)
         op = str(tmp_path / "op.json")
@@ -750,76 +786,78 @@ class TestDeterminism:
                 ), f"{name}/{fname} differs between runs"
 
 
-def _scipy_modules_after(argvs, cwd):
-    """In a fresh interpreter: the scipy modules loaded after ``import
-    injop`` and after each ``injop.cli.main(argv)`` in turn, with the exit
-    codes."""
-    script = (
-        "import json, sys\n"
-        "import injop, injop.cli\n"
-        "mods = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "seen = [[None, mods()]]\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    seen.append([injop.cli.main(argv), mods()])\n"
-        "print(json.dumps(seen))\n"
-    )
+#: Run in a fresh interpreter in which any scipy import fails: save an atlas
+#: built from the anchor CSVs, run every CLI command, then a randomized lift.
+_SCIPY_BLOCKED = """
+import glob, json, os, sys
+sys.modules["scipy"] = None
+import injop.cli
+from injop.atlas import build_atlas
+from injop.reduction import lift_to_injective
+from injop.serialize import load_network, load_operator, read_grid_function_csv, save_atlas
+
+cfg = json.loads(sys.argv[1])
+anchors = sorted(glob.glob(os.path.join(cfg["anchors"], "*.csv")))
+save_atlas(build_atlas(load_operator(cfg["op"]), [read_grid_function_csv(p) for p in anchors]),
+           cfg["atlas"])
+codes = [injop.cli.main(argv) for argv in cfg["argvs"]]
+lift = lift_to_injective(load_network(cfg["net"]), mode="relu", randomized=True, seed=0)
+print(json.dumps({"codes": codes, "b": lift.reduction.b.tolist(), "meta": lift.reduction.meta}))
+"""
+
+
+def test_library_and_commands_run_without_scipy(tmp_path):
+    """numpy is the only runtime dependency: with scipy unimportable, every
+    command, save_atlas and a randomized lift give the answers they give
+    here, file for file."""
+    net = str(tmp_path / "net.json")
+    write_relu_net(net)
+    table_op = str(tmp_path / "table_op.json")
+    grid = Grid(0.0, 1.0, 33)
+    table = np.exp(-np.abs(grid.nodes[:, None] - grid.nodes[None, :]))
+    save_operator(NonlinearIntegralOperator(grid, LinearTableKernel(table)), table_op)
+    op, target, _ = write_saved_atlas(tmp_path)
+    anchors = tmp_path / "anchors"
+    anchors.mkdir()
+    for j, level in enumerate([0.0, 1.5]):
+        write_grid_function_csv(GridFunction(Grid(0.0, 1.0, 65), np.full(65, level)),
+                                str(anchors / f"anchor_{j}.csv"))
+    blocked_atlas = str(tmp_path / "blocked_atlas")
+    invert = ["invert", "--op", op, "--target", target]
+    argvs = [
+        ["certify", "--net", net, "--trials", "8", "--grid-size", "65"],
+        ["lift", "--net", net, "--alpha", "0.1"],
+        invert + ["--method", "banach"],
+        invert + ["--method", "atlas", "--anchors", str(anchors)],
+        invert + ["--method", "atlas", "--anchors", blocked_atlas],
+        ["truncate", "--op", table_op, "--rank", "4"],
+        ["demo", "volterra", "--grid-size", "65"],
+    ]
+    cfg = {"op": op, "anchors": str(anchors), "atlas": blocked_atlas, "net": net,
+           "argvs": [argv + ["--out-dir", str(tmp_path / f"blocked{i}")]
+                     for i, argv in enumerate(argvs)]}
     src = os.path.dirname(os.path.dirname(os.path.abspath(injop.__file__)))
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=120, check=True)
-    return json.loads(proc.stdout)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED, json.dumps(cfg)],
+                          cwd=str(tmp_path), env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
 
-
-class TestImportCost:
-    """Commands load scipy only where they use it.  Each check runs in a
-    fresh interpreter, so modules the test session already holds cannot
-    hide an import."""
-
-    def test_import_and_scipy_free_commands(self, tmp_path):
-        net = str(tmp_path / "net.json")
-        write_relu_net(net)
-        table_op = str(tmp_path / "table_op.json")
-        grid = Grid(0.0, 1.0, 33)
-        table = np.exp(-np.abs(grid.nodes[:, None] - grid.nodes[None, :]))
-        save_operator(NonlinearIntegralOperator(grid, LinearTableKernel(table)), table_op)
-        argvs = [
-            ["certify", "--net", net, "--trials", "8", "--grid-size", "65"],
-            ["lift", "--net", net, "--alpha", "0.1"],
-            ["truncate", "--op", table_op, "--rank", "4"],
-            ["demo", "volterra", "--grid-size", "65"],
-        ]
-        argvs = [argv + ["--out-dir", str(tmp_path / f"out{i}")] for i, argv in enumerate(argvs)]
-        seen = _scipy_modules_after(argvs, str(tmp_path))
-        assert seen[0] == [None, []], "import injop loaded scipy"
-        for argv, (code, mods) in zip(argvs, seen[1:]):
-            assert code in (0, 2), argv
-            assert mods == [], f"{argv[0]} loaded {mods}"
-
-    def test_atlas_commands_load_no_scipy(self, tmp_path):
-        op, target, atlas_dir = write_saved_atlas(tmp_path)
-        grid = Grid(0.0, 1.0, 65)
-        anchors = tmp_path / "anchors"
-        anchors.mkdir()
-        for j, level in enumerate([0.0, 1.5]):
-            v = GridFunction(grid, np.full(65, level))
-            write_grid_function_csv(v, str(anchors / f"anchor_{j}.csv"))
-        argvs = [["invert", "--op", op, "--target", target, "--method", "atlas",
-                  "--anchors", source, "--out-dir", str(tmp_path / f"out{i}")]
-                 for i, source in enumerate([str(anchors), atlas_dir])]
-        seen = _scipy_modules_after(argvs, str(tmp_path))
-        assert seen[0] == [None, []]
-        for argv, (code, mods) in zip(argvs, seen[1:]):
-            assert code == 0, argv
-            assert mods == [], f"atlas from {argv[8]} loaded {mods}"
-
-    def test_sigmoid_banach_loads_no_scipy(self, tmp_path):
-        grid = Grid(0.0, 1.0, 65)
-        op = str(tmp_path / "op.json")
-        write_contraction_op(op, grid)
-        target = str(tmp_path / "target.csv")
-        write_grid_function_csv(GridFunction(grid, np.cos(2 * np.pi * grid.nodes)), target)
-        argv = ["invert", "--op", op, "--target", target, "--method", "banach",
-                "--out-dir", str(tmp_path / "out")]
-        (_, before), (code, mods) = _scipy_modules_after([argv], str(tmp_path))
-        assert before == [] and code == 0
-        assert mods == [], mods
+    codes = [main(argv + ["--out-dir", str(tmp_path / f"here{i}")])
+             for i, argv in enumerate(argvs)]
+    assert seen["codes"] == codes
+    assert codes[1:] == [0] * 6 and codes[0] in (0, 2)
+    for i in range(len(argvs)):
+        names = sorted(os.listdir(tmp_path / f"here{i}"))
+        assert names == sorted(os.listdir(tmp_path / f"blocked{i}")), argvs[i]
+        for name in names:
+            assert files_equal(str(tmp_path / f"here{i}" / name),
+                               str(tmp_path / f"blocked{i}" / name)), (argvs[i], name)
+    here_atlas = str(tmp_path / "here_atlas")
+    save_atlas(build_atlas(load_operator(op), [GridFunction(Grid(0.0, 1.0, 65), np.full(65, v))
+                                                for v in (0.0, 1.5)]), here_atlas)
+    for name in os.listdir(here_atlas):
+        assert files_equal(os.path.join(here_atlas, name), os.path.join(blocked_atlas, name))
+    lift = lift_to_injective(load_network(net), mode="relu", randomized=True, seed=0)
+    assert seen["meta"] == lift.reduction.meta
+    assert np.array_equal(seen["b"], lift.reduction.b)

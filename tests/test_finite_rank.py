@@ -1,6 +1,7 @@
 """Finite-rank layers: block-matrix algebra, activations, kernel truncation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from injop.finite_rank import (
     apply_network,
     block_matrix,
     blocks_from_matrix,
+    expit,
     stack_coeffs,
     truncate_kernel,
     unstack_coeffs,
@@ -30,6 +32,7 @@ from injop.funcspace import (
     from_spectral,
     to_spectral,
 )
+from injop.nonlin import SigmoidSumKernel
 
 BASIS = BasisSpec("fourier", (0.0, 1.0))
 
@@ -60,6 +63,15 @@ class TestActivation:
         x = np.linspace(-3.0, 3.0, 41)
         for act in [Activation("leaky_relu", 0.25), Activation("sigmoid")]:
             assert_allclose(act.inverse(act.apply(x)), x, atol=1e-12)
+
+    def test_sigmoid_saturates_without_overflow(self):
+        # One logistic function: the activation's map is nonlin's sigmoid profile.
+        z = np.array([-800.0, 0.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = Activation("sigmoid").apply(z)
+        assert got.tolist() == [0.0, 0.5, 1.0]
+        assert SigmoidSumKernel([(1.0, 1.0, 0.0)])._g is expit
 
     def test_relu_has_no_inverse(self):
         with pytest.raises(ValueError):

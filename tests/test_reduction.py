@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 from numpy.testing import assert_allclose
 
 from injop.errors import DimensionError, ReductionVerificationError
@@ -126,7 +125,6 @@ class TestClosedFormPair:
         for name in ("eigh", "svd"):
             monkeypatch.setattr(np.linalg, name, refuse)
         monkeypatch.setattr(np.linalg, "norm", small_two_norms)
-        monkeypatch.setattr(scipy.linalg, "expm", refuse)
         res = lift_to_injective(net, mode="relu", alpha=0.1)
         assert res.pair.dim == 864
         assert res.eps0 == 0.1
