@@ -72,6 +72,7 @@ from .nonlin import (
     estimate_contraction,
     frechet_derivative,
     invert_banach,
+    linearize,
 )
 from .atlas import (
     Anchor,

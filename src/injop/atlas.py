@@ -11,10 +11,13 @@ half-open bins are disjoint and exactly one composed mask fires for any
 target.  Local inversion iterates u <- u - A_j^{-1}(F(u) - g) from v_j and
 converges in the discrete H1 norm.
 
-Inversion needs only each anchor's inverse derivative, its image and the
+Inversion needs only each anchor's factorized derivative
+(:func:`nonlin.linearize`: O(M) to build and to solve for a ridge kernel with
+scalar parameters on u(y), a dense inverse otherwise), its image and the
 cell map.  The diagnostic constants (``Atlas.constants``,
-``Anchor.inv_h1_norm``) are computed on first read; C_B reads that same
-inverse, and the kernel bounds read the operator the atlas keeps.
+``Anchor.inv_h1_norm``) are computed on first read; C_B reads the dense
+inverse of each anchor's derivative, which the rank-one form computes only
+then, and the kernel bounds read the operator the atlas keeps.
 """
 
 from __future__ import annotations
@@ -29,12 +32,7 @@ import numpy as np
 
 from .errors import OutOfBasinError
 from .funcspace import Grid, GridFunction, h1_distance, h1_norm
-from .nonlin import (
-    FactorizedFrechet,
-    InversionTrace,
-    NonlinearIntegralOperator,
-    frechet_derivative,
-)
+from .nonlin import FactorizedFrechet, InversionTrace, NonlinearIntegralOperator, linearize
 
 #: Consecutive H1 residual increases tolerated before leaving the basin.
 BASIN_PATIENCE = 5
@@ -219,14 +217,16 @@ def build_atlas(
     """
     if not training_inputs:
         raise ValueError("need at least one training input")
-    if eps1 <= 0:
-        raise ValueError(f"eps1 must be positive, got {eps1}")
+    if not (math.isfinite(eps1) and eps1 > 0):
+        raise ValueError(f"eps1 must be finite and positive, got {eps1}")
     grid = op.grid
     idx = probe_indices(grid.size, ell0)
     anchors: List[Anchor] = []
     for j, v in enumerate(training_inputs):
         grid.require_matches(v.grid)
-        fact = FactorizedFrechet(frechet_derivative(op, v))
+        if not np.all(np.isfinite(v.values)):
+            raise ValueError(f"training input {j} has non-finite values")
+        fact = linearize(op, v)
         anchors.append(Anchor(index=j, v=v.copy(), g=op.apply(v), fact=fact))
     cell_map: Dict[Tuple[int, ...], int] = {}
     notes: List[str] = []

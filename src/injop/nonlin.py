@@ -19,10 +19,17 @@ for the kernels that read at most u(y), matching the derivative formula
 
     (A_{u0} w)(x) = W(x) w(x)
                     + integral of [k(x,y,u0(y)) + u0(y) dk/du(x,y,u0(y))] w(y) dy.
+
+Where that bracket depends on y alone and the kernel is not causal
+(``sigmoid_sum``, ``wire`` and scalar ``linear_table`` on u(y)), A is
+diag(W) + 1 r^T, and :func:`linearize` builds, checks and solves it in O(M)
+by Sherman-Morrison; the dense inverse is formed only when read, for the
+atlas constant C_B.  Other kernels take the dense matrix, inverted once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
@@ -410,12 +417,11 @@ def invert_banach(
     return u, trace
 
 
-def frechet_derivative(op: NonlinearIntegralOperator, u0: GridFunction) -> np.ndarray:
-    """Dense derivative matrix of F at u0.
-
-    Only defined when the kernel reads at most u(y); kernels that read
-    u(x) (including attention) raise :class:`NotDifferentiableError`.
-    """
+def _derivative_table(op: NonlinearIntegralOperator, u0: GridFunction) -> np.ndarray:
+    """The (M, M) table k(x, y, u0(y)) + u0(y) dk/du(x, y, u0(y)) of the
+    linearization at u0.  Where the kernel table and its slope both have a
+    zero stride in x (every row is one row in memory), the sum is formed
+    once, as that row, and returned as a zero-stride view of it."""
     op.grid.require_matches(u0.grid)
     if op.kernel.uses_ux:
         raise NotDifferentiableError(
@@ -427,9 +433,41 @@ def frechet_derivative(op: NonlinearIntegralOperator, u0: GridFunction) -> np.nd
     t = vals[None, :]
     table = op.kernel.table(x, y, None, t)
     slope = op.kernel.du(x, y, t)
-    a = quad_weights(op.grid, op.kernel.causal) * (table + vals[None, :] * slope)
+    if table.strides[0] == 0 and slope.strides[0] == 0:
+        return np.broadcast_to(table[0] + vals * slope[0], table.shape)
+    return table + t * slope
+
+
+def _dense_frechet(op: NonlinearIntegralOperator, table: np.ndarray) -> np.ndarray:
+    """W on the diagonal plus the quadrature product with the derivative table."""
+    a = quad_weights(op.grid, op.kernel.causal) * table
     a[np.arange(op.grid.size), np.arange(op.grid.size)] += op.w_values
     return a
+
+
+def frechet_derivative(op: NonlinearIntegralOperator, u0: GridFunction) -> np.ndarray:
+    """Dense derivative matrix of F at u0.
+
+    Only defined when the kernel reads at most u(y); kernels that read
+    u(x) (including attention) raise :class:`NotDifferentiableError`.
+    """
+    return _dense_frechet(op, _derivative_table(op, u0))
+
+
+def linearize(op: NonlinearIntegralOperator, u0: GridFunction) -> "FactorizedFrechet":
+    """The derivative of F at u0, factorized.
+
+    A kernel that is not causal and whose derivative table is one row r0 in
+    memory (a ridge kernel with scalar parameters on u(y): ``sigmoid_sum``,
+    ``wire``, scalar ``linear_table``) has the derivative
+    diag(W) + 1 r^T with r = weights * r0, which takes the rank-one form in
+    O(M); any other kernel takes the dense matrix of
+    :func:`frechet_derivative`.
+    """
+    table = _derivative_table(op, u0)
+    if op.kernel.causal or table.strides[0] != 0:
+        return FactorizedFrechet(_dense_frechet(op, table))
+    return FactorizedFrechet(op.w_values, op.grid.weights * table[0])
 
 
 #: Relative singular-value floor below which the linearization is treated
@@ -438,22 +476,57 @@ FRECHET_SINGULAR_TOL = 1e-10
 
 
 class FactorizedFrechet:
-    """Read-only inverse of a derivative matrix, with a singularity check.
+    """Inverse of a derivative matrix A, with a singularity check.
+
+    A is the (M, M) matrix ``a``; or, given ``r``, the diagonal ``a`` = W
+    plus the rank-one part 1 r^T.  The rank-one form solves by
+    Sherman-Morrison (Sherman & Morrison, 1950): with p = 1/W, q = r p and
+    c = 1 / (1 + r.p), A^{-1} = diag(p) - c p q^T, so a solve is O(M) and
+    no M x M array is formed.
 
     sigma_max/sigma_min <= ||A||_F ||A^{-1}||_F (Higham, ch. 14-15), so a
     bound under 1 / (2 FRECHET_SINGULAR_TOL) passes; the 2 covers the
-    rounding of the computed inverse.  The singular values decide the rest.
+    rounding of the computed inverse.  The rank-one form has both Frobenius
+    norms in closed form; where its bound fails (1 + r.p = 0 included),
+    the dense matrix is formed and checked as any other.  The singular
+    values decide the rest.  ``inverse`` is A^{-1}, read-only; the dense
+    form computes it at once, the rank-one form on first read.
     """
 
-    def __init__(self, a_mat: np.ndarray):
-        a_mat = np.asarray(a_mat, dtype=float)
+    def __init__(self, a: np.ndarray, r: Optional[np.ndarray] = None):
+        a = np.asarray(a, dtype=float)
+        r = None if r is None else np.asarray(r, dtype=float)
+        if not (np.all(np.isfinite(a)) and (r is None or np.all(np.isfinite(r)))):
+            raise ValueError("non-finite derivative matrix")
+        self._rank_one = None
+        if r is not None:
+            if a.ndim != 1 or r.shape != a.shape:
+                raise DimensionError(
+                    f"rank-one form needs a diagonal and a row of one length, got "
+                    f"shapes {a.shape} and {r.shape}"
+                )
+            self._diag, self._row = a, r
+            with np.errstate(all="ignore"):
+                p = 1.0 / a
+                q = r * p
+                c = 1.0 / (1.0 + r @ p)
+                norm_a = np.sqrt(np.sum(np.square(a + r) + (a.size - 1) * np.square(r)))
+                p_sq = np.square(p)
+                norm_inv = np.sqrt(np.sum(
+                    p_sq * np.square(1.0 - c * q) + np.square(c * q) * (np.sum(p_sq) - p_sq)
+                ))
+                bound = norm_a * norm_inv
+            if bound * FRECHET_SINGULAR_TOL < 0.5:
+                self._rank_one = (p, q, c)
+                return
+            a = np.diag(a) + r[None, :]
         try:
-            inverse = np.linalg.inv(a_mat)
-            bound = np.linalg.norm(a_mat) * np.linalg.norm(inverse)
+            inverse = np.linalg.inv(a)
+            bound = np.linalg.norm(a) * np.linalg.norm(inverse)
         except np.linalg.LinAlgError:
             inverse, bound = None, np.inf
         if not bound * FRECHET_SINGULAR_TOL < 0.5:
-            svals = np.linalg.svd(a_mat, compute_uv=False)
+            svals = np.linalg.svd(a, compute_uv=False)
             sigma_max, sigma_min = float(svals[0]), float(svals[-1])
             if inverse is None or sigma_min <= FRECHET_SINGULAR_TOL * sigma_max:
                 raise SingularOperatorError(
@@ -464,8 +537,25 @@ class FactorizedFrechet:
         inverse.flags.writeable = False
         self.inverse = inverse
 
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        """A^{-1} of the rank-one form, computed on first read: the inverse of
+        the matrix :func:`frechet_derivative` forms for the same operator."""
+        inverse = np.linalg.inv(np.diag(self._diag) + self._row[None, :])
+        inverse.flags.writeable = False
+        return inverse
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.inverse @ np.asarray(rhs, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        if self._rank_one is None:
+            return self.inverse @ rhs
+        p, q, c = self._rank_one
+        if rhs.shape != p.shape:
+            raise DimensionError(
+                f"the rank-one form solves for one right-hand side of shape {p.shape}, "
+                f"got {rhs.shape}"
+            )
+        return p * rhs - p * (c * (q @ rhs))
 
 
 def _probe_modes(grid: Grid) -> int:

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import injop.atlas
+import injop.nonlin
 from injop.errors import OutOfBasinError
 from injop.funcspace import Grid, GridFunction, h1_norm
 from injop.nonlin import (
@@ -15,6 +16,7 @@ from injop.nonlin import (
     KernelBase,
     NonlinearIntegralOperator,
     SigmoidSumKernel,
+    VolterraKernel,
 )
 from injop.atlas import (
     build_atlas,
@@ -117,6 +119,44 @@ class TestBuild:
         # The Frobenius bound fails here, so the SVD decides, and accepts.
         FactorizedFrechet(np.diag(np.r_[np.ones(63), 3e-10]))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_training_input_refused(self, bad):
+        inputs = training_set()
+        inputs[1].values[0, 40] = bad
+        with pytest.raises(ValueError, match="training input 1 has non-finite values"):
+            build_atlas(make_op(), inputs, ell0=3, eps1=0.25)
+
+    @pytest.mark.parametrize("eps1", [np.nan, np.inf, 0.0, -0.25])
+    def test_eps1_must_be_finite_and_positive(self, eps1):
+        with pytest.raises(ValueError, match="eps1 must be finite and positive"):
+            build_atlas(make_op(), training_set(), ell0=3, eps1=eps1)
+
+    def test_scalar_kernel_atlas_forms_no_dense_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense linearization of a rank-one derivative")
+
+        for name in ("inv", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(injop.nonlin, "frechet_derivative", refuse)
+        op = make_op()
+        atlas = build_atlas(op, training_set(), ell0=3, eps1=0.25)
+        u_true = GridFunction(GRID, 1.0 + 0.05 * np.cos(2 * np.pi * GRID.nodes))
+        u, trace = global_invert(atlas, op, op.apply(u_true), tol=1e-10)
+        assert trace.converged and trace.meta["anchor"] == 1
+        assert h1_norm(GRID, u.values - u_true.values) <= 1e-8
+
+    def test_volterra_atlas_takes_the_dense_path(self, monkeypatch):
+        shapes = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(a.shape) or inv(a))
+        op = NonlinearIntegralOperator(GRID, VolterraKernel(0.8, "sigmoid"), w=1.0)
+        atlas = build_atlas(op, training_set(), ell0=3, eps1=0.25)
+        assert shapes == [(GRID.size, GRID.size)] * 3
+        u_true = GridFunction(GRID, 1.0 + 0.05 * np.cos(2 * np.pi * GRID.nodes))
+        u, trace = global_invert(atlas, op, op.apply(u_true), tol=1e-10)
+        assert trace.converged
+        assert h1_norm(GRID, u.values - u_true.values) <= 1e-8
 
     def test_duplicate_cells_warn_and_keep_first(self):
         op = make_op()

@@ -38,6 +38,7 @@ from injop.nonlin import (
     estimate_contraction,
     frechet_derivative,
     invert_banach,
+    linearize,
     quad_weights,
 )
 
@@ -551,6 +552,64 @@ class TestFrechet:
         assert_allclose(a @ fact.solve(rhs), rhs, atol=1e-10)
         assert not fact.inverse.flags.writeable
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_refused(self, bad):
+        mat = 2.0 * np.eye(4)
+        mat[2, 1] = bad
+        ones = np.ones(4)
+        for args in ((np.full((4, 4), bad),), (mat,),
+                     (np.r_[1.0, 1.0, bad, 1.0], 0.1 * ones), (ones, np.r_[0.1, bad, 0.1, 0.1])):
+            with pytest.raises(ValueError, match="non-finite derivative matrix"):
+                FactorizedFrechet(*args)
+
+    def test_rank_one_verdict_matches_svd_rule(self):
+        verdicts = []
+        for w, r in _rank_one_sweep():
+            try:
+                FactorizedFrechet(w, r)
+                got = False
+            except SingularOperatorError:
+                got = True
+            want = _svd_rule_singular(np.diag(w) + r[None, :])
+            assert got == want, (w, 1.0 + r @ (1.0 / w))
+            verdicts.append(want)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("size", [33, 256, 1024])
+    @pytest.mark.parametrize("kernel", [
+        SigmoidSumKernel([(0.7, 2.0, 0.3), (-0.4, 1.0, -0.2)], signature="u(y)"),
+        WireKernel(3.0, [(0.5, 1.0, 0.1)], signature="u(y)"),
+        LinearTableKernel(0.6),
+    ], ids=["sigmoid_sum", "wire", "linear_table"])
+    def test_rank_one_form_agrees_with_the_dense_matrix(self, monkeypatch, kernel, size):
+        grid = Grid(0.0, 1.0, size)
+        op = NonlinearIntegralOperator(grid, kernel, w=lambda x: 1.5 + 0.5 * np.sin(3.0 * x))
+        u0 = GridFunction(grid, 0.3 + np.cos(2 * np.pi * grid.nodes))
+        rhs = np.random.default_rng(size).standard_normal(size)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense algebra in the rank-one form")
+
+        with monkeypatch.context() as patch:
+            for name in ("inv", "svd", "solve"):
+                patch.setattr(np.linalg, name, refuse)
+            fact = linearize(op, u0)
+            got = fact.solve(rhs)
+        a = frechet_derivative(op, u0)
+        want = np.linalg.solve(a, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert fact.inverse.tobytes() == np.linalg.inv(a).tobytes()
+        assert not fact.inverse.flags.writeable
+
+    def test_rank_one_form_refuses_mismatched_shapes(self):
+        with pytest.raises(DimensionError, match="rank-one form"):
+            FactorizedFrechet(np.ones(4), np.full(3, 0.1))
+        with pytest.raises(DimensionError, match="rank-one form"):
+            FactorizedFrechet(np.eye(4), np.full(4, 0.1))
+        fact = FactorizedFrechet(np.ones(4), np.full(4, 0.1))
+        with pytest.raises(DimensionError, match="one right-hand side"):
+            fact.solve(np.eye(4))  # p * rhs would broadcast along the wrong axis
+
 
 def _svd_rule_singular(a):
     """The reference verdict: singular iff sigma_min <= FRECHET_SINGULAR_TOL * sigma_max."""
@@ -573,6 +632,26 @@ def _verdict_sweep():
             mats.append(np.diag(np.r_[np.ones(m - 1), ratio]))
             mats.append((q1 * np.geomspace(1.0, ratio, m)) @ q2.T)
     return mats
+
+
+def _rank_one_sweep():
+    """(W, r) pairs of diag(W) + 1 r^T: exactly singular ones, then
+    constant and non-constant W with r scaled so that 1 + r.W^-1 1 lies on
+    either side of 0 at distances from 1e-12 to 1e-3, whose singular-value
+    ratios straddle the floor."""
+    pairs = [(np.ones(4), np.full(4, -0.25)), (np.array([2.0, 1.0]), np.array([-1.0, -0.5])),
+             (np.ones(3), np.array([-1.0, 0.0, 0.0]))]
+    rng = np.random.default_rng(14)
+    gaps = [0.0, 1e-12, 1e-11, 3e-11, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 1e-6, 1e-3]
+    for m in (4, 16, 64):
+        x = np.linspace(0.0, 1.0, m)
+        for w in (np.ones(m), np.full(m, 2.5), 1.5 + 0.5 * np.sin(2 * np.pi * x),
+                  np.where(x < 0.3, -1.0, 2.0)):
+            r0 = rng.uniform(-0.5, 1.0, m) / m
+            for gap in gaps:
+                for sign in (1.0, -1.0):
+                    pairs.append((w, r0 * ((sign * gap - 1.0) / (r0 @ (1.0 / w)))))
+    return pairs
 
 
 class TestEstimators:
