@@ -15,9 +15,10 @@ Inversion needs only each anchor's factorized derivative
 (:func:`nonlin.linearize`: O(M) to build and to solve for a ridge kernel with
 scalar parameters on u(y), a dense inverse otherwise), its image and the
 cell map.  The diagnostic constants (``Atlas.constants``,
-``Anchor.inv_h1_norm``) are computed on first read; C_B reads the dense
-inverse of each anchor's derivative, which the rank-one form computes only
-then, and the kernel bounds read the operator the atlas keeps.
+``Anchor.inv_h1_norm``) are computed on first read.  For a rank-one anchor
+with a constant W, C_B has a closed form in O(M) over the bidiagonal H1
+Cholesky factor; any other anchor reads its dense inverse.  The kernel
+bounds read the operator the atlas keeps, over the values its tables store.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class Anchor:
     @functools.cached_property
     def inv_h1_norm(self) -> float:
         """H1 -> H1 norm of the inverse linearization, computed on first read."""
-        return _h1_operator_norm_of_inverse(self.fact.inverse, self.v.grid)
+        return _h1_operator_norm_of_inverse(self.fact, self.v.grid)
 
 
 @dataclass
@@ -120,21 +121,67 @@ class Atlas:
 
 @functools.lru_cache(maxsize=1)
 def _h1_gram_cholesky(grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
-    """Lower Cholesky factor L of the discrete H1 Gram matrix, and L^{-1}; read-only,
-    shared by the anchors of the last grid asked for."""
-    m = grid.size
-    d = (np.eye(m, k=1)[: m - 1] - np.eye(m)[: m - 1]) / grid.h
-    gram = np.diag(grid.weights) + d.T @ (grid.h * d)
-    chol = np.linalg.cholesky(gram)
+    """Diagonal (M,) and subdiagonal (M - 1,) of L, the lower bidiagonal
+    Cholesky factor of the discrete H1 Gram matrix diag(weights) + D^T h D
+    (D the forward difference), by the tridiagonal Cholesky recurrence
+    (Golub & Van Loan, sec. 4.3.6); read-only, shared by the anchors of the
+    last grid asked for."""
+    h = grid.h
+    gram_diag = grid.weights + np.r_[1.0, np.full(grid.size - 2, 2.0), 1.0] / h
+    diag, sub = [math.sqrt(gram_diag[0])], []
+    for g in gram_diag[1:].tolist():
+        sub.append(-1.0 / h / diag[-1])
+        diag.append(math.sqrt(g - sub[-1] ** 2))
+    diag, sub = np.array(diag), np.array(sub)
+    diag.flags.writeable = sub.flags.writeable = False
+    return diag, sub
+
+
+@functools.lru_cache(maxsize=1)
+def _h1_dense_factor(grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
+    """L of :func:`_h1_gram_cholesky` as a dense matrix, and L^{-1}; read-only."""
+    diag, sub = _h1_gram_cholesky(grid)
+    chol = np.diag(diag) + np.diag(sub, -1)
     chol_inv = np.linalg.inv(chol)
     chol.flags.writeable = chol_inv.flags.writeable = False
     return chol, chol_inv
 
 
-def _h1_operator_norm_of_inverse(a_inv: np.ndarray, grid: Grid) -> float:
-    """H1 -> H1 norm of A^{-1}: sigma_max(L^T A^{-1} L^{-T}), L the H1 Gram Cholesky factor."""
-    chol, chol_inv = _h1_gram_cholesky(grid)
-    return float(np.linalg.svd(chol.T @ a_inv @ chol_inv.T, compute_uv=False)[0])
+def _h1_operator_norm_of_inverse(fact: FactorizedFrechet, grid: Grid) -> float:
+    """H1 -> H1 norm of A^{-1}: sigma_max(L^T A^{-1} L^{-T}), L the H1 Gram
+    Cholesky factor.
+
+    For the rank-one form with one diagonal value, A = w I + 1 r^T, that
+    matrix is (I - a b^T) / w with a = L^T 1 and b = L^{-1} r / (w + sum r)
+    (Sherman & Morrison, 1950).  It is w^{-1} I off span{a, b}, so M - 2 of
+    its singular values are 1/|w|; the other two, times |w|, have squares
+    summing to 2 - 2 a.b + |a|^2 |b|^2 and product |1 - a.b|.  That is O(M),
+    with one bidiagonal forward substitution.  Any other A takes the dense
+    product and its SVD.
+    """
+    w_diag, r = fact.rank_one or (None, None)
+    if w_diag is None or np.any(w_diag != w_diag[0]):
+        chol, chol_inv = _h1_dense_factor(grid)
+        return float(np.linalg.svd(chol.T @ fact.inverse @ chol_inv.T, compute_uv=False)[0])
+    diag, sub = _h1_gram_cholesky(grid)
+    w = float(w_diag[0])
+    a = diag + np.append(sub, 0.0)  # column sums of L
+    l_inv_r, prev = [], 0.0
+    for d, s, f in zip(diag.tolist(), [0.0] + sub.tolist(), r.tolist()):
+        prev = (f - s * prev) / d
+        l_inv_r.append(prev)
+    b = np.array(l_inv_r) / (w + np.sum(r))
+    ab = float(a @ b)
+    p = float(a @ a) * float(b @ b)
+    # p >= (a.b)^2 (Cauchy-Schwarz), so 4 - 4 a.b + p >= (2 - a.b)^2 >= 0.
+    sigma = math.sqrt(0.5 * (2.0 - 2.0 * ab + p + math.sqrt(p * max(0.0, 4.0 - 4.0 * ab + p))))
+    return (max(1.0, sigma) if grid.size > 2 else sigma) / abs(w)
+
+
+def _stored(a: np.ndarray) -> np.ndarray:
+    """The values a broadcast array stores: the view indexed 0, kept as
+    length 1, along every zero-stride axis."""
+    return a[tuple(slice(0, 1) if s == 0 else slice(None) for s in a.strides)]
 
 
 def _measured_kernel_bounds(op: NonlinearIntegralOperator, t_max: float) -> Tuple[float, float]:
@@ -142,7 +189,8 @@ def _measured_kernel_bounds(op: NonlinearIntegralOperator, t_max: float) -> Tupl
 
     Sup of |k| and its first three state derivatives (first analytic, the
     rest by central differences of the analytic slope) over the grid and a
-    symmetric state range.
+    symmetric state range.  Each sup is taken over the values a table
+    stores, which are every value of its (M, M) broadcast.
     """
     grid = op.grid
     x = grid.nodes[:, None]
@@ -155,10 +203,10 @@ def _measured_kernel_bounds(op: NonlinearIntegralOperator, t_max: float) -> Tupl
     c3d = 0.0
     window: List[np.ndarray] = []
     for t in ts:
-        table = np.broadcast_to(op.kernel.table(x, y, None, t), shape)
-        slope = np.asarray(np.broadcast_to(op.kernel.du(x, y, t), shape), dtype=float)
+        table = _stored(np.broadcast_to(op.kernel.table(x, y, None, t), shape))
+        slope = np.asarray(_stored(np.broadcast_to(op.kernel.du(x, y, t), shape)), dtype=float)
         c01 = max(c01, float(np.max(np.abs(table))), float(np.max(np.abs(slope))))
-        window.append(slope.copy())
+        window.append(slope)
         if len(window) == 3:
             ktt = (window[2] - window[0]) / (2.0 * dt)
             kttt = (window[2] - 2.0 * window[1] + window[0]) / dt**2

@@ -23,15 +23,16 @@ for the kernels that read at most u(y), matching the derivative formula
 Where that bracket depends on y alone and the kernel is not causal
 (``sigmoid_sum``, ``wire`` and scalar ``linear_table`` on u(y)), A is
 diag(W) + 1 r^T, and :func:`linearize` builds, checks and solves it in O(M)
-by Sherman-Morrison; the dense inverse is formed only when read, for the
-atlas constant C_B.  Other kernels take the dense matrix, inverted once.
+by Sherman-Morrison; no M x M array is formed unless ``inverse`` is read,
+which the atlas constant C_B does only for a non-constant W.  Other kernels
+take the dense matrix, inverted once.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -489,8 +490,9 @@ class FactorizedFrechet:
     rounding of the computed inverse.  The rank-one form has both Frobenius
     norms in closed form; where its bound fails (1 + r.p = 0 included),
     the dense matrix is formed and checked as any other.  The singular
-    values decide the rest.  ``inverse`` is A^{-1}, read-only; the dense
-    form computes it at once, the rank-one form on first read.
+    values decide the rest.  ``rank_one`` is the pair (W, r) when the
+    rank-one form holds, else None.  ``inverse`` is A^{-1}, read-only; the
+    dense form computes it at once, the rank-one form on first read.
     """
 
     def __init__(self, a: np.ndarray, r: Optional[np.ndarray] = None):
@@ -498,14 +500,13 @@ class FactorizedFrechet:
         r = None if r is None else np.asarray(r, dtype=float)
         if not (np.all(np.isfinite(a)) and (r is None or np.all(np.isfinite(r)))):
             raise ValueError("non-finite derivative matrix")
-        self._rank_one = None
+        self.rank_one: Optional[Tuple[np.ndarray, np.ndarray]] = None
         if r is not None:
             if a.ndim != 1 or r.shape != a.shape:
                 raise DimensionError(
                     f"rank-one form needs a diagonal and a row of one length, got "
                     f"shapes {a.shape} and {r.shape}"
                 )
-            self._diag, self._row = a, r
             with np.errstate(all="ignore"):
                 p = 1.0 / a
                 q = r * p
@@ -517,7 +518,8 @@ class FactorizedFrechet:
                 ))
                 bound = norm_a * norm_inv
             if bound * FRECHET_SINGULAR_TOL < 0.5:
-                self._rank_one = (p, q, c)
+                self.rank_one = (a, r)
+                self._sherman_morrison = (p, q, c)
                 return
             a = np.diag(a) + r[None, :]
         try:
@@ -541,15 +543,16 @@ class FactorizedFrechet:
     def inverse(self) -> np.ndarray:
         """A^{-1} of the rank-one form, computed on first read: the inverse of
         the matrix :func:`frechet_derivative` forms for the same operator."""
-        inverse = np.linalg.inv(np.diag(self._diag) + self._row[None, :])
+        w, r = self.rank_one
+        inverse = np.linalg.inv(np.diag(w) + r[None, :])
         inverse.flags.writeable = False
         return inverse
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        if self._rank_one is None:
+        if self.rank_one is None:
             return self.inverse @ rhs
-        p, q, c = self._rank_one
+        p, q, c = self._sherman_morrison
         if rhs.shape != p.shape:
             raise DimensionError(
                 f"the rank-one form solves for one right-hand side of shape {p.shape}, "

@@ -1,7 +1,11 @@
 """Anchored Newton charts, cell routing, and the mask algebra."""
 
+import functools
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +18,11 @@ from injop.funcspace import Grid, GridFunction, h1_norm
 from injop.nonlin import (
     FactorizedFrechet,
     KernelBase,
+    LinearTableKernel,
     NonlinearIntegralOperator,
     SigmoidSumKernel,
     VolterraKernel,
+    WireKernel,
 )
 from injop.atlas import (
     build_atlas,
@@ -35,6 +41,16 @@ GRID = Grid(0.0, 1.0, 129)
 def make_op():
     kern = SigmoidSumKernel([(0.4, 1.0, 0.0)], signature="u(y)")
     return NonlinearIntegralOperator(GRID, kern, w=1.0)
+
+
+def bench_problem(size):
+    """The benchmark's atlas problem (``bench/workloads.py``): a sigmoid-sum
+    operator whose contraction estimate exceeds 1, and eight anchor inputs."""
+    grid = Grid(0.0, 1.0, size)
+    op = NonlinearIntegralOperator(
+        grid, SigmoidSumKernel([(2.5, 1.0, 0.0)], signature="u(y)"), w=1.0)
+    wave = np.sin(2 * np.pi * grid.nodes)
+    return op, [GridFunction(grid, level + 0.3 * wave) for level in np.linspace(-2.0, 2.0, 8)]
 
 
 def training_set():
@@ -338,7 +354,12 @@ class TestGlobalInvert:
 #: eps1=0.25) as build_atlas computed them eagerly, before they became
 #: values computed on first read, at the default BLAS thread count of a
 #: 2-vCPU machine; float.hex.
-EAGER_INV_H1_NORMS = ["0x1.000000000004dp+0", "0x1.0000000000057p+0", "0x1.00007908c7bd9p+0"]
+#: Anchors 0 and 1 are constant inputs, so their r is a multiple of the
+#: weights.  The H1 Gram matrix G has G 1 = weights, so L^{-1} r is parallel to
+#: L^T 1, and the norm is exactly 1: the singular values are 1 and |1 - a.b|.
+#: The eager dense product read 1 + 77 ulp and 1 + 87 ulp there
+#: (0x1.000000000004dp+0, 0x1.0000000000057p+0), which was its rounding.
+EAGER_INV_H1_NORMS = ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.00007908c7bd9p+0"]
 EAGER_CONSTANTS = {
     "domain_length": "0x1.0000000000000p+0", "C_S": "0x1.6a09e667f3bcdp+0",
     "R2": "0x1.077ea7c8a8604p+2", "kernel_c2": "0x1.98174789cb495p-2",
@@ -360,8 +381,9 @@ EAGER_ATLAS_JSON = (
     '"eps0":6.1404137657819236e-06,"eps1":0.25}}\n'
 )
 #: Constants that depend only on the grid, the anchors and the sampled
-#: kernel bounds.  The others derive from inv_h1_norm, whose SVD and inverse
-#: round differently under different BLAS thread counts (by up to 11 ulp).
+#: kernel bounds.  The others derive from inv_h1_norm: the eager dense SVD
+#: and inverse rounded differently under different BLAS thread counts (by up
+#: to 11 ulp), and the closed form differs from them in the last digits.
 BLAS_FREE_CONSTANTS = ("domain_length", "C_S", "R2", "kernel_c2", "kernel_c3", "C_0", "C_L",
                        "eps1")
 
@@ -421,3 +443,165 @@ class TestLazyConstants:
             assert h1_norm(GRID, u.values - u_true.values) <= 1e-8
         with pytest.raises(AssertionError, match="constants computed"):
             atlas.constants
+
+
+@functools.lru_cache(maxsize=1)
+def _dense_h1_factor(grid):
+    """LAPACK's Cholesky factor L of the dense H1 Gram matrix, and L^{-1}."""
+    m = grid.size
+    d = (np.eye(m, k=1)[: m - 1] - np.eye(m)[: m - 1]) / grid.h
+    chol = np.linalg.cholesky(np.diag(grid.weights) + d.T @ (grid.h * d))
+    return chol, np.linalg.inv(chol)
+
+
+def dense_c_b(a_inv, grid):
+    """The dense C_B formula, kept as the reference:
+    sigma_max(L^T A^{-1} L^{-T})."""
+    chol, chol_inv = _dense_h1_factor(grid)
+    return float(np.linalg.svd(chol.T @ a_inv @ chol_inv.T, compute_uv=False)[0])
+
+
+def rank_one_inverse(fact):
+    w, r = fact.rank_one
+    return np.linalg.inv(np.diag(w) + r[None, :])
+
+
+class TestClosedFormCB:
+    """C_B of a rank-one anchor with a constant W, in closed form, against
+    the dense formula."""
+
+    @pytest.mark.parametrize("size, rtol", [(64, 1e-14), (129, 1e-14), (256, 1e-14),
+                                            (512, 1e-13), (1024, 1e-13)])
+    def test_bench_anchors_match_the_dense_formula(self, size, rtol):
+        op, anchors = bench_problem(size)
+        atlas = build_atlas(op, anchors, ell0=4, eps1=0.25)
+        for anchor in atlas.anchors:
+            assert anchor.fact.rank_one is not None
+            assert_allclose(anchor.inv_h1_norm,
+                            dense_c_b(rank_one_inverse(anchor.fact), op.grid), rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 16])
+    def test_random_rank_one_matches_the_dense_formula(self, size):
+        grid = Grid(0.0, 1.0, size)
+        rng = np.random.default_rng(size)
+        checked = 0
+        while checked < 20:
+            w = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
+            r = rng.standard_normal(size)
+            if abs(w + r.sum()) < 0.05 * abs(w):
+                continue
+            fact = FactorizedFrechet(np.full(size, w), r)
+            assert_allclose(injop.atlas._h1_operator_norm_of_inverse(fact, grid),
+                            dense_c_b(rank_one_inverse(fact), grid), rtol=1e-14, atol=0.0)
+            checked += 1
+
+    @pytest.mark.parametrize("w, c", [(1.0, 0.2), (1.0, -0.6), (-2.0, 0.5), (0.5, 3.0)])
+    def test_parallel_a_and_b(self, w, c):
+        # r = c * weights: G 1 = weights, so L^{-1} r is parallel to a = L^T 1
+        # and the singular values are 1/|w| and 1/|w + c * length|.
+        grid = Grid(0.0, 2.0, 64)
+        fact = FactorizedFrechet(np.full(grid.size, w), c * grid.weights)
+        c_b = injop.atlas._h1_operator_norm_of_inverse(fact, grid)
+        assert_allclose(c_b, max(1.0 / abs(w), 1.0 / abs(w + c * grid.length)), rtol=1e-14)
+        assert_allclose(c_b, dense_c_b(rank_one_inverse(fact), grid), rtol=1e-13)
+
+    def test_constant_w_constants_need_no_dense_algebra(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense algebra for a rank-one C_B")
+
+        for name in ("inv", "svd", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        atlas = build_atlas(make_op(), training_set(), ell0=3, eps1=0.25)
+        assert atlas.constants["C_B"] == max(a.inv_h1_norm for a in atlas.anchors) > 0.0
+
+    @pytest.mark.parametrize("op", [
+        NonlinearIntegralOperator(GRID, SigmoidSumKernel([(0.4, 1.0, 0.0)], signature="u(y)"),
+                                  w=1.0 + 0.5 * GRID.nodes),
+        NonlinearIntegralOperator(GRID, VolterraKernel(0.8, "sigmoid"), w=1.0),
+    ], ids=["non_constant_w", "volterra"])
+    def test_other_anchors_take_the_dense_formula(self, monkeypatch, op):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        atlas = build_atlas(op, training_set(), ell0=3, eps1=0.25)
+        c_b = atlas.constants["C_B"]
+        assert len(calls) == len(atlas.anchors)
+        references = [dense_c_b(a.fact.inverse, GRID) for a in atlas.anchors]
+        assert_allclose(c_b, max(references), rtol=1e-14, atol=0.0)
+
+
+def _broadcast_kernel_bounds(op, t_max):
+    """The kernel bounds over full (M, M) copies of every table and slope:
+    the reference."""
+    grid = op.grid
+    x, y = grid.nodes[:, None], grid.nodes[None, :]
+    ts = np.linspace(-t_max, t_max, 17)
+    dt = float(ts[1] - ts[0])
+    shape = (grid.size, grid.size)
+    tables = np.stack([np.broadcast_to(op.kernel.table(x, y, None, t), shape) for t in ts])
+    slopes = np.stack([np.broadcast_to(op.kernel.du(x, y, t), shape) for t in ts]).astype(float)
+    c01 = max(float(np.max(np.abs(tables))), float(np.max(np.abs(slopes))))
+    ktt = (slopes[2:] - slopes[:-2]) / (2.0 * dt)
+    kttt = (slopes[2:] - 2.0 * slopes[1:-1] + slopes[:-2]) / dt**2
+    c2 = max(c01, float(np.max(np.abs(ktt))))
+    return c2, max(c2, float(np.max(np.abs(kttt))))
+
+
+_DENSE = np.random.default_rng(3).standard_normal((GRID.size, GRID.size))
+
+
+class TestKernelBounds:
+    @pytest.mark.parametrize("kernel", [
+        SigmoidSumKernel([(0.4, 1.0, 0.0), (-0.7, 2.0, 0.5)], signature="u(y)"),
+        WireKernel(3.0, [(0.5, 1.5, -0.2)], signature="u(y)"),
+        LinearTableKernel(0.6),
+        VolterraKernel(0.8, "sigmoid"),
+        SigmoidSumKernel([(_DENSE, 1.0, GRID.nodes[None, :])], signature="u(y)"),
+    ], ids=["sigmoid_sum", "wire", "linear_table", "volterra", "dense"])
+    def test_bounds_equal_the_broadcast_reference(self, kernel):
+        op = NonlinearIntegralOperator(GRID, kernel, w=1.0)
+        for t_max in (1.0, 4.5):
+            assert injop.atlas._measured_kernel_bounds(op, t_max) == _broadcast_kernel_bounds(
+                op, t_max)
+
+    def test_constants_of_a_rank_one_atlas_hold_no_dense_array(self):
+        grid = Grid(0.0, 1.0, 2048)
+        op = NonlinearIntegralOperator(
+            grid, SigmoidSumKernel([(0.4, 1.0, 0.0)], signature="u(y)"), w=1.0)
+        wave = np.sin(2 * np.pi * grid.nodes)
+        atlas = build_atlas(op, [GridFunction(grid, lvl + 0.3 * wave) for lvl in (-1, 0, 1)])
+        tracemalloc.start()
+        try:
+            atlas.constants
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.size**2 * 8 / 4
+
+
+#: Saves the M = 129 atlas of this module and the benchmark's atlas at
+#: M = 512 under the directory given as the second argument.
+_SAVE_TWO_ATLASES = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from test_atlas import bench_problem, build_atlas, make_op, save_atlas, training_set\n"
+    "out = sys.argv[2]\n"
+    "save_atlas(build_atlas(make_op(), training_set(), ell0=3, eps1=0.25), out + '/m129')\n"
+    "op, anchors = bench_problem(512)\n"
+    "save_atlas(build_atlas(op, anchors, ell0=4, eps1=0.25), out + '/m512')\n"
+)
+
+
+def test_saved_atlas_is_the_same_under_one_and_two_blas_threads(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(injop.__file__)))
+    here = os.path.dirname(os.path.abspath(__file__))
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-c", _SAVE_TWO_ATLASES, here, str(tmp_path / threads)],
+                       env=env, capture_output=True, text=True, timeout=120, check=True)
+    for atlas in ("m129", "m512"):
+        names = sorted(os.listdir(tmp_path / "1" / atlas))
+        assert "atlas.json" in names and names == sorted(os.listdir(tmp_path / "2" / atlas))
+        for name in names:
+            one = (tmp_path / "1" / atlas / name).read_bytes()
+            assert one == (tmp_path / "2" / atlas / name).read_bytes(), (atlas, name)

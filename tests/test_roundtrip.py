@@ -20,10 +20,13 @@ from injop.nonlin import (
     VolterraKernel,
     WireKernel,
 )
+from injop.atlas import build_atlas
 from injop.serialize import (
+    load_atlas,
     load_network,
     load_operator,
     read_grid_function_csv,
+    save_atlas,
     save_network,
     save_operator,
     write_grid_function_csv,
@@ -175,3 +178,60 @@ def test_operator_files_round_trip(kind, dense, data):
 @given(f=grid_functions())
 def test_grid_function_csvs_round_trip(f):
     assert_round_trip(write_grid_function_csv, read_grid_function_csv, f, grid_function_fields)
+
+
+#: (kernel kind, constant multiplier) for the atlas round trip: the rank-one
+#: linearization with constant and non-constant W, and the dense (causal) one.
+ATLAS_CASES = [("sigmoid_sum", True), ("sigmoid_sum", False), ("wire", True), ("wire", False),
+               ("volterra", True)]
+
+
+@st.composite
+def atlases(draw, kind, constant_w):
+    """An atlas of 1-4 anchors over an operator of ``kind`` on u(y) with
+    scalar parameters.  The parameters keep every linearization well away
+    from singular: |W| >= 1 and the kernel part is at most about 0.6."""
+    m = draw(st.integers(8, 40))
+    grid = Grid(*draw(intervals()), m)
+    small = st.floats(-0.3, 0.3)
+    terms = draw(st.lists(st.tuples(small, st.floats(-1.0, 1.0), small), min_size=1,
+                          max_size=2))
+    scale = 0.6 / (len(terms) * max(1.0, grid.length))
+    terms = [(c * scale, a, b) for c, a, b in terms]
+    if kind == "sigmoid_sum":
+        kernel = SigmoidSumKernel(terms, "u(y)")
+    elif kind == "wire":
+        kernel = WireKernel(draw(st.floats(0.5, 3.0)), [(c / 4.0, a, b) for c, a, b in terms],
+                            "u(y)")
+    else:
+        kernel = VolterraKernel(terms[0][0], draw(st.sampled_from(["none", "sigmoid", "sin"])))
+    magnitude = st.floats(1.0, 4.0)
+    w = draw(magnitude) if constant_w else draw(arrays(np.float64, (m,), elements=magnitude))
+    w = draw(st.sampled_from([-1.0, 1.0])) * w
+    op = NonlinearIntegralOperator(grid, kernel, w=w)
+    inputs = draw(st.lists(arrays(np.float64, (1, m), elements=st.floats(-2.0, 2.0)),
+                           min_size=1, max_size=4))
+    ell0 = draw(st.integers(1, min(4, m)))
+    eps1 = draw(st.floats(0.05, 2.0))
+    return build_atlas(op, [GridFunction(grid, v) for v in inputs], ell0=ell0, eps1=eps1)
+
+
+@pytest.mark.filterwarnings("ignore:cell .* hit by anchors")
+@pytest.mark.parametrize("kind, constant_w", ATLAS_CASES, ids=[
+    f"{k}-{'constant' if c else 'field'}_w" for k, c in ATLAS_CASES])
+@PROPERTY
+@given(data=st.data())
+def test_atlas_files_round_trip(kind, constant_w, data):
+    atlas = data.draw(atlases(kind, constant_w))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "first"), os.path.join(tmp, "second")
+        save_atlas(atlas, first)
+        save_atlas(load_atlas(first, atlas.op), second)
+        names = sorted(os.listdir(first))
+        assert names == sorted(os.listdir(second))
+        assert names == sorted(["atlas.json"]
+                               + [f"anchor_{j:03d}.csv" for j in range(len(atlas.anchors))])
+        for name in names:
+            with open(os.path.join(first, name), "rb") as fa, \
+                    open(os.path.join(second, name), "rb") as fb:
+                assert fa.read() == fb.read(), name
