@@ -155,9 +155,9 @@ def _h1_operator_norm_of_inverse(fact: FactorizedFrechet, grid: Grid) -> float:
     matrix is (I - a b^T) / w with a = L^T 1 and b = L^{-1} r / (w + sum r)
     (Sherman & Morrison, 1950).  It is w^{-1} I off span{a, b}, so M - 2 of
     its singular values are 1/|w|; the other two, times |w|, have squares
-    summing to 2 - 2 a.b + |a|^2 |b|^2 and product |1 - a.b|.  That is O(M),
-    with one bidiagonal forward substitution.  Any other A takes the dense
-    product and its SVD.
+    summing to 2 - 2 a.b + |a|^2 |b|^2 and product |1 - a.b|, so the larger
+    is at least 1 for every M.  That is O(M), with one bidiagonal forward
+    substitution.  Any other A takes the dense product and its SVD.
     """
     w_diag, r = fact.rank_one or (None, None)
     if w_diag is None or np.any(w_diag != w_diag[0]):
@@ -175,7 +175,8 @@ def _h1_operator_norm_of_inverse(fact: FactorizedFrechet, grid: Grid) -> float:
     p = float(a @ a) * float(b @ b)
     # p >= (a.b)^2 (Cauchy-Schwarz), so 4 - 4 a.b + p >= (2 - a.b)^2 >= 0.
     sigma = math.sqrt(0.5 * (2.0 - 2.0 * ab + p + math.sqrt(p * max(0.0, 4.0 - 4.0 * ab + p))))
-    return (max(1.0, sigma) if grid.size > 2 else sigma) / abs(w)
+    # sigma_+ >= 1 by Cauchy-Schwarz, so max only absorbs rounding.
+    return max(1.0, sigma) / abs(w)
 
 
 def _stored(a: np.ndarray) -> np.ndarray:

@@ -354,12 +354,13 @@ class TestGlobalInvert:
 #: eps1=0.25) as build_atlas computed them eagerly, before they became
 #: values computed on first read, at the default BLAS thread count of a
 #: 2-vCPU machine; float.hex.
+EAGER_INV_H1_NORMS = ["0x1.000000000004dp+0", "0x1.0000000000057p+0", "0x1.00007908c7bd9p+0"]
 #: Anchors 0 and 1 are constant inputs, so their r is a multiple of the
 #: weights.  The H1 Gram matrix G has G 1 = weights, so L^{-1} r is parallel to
-#: L^T 1, and the norm is exactly 1: the singular values are 1 and |1 - a.b|.
-#: The eager dense product read 1 + 77 ulp and 1 + 87 ulp there
-#: (0x1.000000000004dp+0, 0x1.0000000000057p+0), which was its rounding.
-EAGER_INV_H1_NORMS = ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.00007908c7bd9p+0"]
+#: L^T 1 and the singular values of L^T A^{-1} L^{-T} are 1 and |1 - a.b|:
+#: the norm is exactly 1.  The eager dense formula read 1 + 77 ulp and
+#: 1 + 87 ulp there, its rounding; the closed form reads the exact value.
+EXACT_INV_H1_NORMS = {0: 1.0, 1: 1.0}
 EAGER_CONSTANTS = {
     "domain_length": "0x1.0000000000000p+0", "C_S": "0x1.6a09e667f3bcdp+0",
     "R2": "0x1.077ea7c8a8604p+2", "kernel_c2": "0x1.98174789cb495p-2",
@@ -400,8 +401,12 @@ class TestLazyConstants:
         assert c.keys() == EAGER_CONSTANTS.keys()
         for key in BLAS_FREE_CONSTANTS:
             assert c[key].hex() == EAGER_CONSTANTS[key], key
-        assert_allclose(norms, [float.fromhex(h) for h in EAGER_INV_H1_NORMS],
+        eager = [float.fromhex(h) for h in EAGER_INV_H1_NORMS]
+        # The dense formula the eager values came from still reads them.
+        assert_allclose([dense_c_b(a.fact.inverse, GRID) for a in atlas.anchors], eager,
                         rtol=1e-14, atol=0.0)
+        exact = [EXACT_INV_H1_NORMS.get(i, e) for i, e in enumerate(eager)]
+        assert_allclose(norms, exact, rtol=1e-14, atol=0.0)
         moving = [key for key in c if key not in BLAS_FREE_CONSTANTS]
         assert_allclose([c[k] for k in moving],
                         [float.fromhex(EAGER_CONSTANTS[k]) for k in moving], rtol=1e-14, atol=0.0)
