@@ -17,8 +17,9 @@ scalar parameters on u(y), a dense inverse otherwise), its image and the
 cell map.  The diagnostic constants (``Atlas.constants``,
 ``Anchor.inv_h1_norm``) are computed on first read.  For a rank-one anchor
 with a constant W, C_B has a closed form in O(M) over the bidiagonal H1
-Cholesky factor; any other anchor reads its dense inverse.  The kernel
-bounds read the operator the atlas keeps, over the values its tables store.
+Cholesky factor; any other anchor applies its factorization's ``solve`` to
+a dense one.  The kernel bounds read the operator the atlas keeps, over the
+values its tables store.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import OutOfBasinError
-from .funcspace import Grid, GridFunction, h1_distance, h1_norm
+from .funcspace import Grid, GridFunction, h1_distance, h1_gram_cholesky, h1_norm
 from .nonlin import FactorizedFrechet, InversionTrace, NonlinearIntegralOperator, linearize
 
 #: Consecutive H1 residual increases tolerated before leaving the basin.
@@ -120,27 +121,9 @@ class Atlas:
 
 
 @functools.lru_cache(maxsize=1)
-def _h1_gram_cholesky(grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
-    """Diagonal (M,) and subdiagonal (M - 1,) of L, the lower bidiagonal
-    Cholesky factor of the discrete H1 Gram matrix diag(weights) + D^T h D
-    (D the forward difference), by the tridiagonal Cholesky recurrence
-    (Golub & Van Loan, sec. 4.3.6); read-only, shared by the anchors of the
-    last grid asked for."""
-    h = grid.h
-    gram_diag = grid.weights + np.r_[1.0, np.full(grid.size - 2, 2.0), 1.0] / h
-    diag, sub = [math.sqrt(gram_diag[0])], []
-    for g in gram_diag[1:].tolist():
-        sub.append(-1.0 / h / diag[-1])
-        diag.append(math.sqrt(g - sub[-1] ** 2))
-    diag, sub = np.array(diag), np.array(sub)
-    diag.flags.writeable = sub.flags.writeable = False
-    return diag, sub
-
-
-@functools.lru_cache(maxsize=1)
 def _h1_dense_factor(grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
-    """L of :func:`_h1_gram_cholesky` as a dense matrix, and L^{-1}; read-only."""
-    diag, sub = _h1_gram_cholesky(grid)
+    """L of :func:`h1_gram_cholesky` as a dense matrix, and L^{-1}; read-only."""
+    diag, sub = h1_gram_cholesky(grid)
     chol = np.diag(diag) + np.diag(sub, -1)
     chol_inv = np.linalg.inv(chol)
     chol.flags.writeable = chol_inv.flags.writeable = False
@@ -157,13 +140,14 @@ def _h1_operator_norm_of_inverse(fact: FactorizedFrechet, grid: Grid) -> float:
     its singular values are 1/|w|; the other two, times |w|, have squares
     summing to 2 - 2 a.b + |a|^2 |b|^2 and product |1 - a.b|, so the larger
     is at least 1 for every M.  That is O(M), with one bidiagonal forward
-    substitution.  Any other A takes the dense product and its SVD.
+    substitution.  Any other A takes the SVD of L^T A^{-1} L^{-T}, with
+    A^{-1} L^{-T} from :meth:`FactorizedFrechet.solve`.
     """
     w_diag, r = fact.rank_one or (None, None)
     if w_diag is None or np.any(w_diag != w_diag[0]):
         chol, chol_inv = _h1_dense_factor(grid)
-        return float(np.linalg.svd(chol.T @ fact.inverse @ chol_inv.T, compute_uv=False)[0])
-    diag, sub = _h1_gram_cholesky(grid)
+        return float(np.linalg.svd(chol.T @ fact.solve(chol_inv.T), compute_uv=False)[0])
+    diag, sub = h1_gram_cholesky(grid)
     w = float(w_diag[0])
     a = diag + np.append(sub, 0.0)  # column sums of L
     l_inv_r, prev = [], 0.0

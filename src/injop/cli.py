@@ -24,6 +24,7 @@ from .atlas import build_atlas, global_invert
 from .certify import (
     VERDICT_CERTIFIED,
     VERDICT_COUNTEREXAMPLE,
+    VERDICT_NO_COUNTEREXAMPLE,
     certify_bijective_activation,
     certify_relu_dss,
 )
@@ -46,7 +47,6 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     def common(p, *, tol=False, grid=True):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-dir", default=".")
         if tol:
             p.add_argument("--tol", type=float, default=1e-8)
@@ -57,13 +57,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--net", required=True)
     p.add_argument("--mode", choices=["relu", "bijective"], default="relu")
     p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
 
     p = sub.add_parser("lift", help="lift a network to an injective one")
     p.add_argument("--net", required=True)
     p.add_argument("--mode", choices=["relu", "bijective"], default="relu")
     p.add_argument("--alpha", type=float, default=0.1)
-    common(p)
+    common(p, grid=False)
 
     p = sub.add_parser("invert", help="invert a nonlinear integral operator")
     p.add_argument("--op", required=True)
@@ -133,7 +134,7 @@ def _run_certify(cfg: argparse.Namespace) -> int:
     elif all(r.verdict == VERDICT_CERTIFIED for r in layer_reports):
         verdict = VERDICT_CERTIFIED
     else:
-        verdict = "NoCounterexampleFound"
+        verdict = VERDICT_NO_COUNTEREXAMPLE
     report = {
         "command": "certify",
         "mode": cfg.mode,
@@ -149,13 +150,12 @@ def _run_certify(cfg: argparse.Namespace) -> int:
 def _run_lift(cfg: argparse.Namespace) -> int:
     net = serialize.load_network(cfg.net)
     mode = "relu" if cfg.mode == "relu" else "injective"
-    result = lift_to_injective(net, mode=mode, alpha=cfg.alpha, seed=cfg.seed)
+    result = lift_to_injective(net, mode=mode, alpha=cfg.alpha)
     serialize.save_network(result.network, _report_path(cfg, "network.json"))
     report = {
         "command": "lift",
         "mode": mode,
         "alpha": cfg.alpha,
-        "seed": cfg.seed,
         "eps0": result.eps0,
         "closeness_bound_factor": 5.0 * result.eps0,
         "order_in": result.n,
@@ -174,7 +174,6 @@ def _invert_outputs(cfg: argparse.Namespace, method: str, u, trace, extra) -> di
         "command": cfg.command,
         "method": method,
         "tol": cfg.tol,
-        "seed": cfg.seed,
         "converged": trace.converged,
         "iterations": trace.iterations,
         "residual_L2": trace.residuals_l2[-1] if trace.residuals_l2 else None,

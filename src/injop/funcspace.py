@@ -29,6 +29,7 @@ module-level cache (:func:`mode_table`).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,12 @@ GRAM_DEFECT_TOL = 1e-10
 MODE_TABLE_CACHE_SIZE = 32
 
 
+def require_finite(name: str, p) -> None:
+    """Raise ValueError if a parameter that is not callable holds NaN or infinity."""
+    if not callable(p) and not np.all(np.isfinite(np.asarray(p, dtype=float))):
+        raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform closed grid on [a, b] with composite trapezoid weights.
@@ -72,6 +79,7 @@ class Grid:
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        require_finite("grid endpoints", (self.a, self.b))
         if not self.b > self.a:
             raise ValueError(f"empty interval: a={self.a}, b={self.b}")
         if self.size < 2:
@@ -132,6 +140,7 @@ class BasisSpec:
         if kind not in self.KINDS:
             raise ValueError(f"unknown basis kind {kind!r}; expected one of {self.KINDS}")
         a, b = float(interval[0]), float(interval[1])
+        require_finite("basis interval", (a, b))
         if not b > a:
             raise ValueError(f"empty interval: {interval}")
         self.kind = kind
@@ -361,6 +370,23 @@ def h1_norm(grid: Grid, values: np.ndarray) -> float:
     diff = np.diff(values, axis=-1) / grid.h
     dsq = np.sum(diff**2) * grid.h
     return float(np.sqrt(l2sq + dsq))
+
+
+@functools.lru_cache(maxsize=1)
+def h1_gram_cholesky(grid: Grid) -> tuple:
+    """Diagonal (M,) and subdiagonal (M - 1,) of the lower bidiagonal L with
+    h1_norm(v) = |L^T v|: the Cholesky factor of diag(weights) + D^T h D, D the
+    forward difference over h, by the tridiagonal recurrence (Golub & Van
+    Loan, sec. 4.3.6); read-only, kept for the last grid asked for."""
+    h = grid.h
+    gram_diag = grid.weights + np.r_[1.0, np.full(grid.size - 2, 2.0), 1.0] / h
+    diag, sub = [math.sqrt(gram_diag[0])], []
+    for g in gram_diag[1:].tolist():
+        sub.append(-1.0 / h / diag[-1])
+        diag.append(math.sqrt(g - sub[-1] ** 2))
+    diag, sub = np.array(diag), np.array(sub)
+    diag.flags.writeable = sub.flags.writeable = False
+    return diag, sub
 
 
 def h1_distance(f: GridFunction, g: GridFunction) -> float:

@@ -23,14 +23,13 @@ for the kernels that read at most u(y), matching the derivative formula
 Where that bracket depends on y alone and the kernel is not causal
 (``sigmoid_sum``, ``wire`` and scalar ``linear_table`` on u(y)), A is
 diag(W) + 1 r^T, and :func:`linearize` builds, checks and solves it in O(M)
-by Sherman-Morrison; no M x M array is formed unless ``inverse`` is read,
-which the atlas constant C_B does only for a non-constant W.  Other kernels
-take the dense matrix, inverted once.
+by Sherman-Morrison, forming no M x M array.  Other kernels take the dense
+matrix, inverted once.  Either form applies its inverse only through
+:meth:`FactorizedFrechet.solve`, to a vector or to the columns of a matrix.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -43,7 +42,8 @@ from .errors import (
     SingularOperatorError,
 )
 from .finite_rank import expit
-from .funcspace import BasisSpec, Grid, GridFunction, SpectralCoeffs, from_spectral, h1_norm
+from .funcspace import (BasisSpec, Grid, GridFunction, SpectralCoeffs, from_spectral, h1_norm,
+                        require_finite)
 
 TableParam = Union[float, np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
@@ -113,15 +113,11 @@ def trapezoid(grid: Grid, f: np.ndarray, causal: bool) -> np.ndarray:
 def quad_weights(grid: Grid, causal: bool) -> np.ndarray:
     """Trapezoid weights over y for a dense (M, M) table product: the grid's
     weight row, shape (M,), broadcast along the table's rows, or for a causal
-    kernel a new (M, M) table whose row i integrates over [a, x_i]."""
+    kernel a new (M, M) table whose row i integrates over [a, x_i]: column j
+    is the causal :func:`trapezoid` of the unit vector e_j, kept C-ordered."""
     if not causal:
         return grid.weights
-    m, h = grid.size, grid.h
-    w = np.tri(m) * h
-    w[:, 0] = h / 2.0
-    np.fill_diagonal(w, h / 2.0)
-    w[0, 0] = 0.0
-    return w
+    return np.ascontiguousarray(trapezoid(grid, np.eye(grid.size), True).T)
 
 
 def _wire_profile(omega: float) -> tuple:
@@ -159,6 +155,9 @@ class RidgeKernel(KernelBase):
         if not terms:
             raise ValueError("need at least one (c, a, b) term")
         self.terms = [tuple(t) for t in terms]
+        for j, term in enumerate(self.terms):
+            for name, p in zip("cab", term):
+                require_finite(f"{self.kind} kernel term {j} parameter {name}", p)
         self.signature = signature
         self.uses_ux = signature == "u(x)"
         self._g, self._dg = profile
@@ -211,6 +210,7 @@ class WireKernel(RidgeKernel):
 
     def __init__(self, omega: float, terms: Sequence[tuple], signature: str = "u(x)"):
         self.omega = float(omega)
+        require_finite("omega", self.omega)
         super().__init__(terms, _wire_profile(self.omega), signature)
 
 
@@ -263,6 +263,7 @@ class SoftmaxAttentionKernel(KernelBase):
                 f"attention matrices must share a square shape, got "
                 f"{self.a_mat.shape} and {self.b_mat.shape}"
             )
+        require_finite("attention matrices A and B", [self.a_mat, self.b_mat])
 
     @property
     def channels(self) -> int:
@@ -294,22 +295,20 @@ class NonlinearIntegralOperator:
     ):
         self.grid = grid
         self.kernel = kernel
-        if callable(w):
-            w_values = np.asarray(w(grid.nodes), dtype=float)
-        else:
-            w_values = np.asarray(w, dtype=float)
-            if w_values.ndim == 0:
-                w_values = np.full(grid.size, float(w_values))
+        w_values = np.array(w(grid.nodes) if callable(w) else w, dtype=float)  # a copy
+        if w_values.ndim == 0 and not callable(w):
+            w_values = np.full(grid.size, float(w_values))
         if w_values.shape != (grid.size,):
             raise DimensionError(
                 f"multiplier field w has shape {w_values.shape}, grid has {grid.size} nodes"
             )
-        w_values = w_values.copy()
+        require_finite("multiplier field w", w_values)
         if np.any(np.abs(w_values) < 1e-14):
             raise ValueError("multiplier field w must be bounded away from zero")
         self.w_values = w_values
         if bias is not None:
             grid.require_matches(bias.grid)
+            require_finite("bias", bias.values)
         self.bias = bias
         self.channels = kernel.channels
         kernel.check_grid(grid)
@@ -491,8 +490,8 @@ class FactorizedFrechet:
     norms in closed form; where its bound fails (1 + r.p = 0 included),
     the dense matrix is formed and checked as any other.  The singular
     values decide the rest.  ``rank_one`` is the pair (W, r) when the
-    rank-one form holds, else None.  ``inverse`` is A^{-1}, read-only; the
-    dense form computes it at once, the rank-one form on first read.
+    rank-one form holds, else None.  Only :meth:`solve` applies A^{-1}; the
+    rank-one form never builds it.
     """
 
     def __init__(self, a: np.ndarray, r: Optional[np.ndarray] = None):
@@ -536,28 +535,18 @@ class FactorizedFrechet:
                     f"(sigma_min/sigma_max = {sigma_min / max(sigma_max, 1e-300):.3e}); "
                     f"injectivity fails at the linearization point"
                 )
-        inverse.flags.writeable = False
-        self.inverse = inverse
-
-    @functools.cached_property
-    def inverse(self) -> np.ndarray:
-        """A^{-1} of the rank-one form, computed on first read: the inverse of
-        the matrix :func:`frechet_derivative` forms for the same operator."""
-        w, r = self.rank_one
-        inverse = np.linalg.inv(np.diag(w) + r[None, :])
-        inverse.flags.writeable = False
-        return inverse
+        self._inverse = inverse
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A^{-1} rhs for one right-hand side of shape (M,) or k of shape (M, k)."""
         rhs = np.asarray(rhs, dtype=float)
+        m = len(self.rank_one[0]) if self.rank_one else len(self._inverse)
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != m:
+            raise DimensionError(f"right-hand side of shape {rhs.shape}; need ({m},) or ({m}, k)")
         if self.rank_one is None:
-            return self.inverse @ rhs
+            return self._inverse @ rhs
         p, q, c = self._sherman_morrison
-        if rhs.shape != p.shape:
-            raise DimensionError(
-                f"the rank-one form solves for one right-hand side of shape {p.shape}, "
-                f"got {rhs.shape}"
-            )
+        p = p.reshape(p.shape + (1,) * (rhs.ndim - 1))
         return p * rhs - p * (c * (q @ rhs))
 
 

@@ -23,7 +23,8 @@ from injop.nonlin import (
     NonlinearIntegralOperator,
     SigmoidSumKernel,
 )
-from injop.atlas import build_atlas
+from injop.atlas import build_atlas, global_invert
+from injop.nonlin import invert_banach
 from injop.reduction import lift_to_injective
 from injop.serialize import (
     load_network,
@@ -172,6 +173,37 @@ class TestUsage:
         err = capsys.readouterr().err
         assert code == 64, err
         assert err.startswith(f"{flag} must ") and not os.path.exists(out)
+
+    @pytest.mark.parametrize("command, flag", [
+        ("lift", "--seed"), ("lift", "--grid-size"), ("invert", "--seed"),
+        ("truncate", "--seed"), ("demo", "--seed"),
+    ])
+    def test_flags_no_command_reads_are_refused(self, tmp_path, capsys, command, flag):
+        net = str(tmp_path / "net.json")
+        write_injective_net(net)
+        op = str(tmp_path / "op.json")
+        write_json({"kind": "linear_table", "table": 0.5}, op)
+        inputs = {"lift": ["--net", net], "demo": ["volterra"],
+                  "invert": ["--op", op, "--target", "t.csv"], "truncate": ["--op", op]}
+        out = str(tmp_path / "out")
+        assert main([command, *inputs[command], flag, "3", "--out-dir", out]) == 64
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_settable_values_per_command(self):
+        from injop.cli import _build_parser
+
+        sub = next(a for a in _build_parser()._actions if a.dest == "command")
+        dests = {name: sorted(a.dest for a in p._actions if a.dest != "help")
+                 for name, p in sub.choices.items()}
+        assert dests == {
+            "certify": ["grid_size", "mode", "net", "out_dir", "seed", "trials"],
+            "lift": ["alpha", "mode", "net", "out_dir"],
+            "invert": ["anchors", "grid_size", "method", "op", "out_dir", "target", "tol"],
+            "truncate": ["grid_size", "op", "out_dir", "rank"],
+            "demo": ["demo_name", "grid_size", "out_dir", "tol"],
+        }
+        assert sum(map(len, dests.values())) == 25
 
 
 class TestCertify:
@@ -588,6 +620,57 @@ def truncate_file(path):
         text = fh.read()
     with open(path, "w") as fh:
         fh.write(text[: len(text) // 2])
+
+
+class TestTraceDigits:
+    """Every cell of trace.csv equals, bit for bit, the trace of the same
+    inversion run in-process on the same operator and target."""
+
+    GRID = Grid(0.0, 1.0, 65)
+    OP = NonlinearIntegralOperator(GRID, SigmoidSumKernel([(0.3, 1.0, 0.0)], signature="u(y)"))
+
+    def run(self, tmp_path, u_true, *extra):
+        op, target = str(tmp_path / "op.json"), str(tmp_path / "target.csv")
+        save_operator(self.OP, op)
+        z = self.OP.apply(GridFunction(self.GRID, u_true))
+        write_grid_function_csv(z, target)
+        out = str(tmp_path / "out")
+        assert main(["invert", "--op", op, "--target", target, "--tol", "1e-10",
+                     "--out-dir", out, *extra]) == 0
+        assert "seed" not in read_json(os.path.join(out, "report.json"))
+        with open(os.path.join(out, "trace.csv")) as fh:
+            header, *rows = fh.read().splitlines()
+        assert header == "iteration,residual_L2,residual_H1,ratio"
+        return z, [row.split(",") for row in rows]
+
+    def assert_cells_match(self, rows, trace):
+        want = trace.rows()
+        assert len(rows) == len(want) >= 3
+        for row, (it, res_l2, res_h1, ratio) in zip(rows, want):
+            assert len(row) == 4 and int(row[0]) == it
+            assert float(row[1]).hex() == res_l2.hex()
+            assert float(row[2]).hex() == res_h1.hex()
+            if ratio is None:
+                assert row[3] == ""
+            else:
+                assert float(row[3]).hex() == ratio.hex()
+        assert rows[0][3] == "" and any(row[3] for row in rows)
+
+    def test_banach(self, tmp_path):
+        z, rows = self.run(tmp_path, np.sin(2 * np.pi * self.GRID.nodes))
+        _, trace = invert_banach(self.OP, z, tol=1e-10, max_iter=200)
+        self.assert_cells_match(rows, trace)
+
+    def test_atlas(self, tmp_path):
+        anchors = [GridFunction(self.GRID, np.full(65, level)) for level in (0.0, 1.5)]
+        (tmp_path / "anchors").mkdir()
+        for j, v in enumerate(anchors):
+            write_grid_function_csv(v, str(tmp_path / "anchors" / f"anchor_{j}.csv"))
+        z, rows = self.run(tmp_path, 0.1 + 0.05 * np.sin(2 * np.pi * self.GRID.nodes),
+                           "--method", "atlas", "--anchors", str(tmp_path / "anchors"))
+        atlas = build_atlas(self.OP, anchors)
+        _, trace = global_invert(atlas, self.OP, z, tol=1e-10, max_iter=200)
+        self.assert_cells_match(rows, trace)
 
 
 class TestSavedAtlas:

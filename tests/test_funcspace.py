@@ -19,6 +19,7 @@ from injop.funcspace import (
     SpectralCoeffs,
     from_spectral,
     h1_distance,
+    h1_gram_cholesky,
     h1_norm,
     mode_table,
     to_spectral,
@@ -156,12 +157,39 @@ def test_interval_mismatch():
         basis.require_matches_grid(g)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 1.0), (-np.inf, np.inf)])
+def test_grid_refuses_infinite_endpoints(a, b):
+    with pytest.raises(ValueError, match="grid endpoints must be finite"):
+        Grid(a, b, 5)
+
+
+@pytest.mark.parametrize("interval", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)])
+def test_basis_refuses_non_finite_interval(interval):
+    with pytest.raises(ValueError, match="basis interval must be finite"):
+        BasisSpec("fourier", interval)
+
+
 def test_h1_norm_of_linear_function():
     # || x ||_{H1}^2 = 1/3 + 1; the derivative part is exact for a linear
     # function, the value part carries the trapezoid's O(h^2) bias.
     g = Grid(0.0, 1.0, 512)
     expected = math.sqrt(1.0 / 3.0 + 1.0)
     assert_allclose(h1_norm(g, g.nodes), expected, rtol=1e-5)
+
+
+@pytest.mark.parametrize("size", [2, 3, 65, 129, 512, 1024])
+def test_h1_gram_cholesky_factors_the_h1_norm(size):
+    # h1_norm(v)^2 = v^T L L^T v with L lower bidiagonal: (L^T v)_i is
+    # diag_i v_i + sub_i v_{i+1}.  Rough v keep that sum free of
+    # cancellation, so the two agree to rounding.
+    g = Grid(-1.0, 2.0, size)
+    diag, sub = h1_gram_cholesky(g)
+    assert diag.shape == (size,) and sub.shape == (size - 1,)
+    assert not (diag.flags.writeable or sub.flags.writeable)
+    rng = np.random.default_rng(size)
+    for v in rng.standard_normal((4, size)):
+        lt_v = diag * v + np.append(sub * v[1:], 0.0)
+        assert_allclose(np.linalg.norm(lt_v), h1_norm(g, v), rtol=2e-15, atol=0.0)
 
 
 def test_h1_distance_symmetry():

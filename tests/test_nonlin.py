@@ -101,6 +101,45 @@ class TestOperator:
         with pytest.raises(DimensionError):
             NonlinearIntegralOperator(GRID, VolterraKernel(), w=np.ones(7))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_multiplier_refused(self, bad):
+        field = np.ones(GRID.size)
+        field[3] = bad
+        for w in (bad, field, lambda x: np.where(x > 0.5, bad, 1.0)):
+            with pytest.raises(ValueError, match="multiplier field w must be finite"):
+                NonlinearIntegralOperator(GRID, VolterraKernel(), w=w)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_bias_refused(self, bad):
+        values = np.zeros(GRID.size)
+        values[-1] = bad
+        with pytest.raises(ValueError, match="bias must be finite"):
+            NonlinearIntegralOperator(GRID, VolterraKernel(), bias=GridFunction(GRID, values))
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: SigmoidSumKernel([(np.nan, 1.0, 0.0)], signature="u(y)"),
+         "sigmoid_sum kernel term 0 parameter c"),
+        (lambda: SigmoidSumKernel([(0.5, 1.0, 0.0), (0.1, np.full((1, 201), np.inf), 0.0)]),
+         "sigmoid_sum kernel term 1 parameter a"),
+        (lambda: WireKernel(3.0, [(0.5, 1.0, -np.inf)]), "wire kernel term 0 parameter b"),
+        (lambda: WireKernel(np.nan, [(0.5, 1.0, 0.0)]), "omega"),
+        # The Volterra base and the linear table are term 0's parameter c.
+        (lambda: VolterraKernel(np.inf), "volterra kernel term 0 parameter c"),
+        (lambda: LinearTableKernel(np.full((201, 201), np.nan)),
+         "linear_table kernel term 0 parameter c"),
+        (lambda: SoftmaxAttentionKernel(np.eye(2), [[1.0, 0.0], [np.nan, 1.0]]),
+         "attention matrices A and B"),
+    ], ids=["sigmoid_c", "sigmoid_dense_a", "wire_b", "wire_omega", "volterra_base",
+            "linear_table", "attention"])
+    def test_non_finite_kernel_parameter_refused(self, make, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make()
+
+    def test_callable_kernel_parameters_are_not_evaluated_at_build(self):
+        kern = SigmoidSumKernel([(lambda x, y: np.full(np.broadcast_shapes(x.shape, y.shape),
+                                                       np.nan), 1.0, 0.0)], signature="u(y)")
+        NonlinearIntegralOperator(GRID, kern)
+
     def test_grid_and_channel_checks(self):
         op = NonlinearIntegralOperator(GRID, VolterraKernel())
         with pytest.raises(GridMismatchError):
@@ -550,7 +589,8 @@ class TestFrechet:
         rhs = rng.standard_normal(30)
         fact = FactorizedFrechet(a)
         assert_allclose(a @ fact.solve(rhs), rhs, atol=1e-10)
-        assert not fact.inverse.flags.writeable
+        assert fact.solve(np.eye(30)).tobytes() == np.linalg.inv(a).tobytes()
+        assert not hasattr(fact, "inverse")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_refused(self, bad):
@@ -595,20 +635,34 @@ class TestFrechet:
                 patch.setattr(np.linalg, name, refuse)
             fact = linearize(op, u0)
             got = fact.solve(rhs)
+            got_inverse = fact.solve(np.eye(size))
         a = frechet_derivative(op, u0)
         want = np.linalg.solve(a, rhs)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        assert fact.inverse.tobytes() == np.linalg.inv(a).tobytes()
-        assert not fact.inverse.flags.writeable
+        want_inverse = np.linalg.inv(a)
+        assert np.max(np.abs(got_inverse - want_inverse)) <= 1e-14 * np.max(np.abs(want_inverse))
+        assert not hasattr(fact, "inverse")
 
     def test_rank_one_form_refuses_mismatched_shapes(self):
         with pytest.raises(DimensionError, match="rank-one form"):
             FactorizedFrechet(np.ones(4), np.full(3, 0.1))
         with pytest.raises(DimensionError, match="rank-one form"):
             FactorizedFrechet(np.eye(4), np.full(4, 0.1))
-        fact = FactorizedFrechet(np.ones(4), np.full(4, 0.1))
-        with pytest.raises(DimensionError, match="one right-hand side"):
-            fact.solve(np.eye(4))  # p * rhs would broadcast along the wrong axis
+        for fact in (FactorizedFrechet(np.ones(4), np.full(4, 0.1)), FactorizedFrechet(np.eye(4))):
+            for rhs in (np.ones(3), np.ones((3, 4)), np.ones((4, 4, 1)), np.float64(1.0)):
+                with pytest.raises(DimensionError, match="right-hand side"):
+                    fact.solve(rhs)
+
+    @pytest.mark.parametrize("form", ["rank_one", "dense"])
+    def test_matrix_right_hand_side_solves_each_column(self, form):
+        rng = np.random.default_rng(71)
+        w, r = 1.0 + rng.uniform(0.0, 1.0, 40), 0.05 * rng.standard_normal(40)
+        fact = FactorizedFrechet(w, r) if form == "rank_one" else FactorizedFrechet(
+            np.diag(w) + r[None, :] + 0.01 * rng.standard_normal((40, 40)))
+        assert (fact.rank_one is not None) == (form == "rank_one")
+        rhs = rng.standard_normal((40, 5))
+        columns = np.stack([fact.solve(col) for col in rhs.T], axis=1)
+        assert_allclose(fact.solve(rhs), columns, rtol=1e-14, atol=1e-15)
 
 
 def _svd_rule_singular(a):
