@@ -1,8 +1,9 @@
 """Text serialization: canonical JSON and CSV writers plus their readers.
 
-Every float is printed with 17 significant digits, so writing the same
-object twice yields byte-identical files and numeric round trips are
-bit-exact.  Dictionaries keep insertion order; nothing here depends on the
+Every float is printed as ``%.17g``, 17 significant digits, so writing the
+same object twice yields byte-identical files and numeric round trips are
+bit-exact.  Float arrays are formatted one array at a time, to the same
+text.  Dictionaries keep insertion order; nothing here depends on the
 platform.
 """
 
@@ -33,12 +34,25 @@ from .nonlin import (
 )
 
 
+_FLOAT = "%.17g"
+
+
 def format_float(x: float) -> str:
     """17-significant-digit decimal form; round-trips any finite double."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
-    return f"{x:.17g}"
+    return _FLOAT % x
+
+
+def _format_floats(arr: np.ndarray, template: str) -> str:
+    """``template % arr``: :func:`format_float` of each element, in C order,
+    fills one ``%.17g`` field; the first non-finite element raises there."""
+    arr = np.asarray(arr, dtype=float)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        format_float(arr.flat[int(np.argmin(finite))])
+    return template % tuple(arr.ravel().tolist())
 
 
 def canonical_json(obj: Any) -> str:
@@ -58,10 +72,17 @@ def _write_json(obj: Any, out: List[str]):
             out.append(":")
             _write_json(val, out)
         out.append("}")
-    elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.size and obj.ndim:
+            template = _FLOAT
+            for n in reversed(obj.shape):  # innermost axis first
+                template = "[" + ",".join([template] * n) + "]"
+            out.append(_format_floats(obj, template))
+        else:  # 0-d, empty, integer, bool and complex arrays
+            _write_json(obj.tolist(), out)
+    elif isinstance(obj, (list, tuple)):
         out.append("[")
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        for i, val in enumerate(seq):
+        for i, val in enumerate(obj):
             if i:
                 out.append(",")
             _write_json(val, out)
@@ -193,14 +214,13 @@ def cert_report_to_obj(report: CertReport) -> Dict[str, Any]:
 
 def write_grid_function_csv(f: GridFunction, path: str):
     """Header x,ch0,ch1,...; one row per node; 17 significant digits."""
+    if f.values.ndim != 2:
+        raise DimensionError(f"a CSV holds one function of shape (h, M), not {f.values.shape}")
     header = "x," + ",".join(f"ch{c}" for c in range(f.channels))
-    lines = [header]
-    for i, x in enumerate(f.grid.nodes):
-        cells = [format_float(x)] + [format_float(v) for v in f.values[:, i]]
-        lines.append(",".join(cells))
+    row = ",".join([_FLOAT] * (f.channels + 1))
+    text = _format_floats(np.vstack([f.grid.nodes, f.values]).T, "\n".join([row] * f.grid.size))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(f"{header}\n{text}\n")
 
 
 def read_grid_function_csv(path: str, grid: Optional[Grid] = None,

@@ -1,12 +1,16 @@
 """File formats: canonical JSON, grid CSV, traces, and round trips."""
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.testing import assert_allclose
 
-from injop.errors import UsageError
+from injop.errors import DimensionError, UsageError
 from injop.finite_rank import Activation, FiniteRankLayer, FiniteRankNetwork, zero_bias
 from injop.funcspace import BasisSpec, Grid, GridFunction, SpectralCoeffs
 from injop.nonlin import (
@@ -66,6 +70,135 @@ class TestFloats:
             write_json({"residual": float("nan")}, path)
         with open(path, "rb") as fh:
             assert fh.read() == before
+
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+#: Edge values: signed zero, subnormals, the extremes, integral floats.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308,
+               3.0, -17.0, 2.0**53, 1e16, 0.1, 1.0 / 3.0]
+
+
+def finite_arrays(dtype):
+    width = np.dtype(dtype).itemsize * 8
+    return arrays(dtype, array_shapes(min_dims=1, max_dims=4, max_side=4),
+                  elements=st.floats(allow_nan=False, allow_infinity=False, width=width))
+
+
+def per_element_json(arr):
+    """The reference: :func:`format_float` on each element, one at a time,
+    with the brackets nested by shape."""
+    if arr.ndim == 1:
+        return "[" + ",".join(format_float(x) for x in arr.ravel().tolist()) + "]"
+    return "[" + ",".join(per_element_json(sub) for sub in arr) + "]"
+
+
+def per_element_csv(f):
+    """The reference grid CSV: one node at a time, one cell at a time."""
+    lines = ["x," + ",".join(f"ch{c}" for c in range(f.channels))]
+    for i, x in enumerate(f.grid.nodes):
+        lines.append(",".join(format_float(v) for v in [x, *f.values[:, i].tolist()]))
+    return "\n".join(lines) + "\n"
+
+
+def format_float_error(arr):
+    """The message format_float gives for the first non-finite element in C order."""
+    for x in arr.ravel().tolist():
+        try:
+            format_float(x)
+        except ValueError as err:
+            return str(err)
+    raise AssertionError("no non-finite element")
+
+
+@st.composite
+def arrays_with_non_finite(draw):
+    arr = draw(finite_arrays(np.float64)).copy()
+    for _ in range(draw(st.integers(1, 3))):
+        arr.flat[draw(st.integers(0, arr.size - 1))] = draw(st.sampled_from(
+            [np.nan, np.inf, -np.inf]))
+    return arr
+
+
+class TestArrayFormatting:
+    """A float array is formatted one array at a time, to the same bytes as
+    :func:`format_float` on each element."""
+
+    @PROPERTY
+    @given(st.one_of(finite_arrays(np.float64), finite_arrays(np.float32)))
+    def test_json_matches_per_element_reference(self, arr):
+        assert canonical_json(arr) == per_element_json(arr)
+        assert canonical_json(arr.T) == per_element_json(arr.T)  # not C-contiguous
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_edge_values(self, dtype):
+        info = np.finfo(dtype)
+        with np.errstate(over="ignore"):  # +-1e308 overflow to infinity in float32
+            arr = np.array(EDGE_FLOATS + [info.max, -info.smallest_subnormal], dtype=dtype)
+        arr = np.resize(arr[np.isfinite(arr)], 12)
+        for shaped in (arr, arr.reshape(3, 4), arr.reshape(1, 2, 3, 2)):
+            assert canonical_json(shaped) == per_element_json(shaped)
+        assert canonical_json(np.array([-0.0, 5e-324, 3.0])) == "[-0,4.9406564584124654e-324,3]"
+
+    @PROPERTY
+    @given(arrays_with_non_finite())
+    def test_first_non_finite_element_is_named(self, arr):
+        with pytest.raises(ValueError) as got:
+            canonical_json({"w": arr})
+        assert str(got.value) == format_float_error(arr)
+
+    @pytest.mark.parametrize("arr, text", [
+        (np.array(3.0), "3"),
+        (np.array(0.1), "0.10000000000000001"),
+        (np.array(7), "7"),
+        (np.array([]), "[]"),
+        (np.zeros((2, 0)), "[[],[]]"),
+        (np.zeros((0, 3)), "[]"),
+        (np.array([[1, -2], [3, 4]]), "[[1,-2],[3,4]]"),
+        (np.array([True, False]), "[true,false]"),
+    ])
+    def test_other_arrays_take_the_generic_route(self, arr, text):
+        assert canonical_json(arr) == text
+
+    def test_zero_dim_array_is_written_as_its_scalar(self):
+        assert canonical_json({"c": np.array(2.5)}) == canonical_json({"c": np.float64(2.5)})
+
+    def test_complex_array_is_refused(self):
+        with pytest.raises(TypeError, match="cannot serialize complex"):
+            canonical_json(np.array([1.0 + 2.0j]))
+
+    @PROPERTY
+    @given(st.integers(1, 3), st.integers(2, 9), st.floats(-1e3, 1e3), st.floats(1e-3, 1e3),
+           st.data())
+    def test_csv_matches_per_element_reference(self, channels, size, a, length, data):
+        values = data.draw(arrays(np.float64, (channels, size),
+                                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+        f = GridFunction(Grid(a, a + length, size), values)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.csv")
+            write_grid_function_csv(f, path)
+            with open(path, newline="") as fh:
+                assert fh.read() == per_element_csv(f)
+
+    def test_csv_non_finite_leaves_file_as_it_was(self, tmp_path):
+        path = str(tmp_path / "f.csv")
+        grid = Grid(0.0, 1.0, 5)
+        write_grid_function_csv(GridFunction(grid, np.ones((2, 5))), path)
+        values = np.ones((2, 5))
+        values[1, 2], values[0, 3] = -np.inf, np.nan
+        with pytest.raises(ValueError, match=r"^cannot serialize non-finite value -inf$"):
+            write_grid_function_csv(GridFunction(grid, values), path)
+        with open(path) as fh:
+            assert fh.read() == per_element_csv(GridFunction(grid, np.ones((2, 5))))
+
+    def test_batched_grid_function_is_refused(self, tmp_path):
+        path = str(tmp_path / "f.csv")
+        grid = Grid(0.0, 1.0, 5)
+        write_grid_function_csv(GridFunction(grid, np.ones(5)), path)
+        with pytest.raises(DimensionError, match=r"one function of shape \(h, M\)"):
+            write_grid_function_csv(GridFunction(grid, np.zeros((3, 1, 5))), path)
+        with open(path) as fh:
+            assert fh.read() == per_element_csv(GridFunction(grid, np.ones(5)))
 
 
 def random_network(rng, n=3):
