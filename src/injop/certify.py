@@ -111,10 +111,8 @@ def certify_bijective_activation(layer: FiniteRankLayer) -> CertReport:
     least singular direction yields a witness pair (0, kernel direction).
     """
     if not layer.activation.is_injective:
-        raise ValueError(
-            f"activation {layer.activation.kind!r} is not injective; "
-            f"use certify_relu_dss"
-        )
+        raise ValueError(f"activation {layer.activation.kind!r} is not injective; "
+                         "use certify_relu_dss")
     mat = block_matrix(layer)
     _, svals, vt = np.linalg.svd(mat)
     sigma_max = float(svals[0])

@@ -32,7 +32,7 @@ from .errors import AliasingGuardError, DivergenceError, UsageError
 from .finite_rank import FiniteRankNetwork, truncate_kernel
 from .funcspace import BasisSpec, Grid, GridFunction
 from .nonlin import NonlinearIntegralOperator, VolterraKernel, invert_banach
-from .reduction import lift_to_injective
+from .reduction import LIFT_MODES, lift_to_injective
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,14 +55,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("certify", help="layerwise injectivity certification")
     p.add_argument("--net", required=True)
-    p.add_argument("--mode", choices=["relu", "bijective"], default="relu")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     common(p)
 
     p = sub.add_parser("lift", help="lift a network to an injective one")
     p.add_argument("--net", required=True)
-    p.add_argument("--mode", choices=["relu", "bijective"], default="relu")
     p.add_argument("--alpha", type=float, default=0.1)
     common(p, grid=False)
 
@@ -118,17 +116,11 @@ def _report_path(cfg: argparse.Namespace, name: str) -> str:
 def _run_certify(cfg: argparse.Namespace) -> int:
     net = serialize.load_network(cfg.net)
     grid = Grid(net.basis.interval[0], net.basis.interval[1], cfg.grid_size)
-    layer_reports = []
-    for layer in net.layers:
-        if layer.activation.kind == "relu":
-            if cfg.mode != "relu":
-                raise UsageError(
-                    "bijective mode cannot certify relu layers; rerun with --mode relu"
-                )
-            rep = certify_relu_dss(layer, grid, trials=cfg.trials, seed=cfg.seed)
-        else:
-            rep = certify_bijective_activation(layer)
-        layer_reports.append(rep)
+    layer_reports = [
+        certify_bijective_activation(layer) if layer.activation.is_injective
+        else certify_relu_dss(layer, grid, trials=cfg.trials, seed=cfg.seed)
+        for layer in net.layers
+    ]
     if any(r.verdict == VERDICT_COUNTEREXAMPLE for r in layer_reports):
         verdict = VERDICT_COUNTEREXAMPLE
     elif all(r.verdict == VERDICT_CERTIFIED for r in layer_reports):
@@ -137,7 +129,6 @@ def _run_certify(cfg: argparse.Namespace) -> int:
         verdict = VERDICT_NO_COUNTEREXAMPLE
     report = {
         "command": "certify",
-        "mode": cfg.mode,
         "trials": cfg.trials,
         "seed": cfg.seed,
         "verdict": verdict,
@@ -149,7 +140,9 @@ def _run_certify(cfg: argparse.Namespace) -> int:
 
 def _run_lift(cfg: argparse.Namespace) -> int:
     net = serialize.load_network(cfg.net)
-    mode = "relu" if cfg.mode == "relu" else "injective"
+    # The hidden activations decide the mode; mixed kinds fail the lift's check.
+    hidden = {layer.activation.kind for layer in net.layers[:-1]}
+    mode = "relu" if hidden <= LIFT_MODES["relu"] else "injective"
     result = lift_to_injective(net, mode=mode, alpha=cfg.alpha)
     serialize.save_network(result.network, _report_path(cfg, "network.json"))
     report = {

@@ -45,7 +45,8 @@ def expit(x):
 
 @dataclass(frozen=True)
 class Activation:
-    """Pointwise activation; ``a`` is the LeakyReLU negative-side slope."""
+    """Pointwise activation; ``a`` is the LeakyReLU negative-side slope,
+    finite and positive, so that every kind but ReLU is a bijection."""
 
     kind: str = "identity"
     a: Optional[float] = None
@@ -56,6 +57,8 @@ class Activation:
         if self.kind == "leaky_relu":
             if self.a is None:
                 raise ValueError("leaky_relu needs a slope parameter a")
+            if not 0.0 < self.a < float("inf"):
+                raise ValueError(f"leaky_relu slope a must be finite and positive, got {self.a}")
         elif self.a is not None:
             raise ValueError(f"{self.kind} takes no parameter")
 
@@ -70,11 +73,7 @@ class Activation:
 
     @property
     def is_injective(self) -> bool:
-        if self.kind == "relu":
-            return False
-        if self.kind == "leaky_relu":
-            return self.a > 0.0
-        return True
+        return self.kind != "relu"
 
     @property
     def is_identity_map(self) -> bool:
@@ -88,8 +87,7 @@ class Activation:
         if self.is_identity_map:
             return np.asarray(x, dtype=float)
         if self.kind == "leaky_relu":
-            inv = Activation("leaky_relu", 1.0 / self.a)
-            return inv.apply(x)
+            return np.maximum(x, 0.0) - (1.0 / self.a) * np.maximum(-x, 0.0)
         x = np.asarray(x, dtype=float)
         return np.log(x) - np.log1p(-x)  # sigmoid
 

@@ -139,6 +139,8 @@ class BasisSpec:
     def __init__(self, kind: str = "fourier", interval=(0.0, 1.0)):
         if kind not in self.KINDS:
             raise ValueError(f"unknown basis kind {kind!r}; expected one of {self.KINDS}")
+        if len(interval) != 2:
+            raise ValueError(f"interval needs two endpoints, got {len(interval)}")
         a, b = float(interval[0]), float(interval[1])
         require_finite("basis interval", (a, b))
         if not b > a:

@@ -113,11 +113,14 @@ def trapezoid(grid: Grid, f: np.ndarray, causal: bool) -> np.ndarray:
 def quad_weights(grid: Grid, causal: bool) -> np.ndarray:
     """Trapezoid weights over y for a dense (M, M) table product: the grid's
     weight row, shape (M,), broadcast along the table's rows, or for a causal
-    kernel a new (M, M) table whose row i integrates over [a, x_i]: column j
-    is the causal :func:`trapezoid` of the unit vector e_j, kept C-ordered."""
+    kernel a new (M, M) table whose row i integrates over [a, x_i], with h/2
+    at j = 0 and j = i: the causal :func:`trapezoid` of e_j in column j."""
     if not causal:
         return grid.weights
-    return np.ascontiguousarray(trapezoid(grid, np.eye(grid.size), True).T)
+    w = np.tri(grid.size)
+    w[:, 0] = w[np.diag_indices(grid.size)] = 0.5
+    w[0, 0] = 0.0
+    return grid.h * w
 
 
 def _wire_profile(omega: float) -> tuple:

@@ -47,7 +47,8 @@ from .finite_rank import (
 )
 from .funcspace import Grid, SpectralCoeffs, from_spectral, to_spectral
 
-LIFT_MODES = ("injective", "relu")
+#: Hidden activation kinds each lift mode accepts.
+LIFT_MODES = {"injective": {"identity", "leaky_relu"}, "relu": {"relu"}}
 
 #: Rows per batched network evaluation in the randomized verifier.  It
 #: bounds the verifier's working memory whatever its sample count.  At 256
@@ -480,7 +481,7 @@ def lift_to_injective(
     ----------
     net : FiniteRankNetwork
         Hidden activations must all be ReLU (mode "relu") or all be
-        injective Identity/LeakyReLU maps (mode "injective").
+        Identity/LeakyReLU (mode "injective").
     mode : {"injective", "relu"}
     alpha : float
         Tilt amplitude of the explicit reduction; the measured eps0
@@ -492,22 +493,11 @@ def lift_to_injective(
         out_modes >= 2 * n_in_modes + 1) instead of the explicit one.
     """
     if mode not in LIFT_MODES:
-        raise UsageError(f"mode must be one of {LIFT_MODES}, got {mode!r}")
-    hidden = net.layers[:-1]
-    kinds = {layer.activation.kind for layer in hidden}
-    if mode == "relu":
-        if kinds - {"relu"}:
-            raise UsageError(f"relu mode expects all-ReLU hidden layers, got {sorted(kinds)}")
-    else:
-        bad = [
-            layer.activation.kind
-            for layer in hidden
-            if not (layer.activation.is_injective and layer.activation.kind in ("identity", "leaky_relu"))
-        ]
-        if bad:
-            raise UsageError(
-                f"injective mode expects Identity/LeakyReLU hidden layers, got {bad}"
-            )
+        raise UsageError(f"mode must be one of {tuple(LIFT_MODES)}, got {mode!r}")
+    kinds = {layer.activation.kind for layer in net.layers[:-1]}
+    if not kinds <= LIFT_MODES[mode]:
+        raise UsageError(f"{mode} lift needs hidden activations in "
+                         f"{sorted(LIFT_MODES[mode])}, got {sorted(kinds)}")
 
     augmented = _augment_network(net, mode)
     d_in, d_out, n = net.d_in, net.d_out, net.n

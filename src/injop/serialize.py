@@ -120,11 +120,21 @@ def read_json(path: str) -> Any:
 
 
 def finite_array(value: Any, what: str) -> np.ndarray:
-    """Float array of file data; NaN or infinity anywhere is a usage error."""
-    arr = np.asarray(value, dtype=float)
+    """Float array of file data; anything but numbers, NaN or infinity is a ValueError."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must hold numbers only")
+    arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):
-        raise UsageError(f"non-finite value in {what}")
+        raise ValueError(f"non-finite value in {what}")
     return arr
+
+
+def _integer(value: Any, what: str) -> int:
+    """A count in file data; anything but a JSON integer is a TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +145,7 @@ def basis_to_obj(basis: BasisSpec) -> Dict[str, Any]:
 
 
 def basis_from_obj(obj: Dict[str, Any]) -> BasisSpec:
-    return BasisSpec(obj["kind"], tuple(float(t) for t in obj["interval"]))
+    return BasisSpec(obj["kind"], finite_array(obj["interval"], "the basis interval"))
 
 
 def _activation_to_obj(act: Activation) -> Dict[str, Any]:
@@ -147,7 +157,7 @@ def _activation_to_obj(act: Activation) -> Dict[str, Any]:
 
 def _activation_from_obj(obj: Dict[str, Any]) -> Activation:
     a = obj.get("a")
-    return Activation(obj["kind"], None if a is None else float(a))
+    return Activation(obj["kind"], None if a is None else float(finite_array(a, "the slope a")))
 
 
 def network_to_obj(net: FiniteRankNetwork) -> Dict[str, Any]:
@@ -167,15 +177,16 @@ def network_to_obj(net: FiniteRankNetwork) -> Dict[str, Any]:
 def network_from_obj(obj: Dict[str, Any]) -> FiniteRankNetwork:
     with file_field("network file"):
         basis = basis_from_obj(obj["basis"])
-        n = int(obj["N"])
+        n = _integer(obj["N"], "N")
         layer_objs = list(obj["layers"])
     layers = []
     for i, lobj in enumerate(layer_objs):
         with file_field(f"network file: layer {i}"):
-            n_out = int(lobj.get("n_out", n))
+            n_out = _integer(lobj.get("n_out", n), "n_out")
             c = finite_array(lobj["C"], "kernel blocks C")
             bias = SpectralCoeffs(basis, n_out, finite_array(lobj["bias"], "a layer bias"))
-            layers.append(FiniteRankLayer(int(lobj["d_in"]), int(lobj["d_out"]), n, c, bias,
+            layers.append(FiniteRankLayer(_integer(lobj["d_in"], "d_in"),
+                                          _integer(lobj["d_out"], "d_out"), n, c, bias,
                                           _activation_from_obj(lobj["activation"]), n_out))
         n = n_out
     with file_field("network file"):
@@ -237,9 +248,9 @@ def read_grid_function_csv(path: str, grid: Optional[Grid] = None,
         rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
         if len({len(row) for row in rows} | {lines[0].count(",") + 1}) > 1:
             raise ValueError("header and rows have differing numbers of columns")
+        data = finite_array(rows, "the table")
     except ValueError as err:
         raise UsageError(f"{path}: {err}") from None
-    data = finite_array(rows, path)
     if data.ndim != 2 or data.shape[1] < 2:
         raise UsageError(f"{path}: need at least one channel column")
     if channels is not None and data.shape[1] - 1 != channels:
@@ -383,7 +394,8 @@ def operator_from_obj(obj: Dict[str, Any], grid: Optional[Grid] = None) -> Nonli
         raise DimensionError("requested grid disagrees with the grid stored in the operator file")
     with file_field("operator file: kernel"):
         kernel = kernel_from_obj(obj["kernel"])
-    w = finite_array(obj.get("w", 1.0), "w")
+    with file_field("operator file: w"):
+        w = finite_array(obj.get("w", 1.0), "w")
     w = float(w) if w.ndim == 0 else w
     bias = None
     if obj.get("bias") is not None:

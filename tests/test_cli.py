@@ -88,17 +88,14 @@ def write_relu_net(path, seed=6):
     save_network(FiniteRankNetwork([hidden, final]), path)
 
 
-def write_hidden_net(path, activation, seed=7):
+def write_hidden_net(path, *activations, seed=7):
+    """One hidden layer per activation, then the linear final layer."""
     rng = np.random.default_rng(seed)
     n = 2
-    hidden = FiniteRankLayer(
-        d_in=1, d_out=1, n=n, c=rng.standard_normal((n, n, 1, 1)),
-        bias=zero_bias(BASIS, 1, n), activation=activation,
-    )
-    final = FiniteRankLayer(
-        d_in=1, d_out=1, n=n, c=rng.standard_normal((n, n, 1, 1)), bias=zero_bias(BASIS, 1, n),
-    )
-    save_network(FiniteRankNetwork([hidden, final]), path)
+    layers = [FiniteRankLayer(d_in=1, d_out=1, n=n, c=rng.standard_normal((n, n, 1, 1)),
+                              bias=zero_bias(BASIS, 1, n), activation=act)
+              for act in (*activations, Activation())]
+    save_network(FiniteRankNetwork(layers), path)
 
 
 def write_contraction_op(path, grid):
@@ -197,13 +194,13 @@ class TestUsage:
         dests = {name: sorted(a.dest for a in p._actions if a.dest != "help")
                  for name, p in sub.choices.items()}
         assert dests == {
-            "certify": ["grid_size", "mode", "net", "out_dir", "seed", "trials"],
-            "lift": ["alpha", "mode", "net", "out_dir"],
+            "certify": ["grid_size", "net", "out_dir", "seed", "trials"],
+            "lift": ["alpha", "net", "out_dir"],
             "invert": ["anchors", "grid_size", "method", "op", "out_dir", "target", "tol"],
             "truncate": ["grid_size", "op", "out_dir", "rank"],
             "demo": ["demo_name", "grid_size", "out_dir", "tol"],
         }
-        assert sum(map(len, dests.values())) == 25
+        assert sum(map(len, dests.values())) == 23
 
 
 class TestCertify:
@@ -211,8 +208,7 @@ class TestCertify:
         net = str(tmp_path / "net.json")
         write_injective_net(net)
         out = str(tmp_path / "out")
-        assert main(["certify", "--net", net, "--mode", "bijective",
-                     "--out-dir", out]) == 0
+        assert main(["certify", "--net", net, "--out-dir", out]) == 0
         report = read_json(os.path.join(out, "report.json"))
         assert report["verdict"] == "CertifiedInjective"
         assert len(report["layers"]) == 2
@@ -226,14 +222,6 @@ class TestCertify:
         assert report["verdict"] == "CounterexampleFound"
         hit = [l for l in report["layers"] if l["verdict"] == "CounterexampleFound"]
         assert hit and "witness" in hit[0]
-
-    def test_bijective_mode_on_relu_is_usage_error(self, tmp_path, capsys):
-        net = str(tmp_path / "net.json")
-        write_collapsing_relu_net(net)
-        code = main(["certify", "--net", net, "--mode", "bijective",
-                     "--out-dir", str(tmp_path / "out")])
-        assert code == 64
-        assert "--mode relu" in capsys.readouterr().err
 
     def test_missing_file_is_fault(self, tmp_path, capsys):
         code = main(["certify", "--net", str(tmp_path / "nope.json"),
@@ -272,20 +260,33 @@ class TestLift:
         save_network(loaded, again)
         assert files_equal(path, again)
 
-    @pytest.mark.parametrize("activation, mode", [
-        (Activation("sigmoid"), "bijective"),
-        (Activation("relu"), "bijective"),
-        (Activation("leaky_relu", 0.2), "relu"),
-    ], ids=["sigmoid_bijective", "relu_bijective", "leaky_relu_relu"])
-    def test_mode_the_network_cannot_use_is_usage_error(self, tmp_path, capsys, activation,
-                                                        mode):
+    @pytest.mark.parametrize("activations, mode", [
+        ([], "relu"),
+        ([Activation("relu"), Activation("relu")], "relu"),
+        ([Activation("leaky_relu", 0.2)], "injective"),
+        ([Activation(), Activation("leaky_relu", 0.5)], "injective"),
+    ], ids=["no_hidden_layer", "relu", "leaky_relu", "identity_and_leaky_relu"])
+    def test_hidden_activations_decide_the_mode(self, tmp_path, activations, mode):
         net = str(tmp_path / "net.json")
-        write_hidden_net(net, activation)
+        write_hidden_net(net, *activations)
         out = str(tmp_path / "out")
-        code = main(["lift", "--net", net, "--mode", mode, "--out-dir", out])
+        assert main(["lift", "--net", net, "--out-dir", out]) == 0
+        assert read_json(os.path.join(out, "report.json"))["mode"] == mode
+
+    @pytest.mark.parametrize("activations", [
+        [Activation("sigmoid")],
+        [Activation(), Activation("relu")],
+        [Activation("relu"), Activation("leaky_relu", 0.2)],
+    ], ids=["sigmoid", "identity_and_relu", "relu_and_leaky_relu"])
+    def test_mode_the_network_cannot_use_is_usage_error(self, tmp_path, capsys, activations):
+        net = str(tmp_path / "net.json")
+        write_hidden_net(net, *activations)
+        out = str(tmp_path / "out")
+        code = main(["lift", "--net", net, "--out-dir", out])
         err = capsys.readouterr().err
         assert code == 64, err
-        assert "mode expects" in err and not os.path.exists(out)
+        assert "needs hidden activations in" in err and "--mode" not in err
+        assert not os.path.exists(out)
 
     def test_certify_reads_lifted_network(self, tmp_path):
         net = str(tmp_path / "net.json")
@@ -328,6 +329,74 @@ def test_malformed_network_is_usage_error(tmp_path, capsys, command, layers, mes
     err = capsys.readouterr().err
     assert code == 64, err
     assert err.startswith("network file: ") and message in err
+
+
+def _edited_network(tmp_path, edit, *activations):
+    """A saved network file after ``edit(obj)`` on its JSON tree; json.dump
+    writes NaN and infinity as the literals json.load accepts."""
+    net = str(tmp_path / "net.json")
+    write_hidden_net(net, *activations)
+    obj = read_json(net)
+    edit(obj)
+    with open(net, "w") as fh:
+        json.dump(obj, fh)
+    return net
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(obj):
+        for step in path:
+            obj = obj[step]
+        obj[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("command", ["certify", "lift"])
+@pytest.mark.parametrize("slope, message", [
+    (0.0, "leaky_relu slope a must be finite and positive, got 0.0"),
+    (-0.5, "leaky_relu slope a must be finite and positive, got -0.5"),
+    (float("nan"), "non-finite value in the slope a"),
+    (float("inf"), "non-finite value in the slope a"),
+    (-float("inf"), "non-finite value in the slope a"),
+], ids=["zero", "negative", "nan", "inf", "minus_inf"])
+def test_leaky_relu_slope_from_file_is_usage_error(tmp_path, capsys, command, slope, message):
+    net = _edited_network(tmp_path, _set("layers", 1, "activation", "a", slope),
+                          Activation("relu"), Activation("leaky_relu", 0.2))
+    code = main([command, "--net", net, "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 64, err
+    assert err.startswith(f"network file: layer 1: {message}")
+
+
+@pytest.mark.parametrize("command", ["certify", "lift"])
+@pytest.mark.parametrize("interval", [[0.0], [0.0, 1.0, 5.0], []], ids=["one", "three", "none"])
+def test_basis_interval_needs_two_endpoints(tmp_path, capsys, command, interval):
+    net = _edited_network(tmp_path, _set("basis", "interval", interval), Activation("relu"))
+    code = main([command, "--net", net, "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 64, err
+    assert err.startswith(f"network file: interval needs two endpoints, got {len(interval)}")
+
+
+@pytest.mark.parametrize("command", ["certify", "lift"])
+@pytest.mark.parametrize("edit, message", [
+    (_set("N", "2"), "network file: N must be an integer, got '2'"),
+    (_set("N", 2.0), "network file: N must be an integer, got 2.0"),
+    (_set("layers", 0, "d_out", "1"), "network file: layer 0: d_out must be an integer"),
+    (_set("layers", 0, "activation", "a", "0.2"), "network file: layer 0: the slope a must hold numbers"),
+    (_set("basis", "interval", ["0", 1.0]), "network file: the basis interval must hold numbers"),
+    (_set("layers", 1, "bias", [["0", 0.0]]), "network file: layer 1: a layer bias must hold"),
+    (_set("layers", 0, "C", float("nan")), "network file: layer 0: non-finite value in kernel"),
+], ids=["string_order", "float_order", "string_width", "string_slope", "string_endpoint",
+        "string_bias", "nan_kernel"])
+def test_network_numbers_are_json_numbers(tmp_path, capsys, command, edit, message):
+    net = _edited_network(tmp_path, edit, Activation("leaky_relu", 0.2))
+    code = main([command, "--net", net, "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 64, err
+    assert err.startswith(message), err
 
 
 class TestInvert:
@@ -851,7 +920,7 @@ class TestDeterminism:
         collapse_net = str(tmp_path / "collapse_net.json")
         write_collapsing_relu_net(collapse_net)
         commands = {
-            "certify": (["certify", "--net", inj_net, "--mode", "bijective"], 0),
+            "certify": (["certify", "--net", inj_net], 0),
             "certify_neg": (["certify", "--net", collapse_net, "--seed", "3"], 2),
             "lift": (["lift", "--net", net], 0),
             "invert": (["invert", "--op", op, "--target", target], 0),

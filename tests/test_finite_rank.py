@@ -61,7 +61,8 @@ class TestActivation:
 
     def test_inverses_round_trip(self):
         x = np.linspace(-3.0, 3.0, 41)
-        for act in [Activation("leaky_relu", 0.25), Activation("sigmoid")]:
+        for act in [Activation("leaky_relu", 0.25), Activation("leaky_relu", 1e-300),
+                    Activation("leaky_relu", 1e300), Activation("sigmoid")]:
             assert_allclose(act.inverse(act.apply(x)), x, atol=1e-12)
 
     def test_sigmoid_saturates_without_overflow(self):
@@ -84,6 +85,13 @@ class TestActivation:
             Activation("relu", a=0.5)
         with pytest.raises(ValueError):
             Activation("softplus")
+
+    @pytest.mark.parametrize("a", [0.0, -0.0, -0.5, float("nan"), float("inf"), -float("inf")])
+    def test_slope_must_be_finite_and_positive(self, a):
+        # Slope 0 is relu and a negative slope folds the line: neither is a
+        # bijection, and only relu may take the DSS route.
+        with pytest.raises(ValueError, match="slope a must be finite and positive"):
+            Activation("leaky_relu", a)
 
 
 class TestBlockAlgebra:

@@ -1,0 +1,147 @@
+"""Mutation tests: a file broken in one way is a usage error.
+
+Each example saves a valid file, breaks its JSON tree or its text in one
+way and drives ``cli.main`` in-process on it.  Every command that reads
+the file must exit 64 with a message that starts with where the fault is,
+never 0 and never 1.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from injop.cli import main
+from injop.serialize import network_to_obj, canonical_json
+from test_roundtrip import networks
+
+MUTATION = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+#: Any text, and numbers written as JSON strings.
+STRINGS = st.text(max_size=4) | st.integers().map(str) | st.floats().map(repr)
+#: LeakyReLU slopes that are not injective or not numbers at all.
+BAD_SLOPES = NON_FINITE | st.floats(max_value=0.0, allow_nan=False)
+
+
+def _leaves(tree, path=()):
+    """(path, value) of every number in a JSON tree."""
+    if isinstance(tree, dict):
+        items = tree.items()
+    elif isinstance(tree, list):
+        items = enumerate(tree)
+    else:
+        if isinstance(tree, (int, float)) and not isinstance(tree, bool):
+            yield path, tree
+        return
+    for key, value in items:
+        yield from _leaves(value, path + (key,))
+
+
+def _get(tree, path):
+    for step in path:
+        tree = tree[step]
+    return tree
+
+
+def _set(tree, path, value):
+    _get(tree, path[:-1])[path[-1]] = value
+
+
+def _where(path):
+    """The prefix of the message for a fault at ``path``."""
+    if len(path) >= 3 and path[0] == "layers":
+        return f"network file: layer {path[1]}"
+    return "network file"
+
+
+def _required_keys(tree):
+    yield ("basis",)
+    yield ("basis", "kind")
+    yield ("basis", "interval")
+    yield ("N",)
+    yield ("layers",)
+    for i, layer in enumerate(tree["layers"]):
+        # n_out is only written where it differs from the input order, and
+        # then the kernel blocks have its shape.
+        for key in ("d_in", "d_out", "activation", "C", "bias", "n_out"):
+            if key in layer:
+                yield ("layers", i, key)
+        yield ("layers", i, "activation", "kind")
+        if "a" in layer["activation"]:
+            yield ("layers", i, "activation", "a")
+
+
+def _reshape(draw, nested):
+    """Drop or repeat the last entry along one axis of a nested list."""
+    depth, probe = 0, nested
+    while isinstance(probe, list):
+        depth, probe = depth + 1, probe[0]
+    axis = draw(st.integers(0, depth - 1))
+    grow = draw(st.booleans())
+
+    def walk(node, level):
+        if level < axis:
+            return [walk(child, level + 1) for child in node]
+        return node + node[-1:] if grow else node[:-1]
+    return walk(nested, 0)
+
+
+@st.composite
+def broken_networks(draw, how):
+    """(file text, message prefix) of a network file broken by ``how``."""
+    net = draw(networks(draw(st.sampled_from(["square", "rectangular"]))))
+    tree = json.loads(canonical_json(network_to_obj(net)))
+    if how == "truncate":
+        text = json.dumps(tree)
+        return text[:draw(st.integers(0, len(text) - 1))], None
+    if how == "drop_key":
+        path = draw(st.sampled_from(list(_required_keys(tree))))
+        del _get(tree, path[:-1])[path[-1]]
+    elif how == "string":
+        path = draw(st.sampled_from([p for p, _ in _leaves(tree)]))
+        _set(tree, path, draw(STRINGS))
+    elif how == "non_finite":
+        path = draw(st.sampled_from([p for p, _ in _leaves(tree)
+                                     if p[2:3] in (("C",), ("bias",), ("activation",))]))
+        _set(tree, path, draw(NON_FINITE))
+    elif how == "slope":
+        path = ("layers", draw(st.integers(0, len(tree["layers"]) - 1)), "activation")
+        _set(tree, path, {"kind": "leaky_relu", "a": draw(BAD_SLOPES)})
+    elif how == "interval":
+        path = ("basis", "interval")
+        a, b = tree["basis"]["interval"]
+        _set(tree, path, draw(st.sampled_from([[a], [b], [a, b, b + 1.0]])))
+    else:  # reshape
+        i = draw(st.integers(0, len(tree["layers"]) - 1))
+        path = ("layers", i, draw(st.sampled_from(["C", "bias"])))
+        _set(tree, path, _reshape(draw, _get(tree, path)))
+    return json.dumps(tree), _where(path)
+
+
+@pytest.mark.parametrize("how", ["drop_key", "string", "non_finite", "slope", "interval",
+                                 "reshape", "truncate"])
+@MUTATION
+@given(data=st.data())
+def test_broken_network_file_is_usage_error(how, data):
+    text, where = data.draw(broken_networks(how))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "net.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for command in ("certify", "lift"):
+            out, err = os.path.join(tmp, command), io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--net", path, "--trials", "1", "--out-dir", out]
+                            if command == "certify" else
+                            [command, "--net", path, "--out-dir", out])
+            message = err.getvalue()
+            assert code == 64, message
+            assert message.startswith(where or f"{path}: not valid JSON"), message
+            assert not os.path.exists(out)

@@ -40,6 +40,7 @@ from injop.nonlin import (
     invert_banach,
     linearize,
     quad_weights,
+    trapezoid,
 )
 
 GRID = Grid(0.0, 1.0, 201)
@@ -78,6 +79,14 @@ class TestQuadrature:
     def test_causal_quad_weights_match_the_row_loop(self, size):
         grid = Grid(0.0, 1.0, size)
         assert quad_weights(grid, True).tobytes() == _loop_causal_weights(grid).tobytes()
+
+    @pytest.mark.parametrize("size", [2, 3, 64, 201, 512, 1024])
+    def test_causal_quad_weights_are_the_causal_trapezoid(self, size):
+        # Column j of the table is the causal trapezoid of e_j, bit for bit.
+        grid = Grid(0.0, 1.0, size)
+        w = quad_weights(grid, True)
+        assert w.flags.c_contiguous
+        assert w.tobytes() == trapezoid(grid, np.eye(size), True).T.tobytes()
 
     def test_causal_quad_weights_are_built_per_call(self):
         first = quad_weights(GRID, True)

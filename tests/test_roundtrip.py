@@ -36,6 +36,8 @@ PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=N
 
 #: Every finite double: signed zeros, subnormals and the extremes included.
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+#: LeakyReLU slopes: every finite double above 0, subnormals included.
+SLOPES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 #: Interval endpoints of a grid or basis.
 ENDPOINTS = st.floats(-1e6, 1e6)
 
@@ -84,7 +86,7 @@ def intervals(draw):
 @st.composite
 def activations(draw):
     kind = draw(st.sampled_from(ACTIVATION_KINDS))
-    return Activation(kind, draw(FLOATS) if kind == "leaky_relu" else None)
+    return Activation(kind, draw(SLOPES) if kind == "leaky_relu" else None)
 
 
 @st.composite
