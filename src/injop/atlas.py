@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -232,7 +233,7 @@ def _atlas_constants(
         "C_A": c_a,
         "C_H": c_h,
         "r": r,
-        "eps0": 0.5 * eps0_cap,
+        "eps0": min(0.5 * eps0_cap, sys.float_info.max),  # the cap overflows for tiny C_H
         "eps1": eps1,
     }
 

@@ -24,15 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionError
-from .funcspace import (
-    BasisSpec,
-    Grid,
-    GridFunction,
-    SpectralCoeffs,
-    from_spectral,
-    resolved_mode_table,
-    to_spectral,
-)
+from .funcspace import BasisSpec, Grid, SpectralCoeffs, resolved_mode_table
 
 ACTIVATION_KINDS = ("identity", "relu", "leaky_relu", "sigmoid")
 
@@ -46,7 +38,8 @@ def expit(x):
 @dataclass(frozen=True)
 class Activation:
     """Pointwise activation; ``a`` is the LeakyReLU negative-side slope,
-    finite and positive, so that every kind but ReLU is a bijection."""
+    finite and positive with a finite reciprocal, so that every kind but
+    ReLU is a bijection with a finite inverse."""
 
     kind: str = "identity"
     a: Optional[float] = None
@@ -59,6 +52,8 @@ class Activation:
                 raise ValueError("leaky_relu needs a slope parameter a")
             if not 0.0 < self.a < float("inf"):
                 raise ValueError(f"leaky_relu slope a must be finite and positive, got {self.a}")
+            if 1.0 / float(self.a) == float("inf"):  # inverse would give inf * 0 = NaN
+                raise ValueError(f"leaky_relu slope a must have a finite reciprocal, got {self.a}")
         elif self.a is not None:
             raise ValueError(f"{self.kind} takes no parameter")
 
@@ -182,12 +177,16 @@ class FiniteRankNetwork:
         return self.layers[-1].d_out
 
 
-def apply_finite_rank(layer: FiniteRankLayer, u: SpectralCoeffs) -> SpectralCoeffs:
-    """Apply only the kernel part: out[..., :, p] = sum_k C[k, p] @ u[..., :, k]."""
+def _require_input(layer: FiniteRankLayer, u: SpectralCoeffs) -> None:
     if u.n != layer.n:
         raise DimensionError(f"coefficient order {u.n} != layer order {layer.n}")
     if u.channels != layer.d_in:
         raise DimensionError(f"{u.channels} channels fed to a d_in={layer.d_in} layer")
+
+
+def apply_finite_rank(layer: FiniteRankLayer, u: SpectralCoeffs) -> SpectralCoeffs:
+    """Apply only the kernel part: out[..., :, p] = sum_k C[k, p] @ u[..., :, k]."""
+    _require_input(layer, u)
     out = np.einsum("kpij,...jk->...ip", layer.c, u.coeffs)
     return SpectralCoeffs(layer.basis, layer.n_out, out)
 
@@ -205,12 +204,12 @@ def apply_layer(layer: FiniteRankLayer, u: SpectralCoeffs, grid: Grid) -> Spectr
     Identity-map activations skip the grid round trip, so purely linear
     layers compose exactly.
     """
-    z = apply_affine(layer, u)
-    if layer.activation.is_identity_map:
-        return z
-    g = from_spectral(z, grid)
-    activated = GridFunction(grid, layer.activation.apply(g.values))
-    return to_spectral(activated, layer.basis, layer.n_out)
+    _require_input(layer, u)
+    z = np.einsum("kpij,...jk->...ip", layer.c, u.coeffs) + layer.bias.coeffs
+    if not layer.activation.is_identity_map:
+        table = resolved_mode_table(layer.basis, grid, layer.n_out)
+        z = layer.activation.apply(z @ table.phi) @ table.analysis
+    return SpectralCoeffs(layer.basis, layer.n_out, z)
 
 
 def apply_network(net: FiniteRankNetwork, u: SpectralCoeffs, grid: Grid) -> SpectralCoeffs:

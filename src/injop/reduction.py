@@ -373,11 +373,11 @@ def _augment_network(net: FiniteRankNetwork, mode: str) -> FiniteRankNetwork:
         # The first layer's original kernel reads the raw input too.
         in_off = 0 if t == 0 else p_in
         c = np.zeros((n, n, p_out + layer.d_out, in_off + layer.d_in))
-        # delta_{kp} times the block; -1 entries give -0.0 off the diagonal.
-        c[:, :, :p_out, :p_in] = np.eye(n)[:, :, None, None] * np.kron(path, np.eye(d))
+        # delta_{kp} times kron(path, I_d); -1 entries give -0.0 off the diagonal.
+        kron = (path[:, None, :, None] * np.eye(d)[None, :, None, :]).reshape(p_out, p_in)
+        c[:, :, :p_out, :p_in] = np.eye(n)[:, :, None, None] * kron
         c[:, :, p_out:, in_off:] = layer.c
-        bias = np.zeros((p_out + layer.d_out, n))
-        bias[p_out:] = layer.bias.coeffs
+        bias = np.concatenate([np.zeros((p_out, n)), layer.bias.coeffs])
         aug.append(
             FiniteRankLayer(
                 d_in=in_off + layer.d_in,

@@ -369,7 +369,7 @@ def grid_to_obj(grid: Grid) -> Dict[str, Any]:
 
 def grid_from_obj(obj: Dict[str, Any]) -> Grid:
     a, b = finite_array([obj["a"], obj["b"]], "the grid interval")
-    return Grid(float(a), float(b), int(obj["size"]))
+    return Grid(float(a), float(b), _integer(obj["size"], "size"))
 
 
 def operator_to_obj(op: NonlinearIntegralOperator) -> Dict[str, Any]:

@@ -450,6 +450,19 @@ class TestLazyConstants:
         with pytest.raises(AssertionError, match="constants computed"):
             atlas.constants
 
+    def test_eps0_saturates_where_the_cap_overflows(self, tmp_path):
+        # Subnormal coefficients put C_H near 2.8e-309, so 1/(2 C_H) is inf.
+        grid = Grid(0.0, 1.0, 16)
+        op = NonlinearIntegralOperator(grid, WireKernel(1.0, [(1e-310, 0.5, 0.0)], "u(y)"))
+        atlas = build_atlas(op, [GridFunction(grid, np.full(grid.size, 0.5))])
+        c = atlas.constants
+        assert 0.0 < c["C_H"] < 2.8e-309
+        assert c["eps0"] == sys.float_info.max
+        save_atlas(atlas, str(tmp_path))
+        with open(os.path.join(tmp_path, "atlas.json")) as fh:
+            assert json.load(fh)["constants"] == c
+        assert load_atlas(str(tmp_path), op).constants == c
+
 
 @functools.lru_cache(maxsize=1)
 def _dense_h1_factor(grid):

@@ -360,7 +360,8 @@ def _set(*path_and_value):
     (float("nan"), "non-finite value in the slope a"),
     (float("inf"), "non-finite value in the slope a"),
     (-float("inf"), "non-finite value in the slope a"),
-], ids=["zero", "negative", "nan", "inf", "minus_inf"])
+    (5e-324, "leaky_relu slope a must have a finite reciprocal, got 5e-324"),
+], ids=["zero", "negative", "nan", "inf", "minus_inf", "subnormal"])
 def test_leaky_relu_slope_from_file_is_usage_error(tmp_path, capsys, command, slope, message):
     net = _edited_network(tmp_path, _set("layers", 1, "activation", "a", slope),
                           Activation("relu"), Activation("leaky_relu", 0.2))
@@ -483,10 +484,16 @@ class TestInvert:
         ("grid: grid needs at least 2 nodes", {"kind": "volterra"},
          {"grid": {"a": 0.0, "b": 1.0, "size": 1}}),
         ("grid: empty interval", {"kind": "volterra"}, {"grid": {"a": 1.0, "b": 0.0, "size": 65}}),
-        ("grid: invalid literal", {"kind": "volterra"}, {"grid": {"a": 0.0, "b": 1.0, "size": "x"}}),
+        ("grid: size must be an integer", {"kind": "volterra"},
+         {"grid": {"a": 0.0, "b": 1.0, "size": "x"}}),
+        ("grid: size must be an integer", {"kind": "volterra"},
+         {"grid": {"a": 0.0, "b": 1.0, "size": "65"}}),
+        ("grid: size must be an integer", {"kind": "volterra"},
+         {"grid": {"a": 0.0, "b": 1.0, "size": 65.5}}),
     ], ids=["unknown_nonlinearity", "empty_terms", "missing_terms", "wire_without_omega",
             "non_square_attention", "zero_w", "short_bias", "misshapen_base", "grid_without_b",
-            "one_node_grid", "reversed_grid", "non_integer_grid_size"])
+            "one_node_grid", "reversed_grid", "non_integer_grid_size", "numeric_string_grid_size",
+            "fractional_grid_size"])
     def test_malformed_operator_is_usage_error(self, tmp_path, capsys, field, kernel, top):
         grid = Grid(0.0, 1.0, 65)
         op = str(tmp_path / "op.json")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from injop.errors import AliasingGuardError, DimensionError
+from injop.errors import AliasingGuardError, DimensionError, IntervalMismatchError
 from injop.finite_rank import (
     Activation,
     FiniteRankLayer,
@@ -61,8 +61,11 @@ class TestActivation:
 
     def test_inverses_round_trip(self):
         x = np.linspace(-3.0, 3.0, 41)
+        # The smallest slope accepted: the next double above 2**-1024.
+        smallest = float(np.nextafter(2.0**-1024, 1.0))
         for act in [Activation("leaky_relu", 0.25), Activation("leaky_relu", 1e-300),
-                    Activation("leaky_relu", 1e300), Activation("sigmoid")]:
+                    Activation("leaky_relu", 1e300), Activation("leaky_relu", smallest),
+                    Activation("sigmoid")]:
             assert_allclose(act.inverse(act.apply(x)), x, atol=1e-12)
 
     def test_sigmoid_saturates_without_overflow(self):
@@ -91,6 +94,12 @@ class TestActivation:
         # Slope 0 is relu and a negative slope folds the line: neither is a
         # bijection, and only relu may take the DSS route.
         with pytest.raises(ValueError, match="slope a must be finite and positive"):
+            Activation("leaky_relu", a)
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-310, 2.0**-1024], ids=["min", "subnormal", "edge"])
+    def test_slope_needs_a_finite_reciprocal(self, a):
+        # 1/a overflows to inf, and the inverse would give inf * 0 = NaN at 0.
+        with pytest.raises(ValueError, match="slope a must have a finite reciprocal"):
             Activation("leaky_relu", a)
 
 
@@ -199,6 +208,64 @@ class TestComposition:
         relu_last = random_layer(rng, d_in=2, d_out=1, activation=Activation("relu"))
         with pytest.raises(DimensionError):
             FiniteRankNetwork([relu_last])
+
+
+def wrapper_chain_layer(layer, u, grid):
+    """apply_layer through the public maps: the reference for its one pass."""
+    z = apply_affine(layer, u)
+    if layer.activation.is_identity_map:
+        return z
+    g = from_spectral(z, grid)
+    activated = GridFunction(grid, layer.activation.apply(g.values))
+    return to_spectral(activated, layer.basis, layer.n_out)
+
+
+ACTIVATIONS = [Activation(), Activation("relu"), Activation("leaky_relu", 0.3),
+               Activation("sigmoid")]
+
+
+class TestOnePassLayer:
+    """apply_layer is the wrapper chain of apply_affine, from_spectral, the
+    activation and to_spectral in one pass: the same products on the same
+    operands, so the same bits and the same errors."""
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS, ids=lambda act: act.kind)
+    @pytest.mark.parametrize("batch", [(), (5,)], ids=["single", "batched"])
+    def test_layer_and_network_equal_the_wrapper_chain(self, activation, batch):
+        rng = np.random.default_rng(25)
+        grid = Grid(0.0, 1.0, 64)
+        # Orders 4 -> 6 -> 5: every layer has n_out != n.
+        first = FiniteRankLayer(2, 3, 4, rng.standard_normal((4, 6, 3, 2)),
+                                SpectralCoeffs(BASIS, 6, rng.standard_normal((3, 6))),
+                                activation, n_out=6)
+        last = FiniteRankLayer(3, 2, 6, rng.standard_normal((6, 5, 2, 3)),
+                               SpectralCoeffs(BASIS, 5, rng.standard_normal((2, 5))), n_out=5)
+        u = SpectralCoeffs(BASIS, 4, rng.standard_normal((*batch, 2, 4)))
+        got = apply_layer(first, u, grid)
+        want = wrapper_chain_layer(first, u, grid)
+        assert got.coeffs.shape == (*batch, 3, 6)
+        assert (got.basis, got.n) == (want.basis, want.n)
+        assert np.array_equal(got.coeffs, want.coeffs)
+        out = apply_network(FiniteRankNetwork([first, last]), u, grid)
+        assert np.array_equal(out.coeffs, wrapper_chain_layer(last, want, grid).coeffs)
+
+    @pytest.mark.parametrize("u_shape, grid, error, message", [
+        ((2, 3), Grid(0.0, 1.0, 64), DimensionError, "coefficient order 3 != layer order 4"),
+        ((3, 4), Grid(0.0, 1.0, 64), DimensionError, "3 channels fed to a d_in=2 layer"),
+        ((2, 4), Grid(0.0, 1.0, 47), AliasingGuardError, r"grid size 47 < 8 \* 6"),
+        ((2, 4), Grid(0.0, 2.0, 64), IntervalMismatchError,
+         r"basis interval \(0.0, 1.0\) does not match grid \[0.0, 2.0\]"),
+    ], ids=["order", "channels", "coarse_grid", "interval"])
+    def test_errors_equal_the_wrapper_chain(self, u_shape, grid, error, message):
+        rng = np.random.default_rng(26)
+        layer = FiniteRankLayer(2, 3, 4, rng.standard_normal((4, 6, 3, 2)),
+                                zero_bias(BASIS, 3, 6), Activation("relu"), n_out=6)
+        u = SpectralCoeffs(BASIS, u_shape[-1], rng.standard_normal(u_shape))
+        with pytest.raises(error, match=message) as got:
+            apply_layer(layer, u, grid)
+        with pytest.raises(error) as want:
+            wrapper_chain_layer(layer, u, grid)
+        assert str(got.value) == str(want.value)
 
 
 class TestTruncateKernel:

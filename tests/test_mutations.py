@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 
 import pytest
@@ -26,8 +27,10 @@ MUTATION = settings(derandomize=True, max_examples=40, deadline=None, database=N
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 #: Any text, and numbers written as JSON strings.
 STRINGS = st.text(max_size=4) | st.integers().map(str) | st.floats().map(repr)
-#: LeakyReLU slopes that are not injective or not numbers at all.
-BAD_SLOPES = NON_FINITE | st.floats(max_value=0.0, allow_nan=False)
+#: LeakyReLU slopes that are not injective, whose reciprocal overflows, or
+#: that are not numbers at all.
+BAD_SLOPES = (NON_FINITE | st.floats(max_value=0.0, allow_nan=False)
+              | st.floats(min_value=0.0, max_value=1.0 / sys.float_info.max))
 
 
 def _leaves(tree, path=()):

@@ -16,6 +16,7 @@ from injop.finite_rank import (
 )
 from injop.funcspace import BasisSpec, Grid, SpectralCoeffs
 from injop.reduction import (
+    _PATHWAY_BLOCKS,
     _augment_network,
     _kato_rotation,
     _keep_indices,
@@ -196,6 +197,26 @@ class TestAugment:
             assert np.array_equal(layer.bias.coeffs[p_out:], orig.bias.coeffs)
             last = t == depth - 1
             assert layer.activation == (Activation() if last else orig.activation)
+
+    @pytest.mark.parametrize("mode, depth", sorted(LAYOUTS))
+    def test_pathway_is_the_kron_form_bit_for_bit(self, mode, depth):
+        # The pathway was first written as np.kron(path, I_d); its -1 entries
+        # give -0.0 off the diagonal, which array_equal would not see.
+        d, n = 3, 2
+        act = Activation("relu") if mode == "relu" else Activation("leaky_relu", 0.5)
+        net = deep_net(np.random.default_rng(64), depth, act, n=n, d_in=d, width=2, d_out=2)
+        block = _PATHWAY_BLOCKS[mode]
+        for t, (layer, orig) in enumerate(zip(_augment_network(net, mode).layers, net.layers)):
+            path = block[: 1 if t == depth - 1 else None, : 1 if t == 0 else None]
+            p_out, p_in = path.shape[0] * d, path.shape[1] * d
+            in_off = 0 if t == 0 else p_in
+            c = np.zeros((n, n, p_out + orig.d_out, in_off + orig.d_in))
+            c[:, :, :p_out, :p_in] = np.eye(n)[:, :, None, None] * np.kron(path, np.eye(d))
+            c[:, :, p_out:, in_off:] = orig.c
+            bias = np.zeros((p_out + orig.d_out, n))
+            bias[p_out:] = orig.bias.coeffs
+            assert layer.c.tobytes() == c.tobytes()
+            assert layer.bias.coeffs.tobytes() == bias.tobytes()
 
 
 class TestDimensionGate:

@@ -2,6 +2,7 @@
 byte for byte (save -> load -> save)."""
 
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -36,8 +37,9 @@ PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=N
 
 #: Every finite double: signed zeros, subnormals and the extremes included.
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
-#: LeakyReLU slopes: every finite double above 0, subnormals included.
-SLOPES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+#: LeakyReLU slopes: every finite double with a finite reciprocal, that is
+#: above 1 / max = 2**-1024, subnormals included.
+SLOPES = st.floats(min_value=1.0 / sys.float_info.max, exclude_min=True, allow_infinity=False)
 #: Interval endpoints of a grid or basis.
 ENDPOINTS = st.floats(-1e6, 1e6)
 
