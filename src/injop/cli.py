@@ -15,7 +15,7 @@ import glob
 import os
 import sys
 from functools import partial
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import AliasingGuardError, DivergenceError, UsageError
 from .finite_rank import FiniteRankNetwork, truncate_kernel
 from .funcspace import BasisSpec, Grid, GridFunction
 from .nonlin import NonlinearIntegralOperator, VolterraKernel, invert_banach
-from .reduction import LIFT_MODES, lift_to_injective
+from .reduction import lift_to_injective
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,7 +113,7 @@ def _report_path(cfg: argparse.Namespace, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
-def _run_certify(cfg: argparse.Namespace) -> int:
+def _run_certify(cfg: argparse.Namespace) -> Tuple[int, dict]:
     net = serialize.load_network(cfg.net)
     grid = Grid(net.basis.interval[0], net.basis.interval[1], cfg.grid_size)
     layer_reports = [
@@ -134,20 +134,15 @@ def _run_certify(cfg: argparse.Namespace) -> int:
         "verdict": verdict,
         "layers": [serialize.cert_report_to_obj(r) for r in layer_reports],
     }
-    serialize.write_json(report, _report_path(cfg, "report.json"))
-    return 2 if verdict == VERDICT_COUNTEREXAMPLE else 0
+    return 2 if verdict == VERDICT_COUNTEREXAMPLE else 0, report
 
 
-def _run_lift(cfg: argparse.Namespace) -> int:
-    net = serialize.load_network(cfg.net)
-    # The hidden activations decide the mode; mixed kinds fail the lift's check.
-    hidden = {layer.activation.kind for layer in net.layers[:-1]}
-    mode = "relu" if hidden <= LIFT_MODES["relu"] else "injective"
-    result = lift_to_injective(net, mode=mode, alpha=cfg.alpha)
+def _run_lift(cfg: argparse.Namespace) -> Tuple[int, dict]:
+    result = lift_to_injective(serialize.load_network(cfg.net), alpha=cfg.alpha)
     serialize.save_network(result.network, _report_path(cfg, "network.json"))
     report = {
         "command": "lift",
-        "mode": mode,
+        "mode": result.mode,
         "alpha": cfg.alpha,
         "eps0": result.eps0,
         "closeness_bound_factor": 5.0 * result.eps0,
@@ -156,8 +151,7 @@ def _run_lift(cfg: argparse.Namespace) -> int:
         "reduction_kind": result.reduction.kind,
         "row_orthonormality_defect": result.reduction.row_orthonormality_defect(),
     }
-    serialize.write_json(report, _report_path(cfg, "report.json"))
-    return 0
+    return 0, report
 
 
 def _invert_outputs(cfg: argparse.Namespace, method: str, u, trace, extra) -> dict:
@@ -176,7 +170,7 @@ def _invert_outputs(cfg: argparse.Namespace, method: str, u, trace, extra) -> di
     return report
 
 
-def _run_invert(cfg: argparse.Namespace) -> int:
+def _run_invert(cfg: argparse.Namespace) -> Tuple[int, dict]:
     obj = serialize.read_json(cfg.op)
     with serialize.file_field("operator file"):
         grid = None if "grid" in obj else Grid(0.0, 1.0, cfg.grid_size)
@@ -204,12 +198,10 @@ def _run_invert(cfg: argparse.Namespace) -> int:
     except DivergenceError as err:
         u = GridFunction(op.grid, np.zeros((op.channels, op.grid.size)))
         trace, extra = err.trace, {"outcome": negative, "detail": str(err)}
-    report = _invert_outputs(cfg, cfg.method, u, trace, extra)
-    serialize.write_json(report, _report_path(cfg, "report.json"))
-    return 0 if trace.converged else 2
+    return 0 if trace.converged else 2, _invert_outputs(cfg, cfg.method, u, trace, extra)
 
 
-def _run_truncate(cfg: argparse.Namespace) -> int:
+def _run_truncate(cfg: argparse.Namespace) -> Tuple[int, dict]:
     obj = serialize.read_json(cfg.op)
     with serialize.file_field("operator file"):
         if obj.get("kernel", obj).get("kind") != "linear_table":
@@ -236,11 +228,10 @@ def _run_truncate(cfg: argparse.Namespace) -> int:
         "hs_tail": result.hs_tail,
         "tail_clamped": result.tail_clamped,
     }
-    serialize.write_json(report, _report_path(cfg, "report.json"))
-    return 0
+    return 0, report
 
 
-def _run_demo(cfg: argparse.Namespace) -> int:
+def _run_demo(cfg: argparse.Namespace) -> Tuple[int, dict]:
     if cfg.demo_name != "volterra":
         raise UsageError(f"unknown demo {cfg.demo_name!r}; available: volterra")
     grid = Grid(0.0, 1.0, cfg.grid_size)
@@ -254,8 +245,7 @@ def _run_demo(cfg: argparse.Namespace) -> int:
     report = _invert_outputs(
         cfg, "banach", u, trace, {"demo": "volterra", "max_error_vs_closed_form": max_err}
     )
-    serialize.write_json(report, _report_path(cfg, "report.json"))
-    return 0 if trace.converged and max_err <= 1e-6 else 2
+    return 0 if trace.converged and max_err <= 1e-6 else 2, report
 
 
 _HANDLERS = {
@@ -268,7 +258,10 @@ _HANDLERS = {
 
 
 def run(cfg: argparse.Namespace) -> int:
-    return _HANDLERS[cfg.command](cfg)
+    """Run one command; its report.json is written last, after its other outputs."""
+    code, report = _HANDLERS[cfg.command](cfg)
+    serialize.write_json(report, _report_path(cfg, "report.json"))
+    return code
 
 
 def main(argv: Optional[List[str]] = None) -> int:

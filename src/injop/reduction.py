@@ -13,9 +13,12 @@ tilted projection gives B.
 The tilt acts in mutually orthogonal (slot, xi-slot) planes, and in each
 plane the direct rotation is the plane rotation by asin(alpha); everywhere
 else both projections and the rotation are the identity.  The explicit
-route therefore builds the pair, its tilt, B and the fold of B into the
-last layer from those planes in closed form, with no dense factorization
-and no product of dense ambient-size matrices.
+route therefore builds the pair, its tilt and B from those planes in
+closed form, with no eigendecomposition or SVD.  Both routes then fold B
+into the last layer by one product: B's columns on the modes the last
+layer writes times that layer's block matrix.  Each such column block of
+the explicit B has one nonzero entry per row (1, or -alpha on a slot), so
+its fold is exact.
 
 A randomized alternative draws the tilted subspace by rotating the
 reference one with a random rotation, builds the direct rotation densely
@@ -391,29 +394,6 @@ def _augment_network(net: FiniteRankNetwork, mode: str) -> FiniteRankNetwork:
     return FiniteRankNetwork(aug)
 
 
-def _fold_explicit(pair: ProjectionPair, layer: FiniteRankLayer):
-    """Kernel blocks and bias, from order n to order n_total, of the
-    order-n ``layer`` followed by the explicit reduction: ``b @
-    block_matrix(layer)`` with the layer's output zero past mode n, formed
-    without either matrix.
-
-    B keeps the last ell output channels and replaces each xi row by
-    ``amp * (xi row) - alpha * (slot row)``.
-    """
-    kept = slice(pair.m - pair.ell, None)
-    n = layer.n
-    c = np.zeros((n, pair.n_total, pair.ell, layer.d_in))
-    c[:, :n] = layer.c[:, :, kept]
-    bias = np.zeros((pair.ell, pair.n_total))
-    bias[:, :n] = layer.bias.coeffs[kept]
-    slot_mode, slot_chan = np.divmod(pair.slots, pair.m)
-    xi_mode = pair.xi_slots // pair.m
-    c[:, xi_mode, -1] = pair.amp * c[:, xi_mode, -1] - pair.alpha * layer.c[:, slot_mode, slot_chan]
-    bias[-1, xi_mode] = (pair.amp * bias[-1, xi_mode]
-                         - pair.alpha * layer.bias.coeffs[slot_chan, slot_mode])
-    return c, bias
-
-
 @dataclass
 class LiftResult:
     """Outcome of lifting a network to a provably injective one.
@@ -470,7 +450,7 @@ class LiftResult:
 
 def lift_to_injective(
     net: FiniteRankNetwork,
-    mode: str,
+    mode: Optional[str] = None,
     alpha: float = 0.1,
     seed: int = 0,
     randomized: bool = False,
@@ -482,7 +462,9 @@ def lift_to_injective(
     net : FiniteRankNetwork
         Hidden activations must all be ReLU (mode "relu") or all be
         Identity/LeakyReLU (mode "injective").
-    mode : {"injective", "relu"}
+    mode : {"injective", "relu"} or None
+        None takes "relu" when every hidden activation is ReLU (a net
+        with no hidden layer included) and "injective" otherwise.
     alpha : float
         Tilt amplitude of the explicit reduction; the measured eps0
         equals it.
@@ -492,9 +474,11 @@ def lift_to_injective(
         Use the randomized reduction (needs the dimension gate
         out_modes >= 2 * n_in_modes + 1) instead of the explicit one.
     """
+    kinds = {layer.activation.kind for layer in net.layers[:-1]}
+    if mode is None:
+        mode = "relu" if kinds <= LIFT_MODES["relu"] else "injective"
     if mode not in LIFT_MODES:
         raise UsageError(f"mode must be one of {tuple(LIFT_MODES)}, got {mode!r}")
-    kinds = {layer.activation.kind for layer in net.layers[:-1]}
     if not kinds <= LIFT_MODES[mode]:
         raise UsageError(f"{mode} lift needs hidden activations in "
                          f"{sorted(LIFT_MODES[mode])}, got {sorted(kinds)}")
@@ -510,25 +494,24 @@ def lift_to_injective(
         pair = None
         t_map = _augmented_coefficient_map(augmented, d_in, d_out, n, n_total)
         reduction = build_reduction_randomized(t_map, n_in_modes, out_modes, seed=seed)
+        b = _embed_randomized_b(reduction.b, m, d_in, n)
     else:
         pair = build_projection_pair(m=m, ell=d_out, n_core=n, alpha=alpha)
         n_total = pair.n_total
         reduction = build_reduction_explicit(pair)
+        # The augmented net writes only modes < n; B's other columns never count.
+        b = reduction.b[:, : n * m]
     eps0 = float(reduction.meta["tilt"])
 
+    # Fold B into the last layer: G's last layer is B after H's.
     final = augmented.layers[-1]
-    if randomized:
-        b = _embed_randomized_b(reduction.b, m, d_in, n)
-        folded_c = blocks_from_matrix(b @ block_matrix(final), n, d_out, final.d_in, n_total)
-        folded_bias = (b @ stack_coeffs(final.bias)).reshape(n_total, d_out).T
-    else:
-        folded_c, folded_bias = _fold_explicit(pair, final)
     lifted_final = FiniteRankLayer(
         d_in=final.d_in,
         d_out=d_out,
         n=n,
-        c=folded_c,
-        bias=SpectralCoeffs(final.basis, n_total, folded_bias),
+        c=blocks_from_matrix(b @ block_matrix(final), n, d_out, final.d_in, n_total),
+        bias=SpectralCoeffs(final.basis, n_total,
+                            (b @ stack_coeffs(final.bias)).reshape(n_total, d_out).T),
         activation=Activation(),
         n_out=n_total,
     )

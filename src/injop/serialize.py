@@ -456,13 +456,17 @@ def load_atlas(dirpath: str, op: NonlinearIntegralOperator) -> Atlas:
         names = obj["anchors"]
         if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
             raise TypeError("anchors must be a non-empty list of CSV file names")
-        ell0, eps1 = int(obj["ell0"]), float(obj["eps1"])
+        ell0, eps1 = _integer(obj["ell0"], "ell0"), float(finite_array(obj["eps1"], "eps1"))
         if not 1 <= ell0 <= op.grid.size:
             raise ValueError(f"ell0 must lie in [1, {op.grid.size}], got {ell0}")
-        if not (math.isfinite(eps1) and eps1 > 0):
+        if not eps1 > 0:
             raise ValueError(f"eps1 must be finite and positive, got {eps1}")
-        stored_cells = {tuple(e["cell"]): int(e["anchor"]) for e in obj["cell_map"]}
-        stored_probes = obj["probe_indices"]
+        stored_cells = {
+            tuple(_integer(i, "a cell index") for i in e["cell"]):
+                _integer(e["anchor"], "a cell's anchor")
+            for e in obj["cell_map"]
+        }
+        stored_probes = [_integer(i, "a probe index") for i in obj["probe_indices"]]
     inputs = [read_grid_function_csv(os.path.join(dirpath, n), op.grid, op.channels) for n in names]
     atlas = build_atlas(op, inputs, ell0=ell0, eps1=eps1)
     if stored_cells != atlas.cell_map or stored_probes != atlas.probe_idx.tolist():

@@ -763,21 +763,31 @@ class TestSavedAtlas:
         ("anchors", None, "atlas file lacks the entry 'anchors'"),
         ("anchors", 3, "atlas file: anchors must be a non-empty list"),
         ("anchors", [], "atlas file: anchors must be a non-empty list"),
-        ("eps1", "x", "atlas file: could not convert string to float"),
+        ("eps1", "x", "atlas file: eps1 must hold numbers only"),
         ("eps1", -1, "atlas file: eps1 must be finite and positive, got -1.0"),
         ("cell_map", None, "atlas file lacks the entry 'cell_map'"),
-        ("ell0", "a", "atlas file: invalid literal for int()"),
+        ("ell0", "a", "atlas file: ell0 must be an integer, got 'a'"),
         ("ell0", 0, "atlas file: ell0 must lie in [1, 65], got 0"),
+        # Each reads as the saved value under int() or float().
+        ("ell0", "4", "atlas file: ell0 must be an integer, got '4'"),
+        ("ell0", 4.9, "atlas file: ell0 must be an integer, got 4.9"),
+        ("eps1", "0.25", "atlas file: eps1 must hold numbers only"),
+        (("cell_map", 1, "anchor"), "1", "atlas file: a cell's anchor must be an integer"),
     ], ids=["no_anchors", "anchors_not_a_list", "no_anchor_names", "eps1_not_a_number",
-            "eps1_negative", "no_cell_map", "ell0_not_an_integer", "ell0_zero"])
+            "eps1_negative", "no_cell_map", "ell0_not_an_integer", "ell0_zero",
+            "ell0_a_string", "ell0_fractional", "eps1_a_string", "anchor_a_string"])
     def test_malformed_atlas_file_is_usage_error(self, tmp_path, capsys, key, value, message):
         op, target, atlas_dir = write_saved_atlas(tmp_path)
         path = os.path.join(atlas_dir, "atlas.json")
         obj = read_json(path)
+        *parents, key = key if isinstance(key, tuple) else (key,)
+        entry = obj
+        for step in parents:
+            entry = entry[step]
         if value is None:
-            del obj[key]
+            del entry[key]
         else:
-            obj[key] = value
+            entry[key] = value
         write_json(obj, path)
         code = main(["invert", "--op", op, "--target", target, "--method", "atlas",
                      "--anchors", atlas_dir, "--out-dir", str(tmp_path / "out")])

@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 
@@ -19,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from injop.cli import main
-from injop.serialize import network_to_obj, canonical_json
+from injop.serialize import network_to_obj, canonical_json, read_json
+from test_cli import write_saved_atlas
 from test_roundtrip import networks
 
 MUTATION = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -148,3 +150,78 @@ def test_broken_network_file_is_usage_error(how, data):
             assert code == 64, message
             assert message.startswith(where or f"{path}: not valid JSON"), message
             assert not os.path.exists(out)
+
+
+def _atlas_counts(tree):
+    """Paths of a saved atlas's counts: its probe count, its probe node
+    indices, and each cell's indices and anchor."""
+    yield ("ell0",)
+    for i in range(len(tree["probe_indices"])):
+        yield ("probe_indices", i)
+    for i, entry in enumerate(tree["cell_map"]):
+        for j in range(len(entry["cell"])):
+            yield ("cell_map", i, "cell", j)
+        yield ("cell_map", i, "anchor")
+
+
+def _atlas_required_keys(tree):
+    for key in ("ell0", "eps1", "probe_indices", "anchors", "cell_map"):
+        yield (key,)
+    for i in range(len(tree["cell_map"])):
+        yield ("cell_map", i, "cell")
+        yield ("cell_map", i, "anchor")
+
+
+@st.composite
+def broken_atlases(draw, tree, how):
+    """Text of ``tree``, a saved atlas.json, broken by ``how``."""
+    tree = json.loads(json.dumps(tree))
+    if how == "truncate":
+        text = json.dumps(tree)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if how == "drop_key":
+        path = draw(st.sampled_from(list(_atlas_required_keys(tree))))
+        del _get(tree, path[:-1])[path[-1]]
+    elif how == "string":
+        path = draw(st.sampled_from(list(_atlas_counts(tree)) + [("eps1",)]))
+        _set(tree, path, draw(STRINGS))
+    elif how == "fractional":
+        path = draw(st.sampled_from(list(_atlas_counts(tree))))
+        _set(tree, path, _get(tree, path) + draw(st.sampled_from([0.0, 0.5, 0.9])))
+    elif how == "non_finite":
+        tree["eps1"] = draw(NON_FINITE)
+    else:  # reshape: a cell nested one level deeper, or cut to its first index
+        path = ("cell_map", draw(st.integers(0, len(tree["cell_map"]) - 1)), "cell")
+        cell = _get(tree, path)
+        _set(tree, path, draw(st.sampled_from([[cell], cell[0]])))
+    return json.dumps(tree)
+
+
+@pytest.fixture(scope="module")
+def saved_atlas(tmp_path_factory):
+    """(operator path, target path, atlas directory, atlas.json tree)."""
+    op, target, atlas_dir = write_saved_atlas(tmp_path_factory.mktemp("atlas"))
+    return op, target, atlas_dir, read_json(os.path.join(atlas_dir, "atlas.json"))
+
+
+@pytest.mark.parametrize("how", ["drop_key", "string", "fractional", "non_finite", "reshape",
+                                 "truncate"])
+@MUTATION
+@given(data=st.data())
+def test_broken_atlas_file_is_usage_error(saved_atlas, how, data):
+    op, target, atlas_dir, tree = saved_atlas
+    text = data.draw(broken_atlases(tree, how))
+    with tempfile.TemporaryDirectory() as tmp:
+        anchors = shutil.copytree(atlas_dir, os.path.join(tmp, "atlas"))
+        path = os.path.join(anchors, "atlas.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out, err = os.path.join(tmp, "out"), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["invert", "--op", op, "--target", target, "--method", "atlas",
+                         "--anchors", anchors, "--out-dir", out])
+        message = err.getvalue()
+        assert code == 64, message
+        assert message.startswith(f"{path}: not valid JSON" if how == "truncate"
+                                  else "atlas file"), message
+        assert not os.path.exists(out)

@@ -107,6 +107,38 @@ class TestClosedFormPair:
         bias_dense = b_full @ stack_coeffs(final.bias)
         assert np.max(np.abs(stack_coeffs(folded.bias) - bias_dense)) <= 1e-13
 
+    @pytest.mark.parametrize("alpha", [1e-3, 0.1, 0.3, 0.49])
+    @pytest.mark.parametrize("mode, depth, shape", [
+        ("relu", 1, (3, 2, 3, 2)), ("relu", 2, (3, 2, 3, 2)), ("relu", 3, (3, 2, 3, 2)),
+        ("injective", 1, (3, 2, 3, 2)), ("injective", 2, (3, 2, 3, 2)),
+        ("injective", 3, (3, 2, 3, 2)), ("relu", 2, (6, 8, 8, 8)), ("injective", 2, (6, 8, 8, 8)),
+    ], ids=["relu1", "relu2", "relu3", "injective1", "injective2", "injective3",
+            "relu_dim864", "injective_dim864"])
+    def test_fold_is_the_closed_form_bit_for_bit(self, mode, depth, shape, alpha):
+        # The last augmented layer writes only modes < n, where each row of
+        # B has one nonzero entry: kept rows copy an output row, and each xi
+        # row is amp * (its own row, zero there) - alpha * (its slot's row).
+        n, d_in, width, d_out = shape
+        act = Activation("relu") if mode == "relu" else Activation("leaky_relu", 0.5)
+        net = deep_net(np.random.default_rng(65), depth, act, n=n, d_in=d_in, width=width,
+                       d_out=d_out)
+        res = lift_to_injective(net, mode=mode, alpha=alpha)
+        pair, final = res.pair, res.augmented.layers[-1]
+        kept = slice(pair.m - pair.ell, None)
+        c = np.zeros((n, pair.n_total, pair.ell, final.d_in))
+        c[:, :n] = final.c[:, :, kept]
+        bias = np.zeros((pair.ell, pair.n_total))
+        bias[:, :n] = final.bias.coeffs[kept]
+        slot_mode, slot_chan = np.divmod(pair.slots, pair.m)
+        xi_mode = pair.xi_slots // pair.m
+        c[:, xi_mode, -1] = (pair.amp * c[:, xi_mode, -1]
+                             - pair.alpha * final.c[:, slot_mode, slot_chan])
+        bias[-1, xi_mode] = (pair.amp * bias[-1, xi_mode]
+                             - pair.alpha * final.bias.coeffs[slot_chan, slot_mode])
+        folded = res.network.layers[-1]
+        assert folded.c.tobytes() == c.tobytes()
+        assert folded.bias.coeffs.tobytes() == bias.tobytes()
+
     def test_explicit_lift_runs_no_dense_factorization(self, monkeypatch):
         # The largest explicit lift of the lift benchmark: N=6, d_in=8,
         # width 8, d_out 8, lifted dim 16 * 54 = 864.
@@ -422,6 +454,20 @@ class TestLift:
         for apply in (res.apply, res.apply_augmented, res.apply_original):
             with pytest.raises(DimensionError):
                 apply(short, grid)
+
+    def test_mode_follows_the_hidden_activations(self):
+        rng = np.random.default_rng(60)
+        one_layer = FiniteRankNetwork(relu_net(rng).layers[1:])
+        for net, mode in [(relu_net(rng), "relu"), (one_layer, "relu"),
+                          (linear_net(rng), "injective"),
+                          (linear_net(rng, activation=Activation("leaky_relu", 0.3)), "injective")]:
+            res = lift_to_injective(net, alpha=0.1)
+            assert res.mode == mode
+            same = lift_to_injective(net, mode=mode, alpha=0.1).network.layers[-1]
+            assert res.network.layers[-1].c.tobytes() == same.c.tobytes()
+        sigmoid = linear_net(rng, activation=Activation("sigmoid"))
+        with pytest.raises(ValueError, match="injective lift needs"):
+            lift_to_injective(sigmoid)
 
     def test_mode_validation(self):
         rng = np.random.default_rng(56)
