@@ -25,6 +25,7 @@ from .funcspace import (
     from_spectral,
     h1_distance,
     h1_norm,
+    l2_norm,
     to_spectral,
 )
 from .finite_rank import (

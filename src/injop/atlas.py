@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import OutOfBasinError
-from .funcspace import Grid, GridFunction, h1_distance, h1_gram_cholesky, h1_norm
+from .funcspace import Grid, GridFunction, h1_distance, h1_gram_cholesky, h1_norm, l2_norm
 from .nonlin import FactorizedFrechet, InversionTrace, NonlinearIntegralOperator, linearize
 
 #: Consecutive H1 residual increases tolerated before leaving the basin.
@@ -179,14 +179,11 @@ def _measured_kernel_bounds(op: NonlinearIntegralOperator, t_max: float) -> Tupl
     stores, which are every value of its (M, M) broadcast.
     """
     grid = op.grid
-    x = grid.nodes[:, None]
-    y = grid.nodes[None, :]
+    x, y = grid.nodes[:, None], grid.nodes[None, :]
     ts = np.linspace(-t_max, t_max, 17)
     dt = float(ts[1] - ts[0])
     shape = (grid.size, grid.size)
-    c01 = 0.0
-    c2d = 0.0
-    c3d = 0.0
+    c01 = c2d = c3d = 0.0
     window: List[np.ndarray] = []
     for t in ts:
         table = _stored(np.broadcast_to(op.kernel.table(x, y, None, t), shape))
@@ -260,8 +257,7 @@ def build_atlas(
         grid.require_matches(v.grid)
         if not np.all(np.isfinite(v.values)):
             raise ValueError(f"training input {j} has non-finite values")
-        fact = linearize(op, v)
-        anchors.append(Anchor(index=j, v=v.copy(), g=op.apply(v), fact=fact))
+        anchors.append(Anchor(index=j, v=v.copy(), g=op.apply(v), fact=linearize(op, v)))
     cell_map: Dict[Tuple[int, ...], int] = {}
     notes: List[str] = []
     for anchor in anchors:
@@ -303,46 +299,44 @@ def local_invert(
     the trace then holds the finite iterations before it.
     """
     op.grid.require_matches(g.grid)
-    u = anchor.v.copy()
+    u = anchor.v.values.copy()
     trace = InversionTrace(
         meta={"method": "newton", "tol": tol, "anchor": anchor.index, "ratio_kind": "step_h1"}
     )
     increases = 0
     prev_step: Optional[float] = None
     for m in range(1, max_iter + 1):
-        diff = (op.apply(u).values if m > 1 else anchor.g.values) - g.values
+        f_u = op.apply(GridFunction(op.grid, u)).values if m > 1 else anchor.g.values
+        diff = f_u - g.values
         res_h1 = h1_norm(op.grid, diff)
-        res_l2 = float(np.sqrt(np.sum(op.grid.weights * diff**2)))
-        if not (np.isfinite(res_l2) and np.isfinite(res_h1)):
+        res_l2 = l2_norm(op.grid, diff)
+        if not (math.isfinite(res_l2) and math.isfinite(res_h1)):
             raise OutOfBasinError(
                 f"non-finite residual at iteration {m} near anchor {anchor.index} "
                 f"(L2 {res_l2}, H1 {res_h1})",
                 trace=trace,
             )
-        if trace.residuals_h1 and res_h1 > trace.residuals_h1[-1]:
-            increases += 1
-        elif trace.residuals_h1:
-            increases = 0
+        if trace.residuals_h1:
+            increases = increases + 1 if res_h1 > trace.residuals_h1[-1] else 0
         trace.residuals_l2.append(res_l2)
         trace.residuals_h1.append(res_h1)
         trace.iterations = m
         if res_h1 <= tol:
             trace.converged = True
-            return u, trace
+            return GridFunction(op.grid, u), trace
         if increases >= BASIN_PATIENCE:
             raise OutOfBasinError(
                 f"H1 residual rose {BASIN_PATIENCE} iterations in a row near anchor "
                 f"{anchor.index} (last {res_h1:.3e})",
                 trace=trace,
             )
-        step_vals = anchor.fact.solve(diff[0])
-        step = GridFunction(op.grid, step_vals)
+        step = anchor.fact.solve(diff[0])
         u = u - step
-        step_norm = step.h1_norm()
+        step_norm = h1_norm(op.grid, step)
         if prev_step is not None and prev_step > 0:
             trace.ratios.append(step_norm / prev_step)
         prev_step = step_norm
-    return u, trace
+    return GridFunction(op.grid, u), trace
 
 
 def _shown_key(key: Tuple[int, ...]) -> tuple:

@@ -166,6 +166,8 @@ def certify_relu_dss(
     """
     if layer.activation.kind != "relu":
         raise ValueError(f"DSS search expects a relu layer, got {layer.activation.kind!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     mat = block_matrix(layer)
     svals = np.linalg.svd(mat, compute_uv=False)
     sigma_max = float(svals[0]) if svals.size else 0.0

@@ -90,6 +90,7 @@ _FLAG_RANGES = {
     "alpha": (lambda v: 0.0 < v < 0.5, "--alpha must lie in (0, 1/2)"),
     "rank": (lambda v: v >= 1, "--rank must be at least 1"),
     "trials": (lambda v: v >= 0, "--trials must be at least 0"),
+    "seed": (lambda v: v >= 0, "--seed must be at least 0"),
     "tol": (lambda v: 0.0 < v < float("inf"), "--tol must be finite and positive"),
 }
 
@@ -171,10 +172,8 @@ def _invert_outputs(cfg: argparse.Namespace, method: str, u, trace, extra) -> di
 
 
 def _run_invert(cfg: argparse.Namespace) -> Tuple[int, dict]:
-    obj = serialize.read_json(cfg.op)
-    with serialize.file_field("operator file"):
-        grid = None if "grid" in obj else Grid(0.0, 1.0, cfg.grid_size)
-    op = serialize.operator_from_obj(obj, grid)
+    obj = serialize.json_object(serialize.read_json(cfg.op), "operator file")
+    op = serialize.operator_from_obj(obj, None if "grid" in obj else Grid(0.0, 1.0, cfg.grid_size))
     read_input = partial(serialize.read_grid_function_csv, grid=op.grid, channels=op.channels)
     z = read_input(cfg.target)
     if cfg.method == "banach":
@@ -202,7 +201,7 @@ def _run_invert(cfg: argparse.Namespace) -> Tuple[int, dict]:
 
 
 def _run_truncate(cfg: argparse.Namespace) -> Tuple[int, dict]:
-    obj = serialize.read_json(cfg.op)
+    obj = serialize.json_object(serialize.read_json(cfg.op), "operator file")
     with serialize.file_field("operator file"):
         if obj.get("kernel", obj).get("kind") != "linear_table":
             raise UsageError("truncate expects a linear_table kernel file")

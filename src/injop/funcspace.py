@@ -185,10 +185,7 @@ class BasisSpec:
             for k in range(2, n + 1):
                 freq = k // 2
                 phase = 2.0 * np.pi * freq * t
-                if k % 2 == 0:
-                    out[k - 1] = np.sqrt(2.0) * scale * np.cos(phase)
-                else:
-                    out[k - 1] = np.sqrt(2.0) * scale * np.sin(phase)
+                out[k - 1] = np.sqrt(2.0) * scale * (np.sin if k % 2 else np.cos)(phase)
         else:  # step_haar
             for k in range(1, n + 1):
                 lo, hi = 2.0 ** (-k), 2.0 ** (-k + 1)
@@ -265,7 +262,7 @@ class GridFunction:
         return GridFunction(self.grid, self.values.copy())
 
     def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.grid.weights * self.values**2)))
+        return l2_norm(self.grid, self.values)
 
     def h1_norm(self) -> float:
         return h1_norm(self.grid, self.values)
@@ -365,13 +362,17 @@ def from_spectral(c: SpectralCoeffs, grid: Grid) -> GridFunction:
     return GridFunction(grid, c.coeffs @ mode_table(c.basis, grid, c.n).phi)
 
 
+def l2_norm(grid: Grid, values: np.ndarray) -> float:
+    """Quadrature L2 norm of a float array of shape (..., size), as one function."""
+    return math.sqrt((grid.weights * values**2).sum())
+
+
 def h1_norm(grid: Grid, values: np.ndarray) -> float:
-    """Discrete H1 norm: quadrature L2 plus forward-difference derivative."""
-    values = np.atleast_2d(values)
-    l2sq = np.sum(grid.weights * values**2)
-    diff = np.diff(values, axis=-1) / grid.h
-    dsq = np.sum(diff**2) * grid.h
-    return float(np.sqrt(l2sq + dsq))
+    """Discrete H1 norm of a float array of shape (..., size), taken over
+    the whole array: quadrature L2 plus forward-difference derivative."""
+    h = grid.h
+    diff = (values[..., 1:] - values[..., :-1]) / h
+    return math.sqrt((grid.weights * values**2).sum() + (diff**2).sum() * h)
 
 
 @functools.lru_cache(maxsize=1)

@@ -9,11 +9,11 @@ The operators are
 discretized with the trapezoid rule on the grid: over the whole interval,
 or over [a, x_i] at each node x_i for a causal (Volterra) kernel.  The
 scalar kernels are one ridge family; softmax attention computes its own
-integral.  A scalar integral whose kernel table has a zero stride (it
-depends on x alone or on y alone, as for every ridge kernel with scalar
-parameters) is one trapezoid sum: a dot product of length M, or a running
-sum for a Volterra kernel.  Any other table costs the dense M x M product
-with the quadrature weights, which are built only for it.  Linearization
+integral.  A scalar integral whose kernel values are one row or one
+column (they depend on y alone or on x alone, as for every ridge kernel
+with scalar parameters) is one trapezoid sum: a dot product of length M,
+or a running sum for a Volterra kernel.  Any other table costs the dense
+M x M product with the quadrature weights, which are built only for it.  Linearization
 is available exactly
 for the kernels that read at most u(y), matching the derivative formula
 
@@ -30,6 +30,7 @@ matrix, inverted once.  Either form applies its inverse only through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -43,28 +44,29 @@ from .errors import (
 )
 from .finite_rank import expit
 from .funcspace import (BasisSpec, Grid, GridFunction, SpectralCoeffs, from_spectral, h1_norm,
-                        require_finite)
+                        l2_norm, require_finite)
 
 TableParam = Union[float, np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 
+def _normalized(p: TableParam) -> TableParam:
+    """A parameter as a float, a float array, or the callable itself."""
+    return p if callable(p) else float(p) if np.ndim(p) == 0 else np.asarray(p, dtype=float)
+
+
 def _param_at(p: TableParam, x: np.ndarray, y: np.ndarray):
-    """Evaluate a scalar, dense-table, or callable parameter at (x, y)."""
-    if callable(p):
-        return p(x, y)
-    arr = np.asarray(p, dtype=float)
-    return float(arr) if arr.ndim == 0 else arr
+    """A normalized parameter at (x, y)."""
+    return p(x, y) if callable(p) else p
 
 
 def _param_sup(p: TableParam, grid: Grid) -> float:
-    if callable(p):
-        return float(np.max(np.abs(p(grid.nodes[:, None], grid.nodes[None, :]))))
-    return float(np.max(np.abs(np.asarray(p, dtype=float))))
+    return float(np.max(np.abs(_param_at(p, grid.nodes[:, None], grid.nodes[None, :]))))
 
 
 class KernelBase:
-    """Kernel k(x, y, u(x), u(y)); a scalar kernel supplies ``table`` and
-    ``du``, a kernel of another form overrides ``integral``."""
+    """Kernel k(x, y, u(x), u(y)); a scalar kernel supplies ``table`` (its
+    (M, M) grid values), ``du`` and optionally ``stored_table`` (the same
+    values unbroadcast); a kernel of another form overrides ``integral``."""
 
     kind: str = "base"
     uses_ux: bool = False
@@ -75,6 +77,10 @@ class KernelBase:
         """Kernel values on the (x, y) grid; s = u(x) column, t = u(y) row."""
         raise NotImplementedError
 
+    def stored_table(self, x, y, s, t):
+        """Any array or float that broadcasts to :meth:`table`: the table itself."""
+        return self.table(x, y, s, t)
+
     def du(self, x, y, t) -> np.ndarray:
         """Derivative with respect to the u(y) argument."""
         raise NotImplementedError
@@ -84,21 +90,22 @@ class KernelBase:
 
     def integral(self, grid: Grid, values: np.ndarray) -> np.ndarray:
         """K(u) on the grid: the trapezoid integral over y of
-        table(x, y, u(x), u(y)) u(y).
+        table(x, y, u(x), u(y)) u(y), read from :meth:`stored_table`.
 
-        A zero stride proves that every row (or every column) of the table
-        is the same memory, so the table factors out of the integral, which
-        is then one trapezoid sum.  Any other table takes the dense M x M
-        product with the quadrature weights.
+        Stored values with an axis of length 1 or stride 0 are one row r
+        (constant in x) or one column c (constant in y), so K(u) is the
+        trapezoid sum of r u, or c times that of u.  Any other table takes
+        the dense M x M product with the quadrature weights.
         """
         vals = values[0]
         s = vals[:, None] if self.uses_ux else None
-        table = self.table(grid.nodes[:, None], grid.nodes[None, :], s, vals[None, :])
-        if table.strides[0] == 0:
-            return trapezoid(grid, table[0] * vals, self.causal)
-        if table.strides[1] == 0:
-            return table[:, 0] * trapezoid(grid, vals, self.causal)
-        return (table * quad_weights(grid, self.causal)) @ vals
+        k = np.atleast_2d(self.stored_table(grid.nodes[:, None], grid.nodes[None, :], s,
+                                            vals[None, :]))
+        if k.shape[0] == 1 or k.strides[0] == 0:
+            return trapezoid(grid, k[0] * vals, self.causal)
+        if k.shape[1] == 1 or k.strides[1] == 0:
+            return k[:, 0] * trapezoid(grid, vals, self.causal)
+        return (k * quad_weights(grid, self.causal)) @ vals
 
 
 def trapezoid(grid: Grid, f: np.ndarray, causal: bool) -> np.ndarray:
@@ -147,9 +154,9 @@ class RidgeKernel(KernelBase):
         k = sum_j c_j(x, y) * g(a_j(x, y) * u + b_j(x, y)),
 
     where u is u(x) or u(y) according to ``signature`` and ``profile`` is
-    the pair (g, g').  Scalar parameters stay scalars, so the table is a
-    broadcast view until the quadrature product; a dense parameter must
-    broadcast to the (M, M) grid table.
+    the pair (g, g').  Each parameter is made a float, a float array or a
+    callable of (x, y) once; scalars keep :meth:`stored_table` a row or a
+    column, and a dense parameter must broadcast to the (M, M) grid table.
     """
 
     def __init__(self, terms: Sequence[tuple], profile: tuple, signature: str = "u(y)"):
@@ -157,7 +164,7 @@ class RidgeKernel(KernelBase):
             raise ValueError(f"signature must be 'u(x)' or 'u(y)', got {signature!r}")
         if not terms:
             raise ValueError("need at least one (c, a, b) term")
-        self.terms = [tuple(t) for t in terms]
+        self.terms = [tuple(map(_normalized, t)) for t in terms]
         for j, term in enumerate(self.terms):
             for name, p in zip("cab", term):
                 require_finite(f"{self.kind} kernel term {j} parameter {name}", p)
@@ -165,7 +172,8 @@ class RidgeKernel(KernelBase):
         self.uses_ux = signature == "u(x)"
         self._g, self._dg = profile
 
-    def table(self, x, y, s, t):
+    def stored_table(self, x, y, s, t):
+        """The ridge sum unbroadcast: one row (u(y)) or column (u(x)) for scalars."""
         u = s if self.uses_ux else t
         acc = None
         for c, a, b in self.terms:
@@ -173,7 +181,12 @@ class RidgeKernel(KernelBase):
             if self._g is not None:
                 term = term * self._g(_param_at(a, x, y) * u + _param_at(b, x, y))
             acc = term if acc is None else acc + term
-        return np.broadcast_to(acc, np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(u)))
+        return acc
+
+    def table(self, x, y, s, t):
+        u = s if self.uses_ux else t
+        return np.broadcast_to(self.stored_table(x, y, s, t),
+                               np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(u)))
 
     def du(self, x, y, t):
         acc = 0.0
@@ -233,7 +246,6 @@ class VolterraKernel(RidgeKernel):
             raise ValueError(
                 f"unknown nonlinearity {nonlinearity!r}; expected one of {sorted(_PROFILES)}"
             )
-        self.base = base
         self.nonlinearity = nonlinearity
         super().__init__([(base, 1.0, 0.0)], _PROFILES[nonlinearity])
 
@@ -245,7 +257,6 @@ class LinearTableKernel(RidgeKernel):
     kind = "linear_table"
 
     def __init__(self, table: TableParam):
-        self._table = table
         super().__init__([(table, 0.0, 0.0)], _PROFILES["none"])
 
 
@@ -320,16 +331,11 @@ class NonlinearIntegralOperator:
         """Operator norm of the inverse multiplier, max 1/|W|."""
         return float(np.max(1.0 / np.abs(self.w_values)))
 
-    def _check_input(self, u: GridFunction):
-        self.grid.require_matches(u.grid)
-        if u.channels != self.channels:
-            raise DimensionError(
-                f"operator expects {self.channels} channel(s), got {u.channels}"
-            )
-
     def kernel_part(self, u: GridFunction) -> GridFunction:
         """K(u) alone, without multiplier and bias."""
-        self._check_input(u)
+        self.grid.require_matches(u.grid)
+        if u.channels != self.channels:
+            raise DimensionError(f"operator expects {self.channels} channel(s), got {u.channels}")
         return GridFunction(self.grid, self.kernel.integral(self.grid, u.values))
 
     def _affine(self, u: GridFunction, k_values: np.ndarray) -> np.ndarray:
@@ -356,11 +362,8 @@ class InversionTrace:
 
     def rows(self):
         """(iteration, residual_l2, residual_h1, ratio-or-None) tuples."""
-        out = []
-        for i in range(len(self.residuals_l2)):
-            ratio = self.ratios[i - 1] if 1 <= i <= len(self.ratios) else None
-            out.append((i + 1, self.residuals_l2[i], self.residuals_h1[i], ratio))
-        return out
+        return [(i + 1, l2, h1, self.ratios[i - 1] if 1 <= i <= len(self.ratios) else None)
+                for i, (l2, h1) in enumerate(zip(self.residuals_l2, self.residuals_h1))]
 
 
 #: Consecutive residual increases tolerated before declaring divergence.
@@ -383,9 +386,7 @@ def invert_banach(
     finite iterations before it.
     """
     op.grid.require_matches(z.grid)
-    rhs = z.values.copy()
-    if op.bias is not None:
-        rhs = rhs - op.bias.values
+    rhs = z.values if op.bias is None else z.values - op.bias.values
     u = GridFunction(op.grid, np.zeros_like(z.values))
     k_u = op.kernel_part(u).values
     trace = InversionTrace(meta={"method": "banach", "tol": tol})
@@ -394,9 +395,9 @@ def invert_banach(
         u = GridFunction(op.grid, (rhs - k_u) / op.w_values)
         k_u = op.kernel_part(u).values
         diff = op._affine(u, k_u) - z.values
-        res_l2 = float(np.sqrt(np.sum(op.grid.weights * diff**2)))
+        res_l2 = l2_norm(op.grid, diff)
         res_h1 = h1_norm(op.grid, diff)
-        if not (np.isfinite(res_l2) and np.isfinite(res_h1)):
+        if not (math.isfinite(res_l2) and math.isfinite(res_h1)):
             raise DivergenceError(
                 f"non-finite residual at iteration {m} (L2 {res_l2}, H1 {res_h1})",
                 trace=trace,
@@ -431,9 +432,7 @@ def _derivative_table(op: NonlinearIntegralOperator, u0: GridFunction) -> np.nda
             "kernel reads u(x); the derivative formula needs the k(x, y, u(y)) form"
         )
     vals = u0.values[0]
-    x = op.grid.nodes[:, None]
-    y = op.grid.nodes[None, :]
-    t = vals[None, :]
+    x, y, t = op.grid.nodes[:, None], op.grid.nodes[None, :], vals[None, :]
     table = op.kernel.table(x, y, None, t)
     slope = op.kernel.du(x, y, t)
     if table.strides[0] == 0 and slope.strides[0] == 0:
@@ -614,12 +613,10 @@ def estimate_coercivity(
         c_k = op.kernel.sup_bound(grid)
         slope = alpha - op.w_inv_sup() * c_k * grid.length
         condition_ok = c_k < 1.0 / (op.w_inv_sup() * grid.length)
-    threshold = None
-    ok = min_values >= (alpha / 2.0) * radii - 1e-12
-    for k in range(radii.size):
-        if np.all(ok[k:]):
-            threshold = float(radii[k])
-            break
+    # The smallest radius from which on every min value clears alpha r / 2.
+    failed = np.flatnonzero(~(min_values >= (alpha / 2.0) * radii - 1e-12))
+    k = failed[-1] + 1 if failed.size else 0
+    threshold = float(radii[k]) if k < radii.size else None
     return CoercivityReport(
         alpha=alpha,
         radii=radii,

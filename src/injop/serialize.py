@@ -130,6 +130,14 @@ def finite_array(value: Any, what: str) -> np.ndarray:
     return arr
 
 
+def json_object(obj: Any, what: str) -> Dict[str, Any]:
+    """obj, if it is a JSON object; any other JSON value is a usage error."""
+    if isinstance(obj, dict):
+        return obj
+    kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+    raise UsageError(f"{what}: must hold a JSON object, not {kind.get(type(obj), 'a number')}")
+
+
 def _integer(value: Any, what: str) -> int:
     """A count in file data; anything but a JSON integer is a TypeError."""
     if type(value) is not int:
@@ -175,6 +183,7 @@ def network_to_obj(net: FiniteRankNetwork) -> Dict[str, Any]:
 
 
 def network_from_obj(obj: Dict[str, Any]) -> FiniteRankNetwork:
+    json_object(obj, "network file")
     with file_field("network file"):
         basis = basis_from_obj(obj["basis"])
         n = _integer(obj["N"], "N")
@@ -287,12 +296,10 @@ def write_trace_csv(trace: InversionTrace, path: str):
 # nonlinear operators
 
 def _table_param_to_obj(p) -> Any:
+    """A ridge parameter as it is stored: a float or a float array."""
     if callable(p):
         raise TypeError("callable kernel parameters cannot be serialized; tabulate first")
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim == 0:
-        return float(arr)
-    return arr
+    return p
 
 
 def kernel_to_obj(kernel: KernelBase) -> Dict[str, Any]:
@@ -315,7 +322,7 @@ def kernel_to_obj(kernel: KernelBase) -> Dict[str, Any]:
         return {
             "kind": kind,
             "signature": sig,
-            "base": _table_param_to_obj(kernel.base),
+            "base": _table_param_to_obj(kernel.terms[0][0]),
             "nonlinearity": kernel.nonlinearity,
         }
     if kind == "softmax_attention":
@@ -326,7 +333,8 @@ def kernel_to_obj(kernel: KernelBase) -> Dict[str, Any]:
             "B": kernel.b_mat,
         }
     if kind == "linear_table":
-        return {"kind": kind, "signature": ["x", "y"], "table": _table_param_to_obj(kernel._table)}
+        return {"kind": kind, "signature": ["x", "y"],
+                "table": _table_param_to_obj(kernel.terms[0][0])}
     raise TypeError(f"cannot serialize kernel of kind {kind!r}")
 
 
@@ -355,12 +363,9 @@ def kernel_from_obj(obj: Dict[str, Any]) -> KernelBase:
 
 
 def _param_from_obj(p):
-    arr = finite_array(p, "a kernel parameter")
-    if arr.ndim == 0:
-        return float(arr)
-    # A dense table is only valid on the grid it was tabulated for; keep it
-    # as an array, so it saves again.  The operator checks its shape.
-    return arr
+    # A dense table stays an array, so it saves again; the operator checks
+    # its shape against the grid.
+    return finite_array(p, "a kernel parameter")
 
 
 def grid_to_obj(grid: Grid) -> Dict[str, Any]:
@@ -384,6 +389,7 @@ def operator_to_obj(op: NonlinearIntegralOperator) -> Dict[str, Any]:
 
 
 def operator_from_obj(obj: Dict[str, Any], grid: Optional[Grid] = None) -> NonlinearIntegralOperator:
+    json_object(obj, "operator file")
     with file_field("operator file: grid"):
         file_grid = grid_from_obj(obj["grid"]) if "grid" in obj else None
     if grid is None:
@@ -451,7 +457,7 @@ def save_atlas(atlas: Atlas, dirpath: str):
 
 
 def load_atlas(dirpath: str, op: NonlinearIntegralOperator) -> Atlas:
-    obj = read_json(os.path.join(dirpath, "atlas.json"))
+    obj = json_object(read_json(os.path.join(dirpath, "atlas.json")), "atlas file")
     with file_field("atlas file"):
         names = obj["anchors"]
         if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):

@@ -207,6 +207,13 @@ class TestReluSearch:
         with pytest.raises(ValueError):
             certify_relu_dss(layer, Grid(0.0, 1.0, 64))
 
+    @pytest.mark.parametrize("trials", [2, 40])
+    def test_rejects_negative_seed_before_any_probe(self, trials):
+        # Two trials draw only the fixed probes, which never read the seed.
+        layer = make_layer(np.ones((1, 1, 1, 1)), 1, 1, 1, activation=Activation("relu"))
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            certify_relu_dss(layer, Grid(0.0, 1.0, 64), trials=trials, seed=-1)
+
 
 def _reference_relu_dss(layer, grid, trials, seed):
     """The collision search one probe, direction and scale at a time, with

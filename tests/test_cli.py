@@ -10,6 +10,7 @@ import pytest
 
 import injop
 from injop.cli import main
+from injop.errors import UsageError
 from injop.finite_rank import (
     Activation,
     FiniteRankLayer,
@@ -151,6 +152,7 @@ class TestUsage:
         ("lift", "--alpha", "0.7"),
         ("truncate", "--rank", "0"),
         ("certify", "--trials", "-1"),
+        ("certify", "--seed", "-1"),
         ("invert", "--tol", "inf"),
         ("invert", "--tol", "nan"),
         ("demo", "--tol", "0"),
@@ -506,6 +508,18 @@ class TestInvert:
         assert code == 64, err
         assert err.startswith("operator file:") and field in err
 
+    @pytest.mark.parametrize("obj, kind", [([1.0, 2.0], "an array"), ("op", "a string"),
+                                           (5, "a number")])
+    def test_operator_file_not_an_object_is_usage_error(self, tmp_path, capsys, obj, kind):
+        op = str(tmp_path / "op.json")
+        write_json(obj, op)
+        for argv in (["invert", "--op", op, "--target", "t.csv"], ["truncate", "--op", op]):
+            assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 64
+            assert capsys.readouterr().err.strip() == (
+                f"operator file: must hold a JSON object, not {kind}")
+        with pytest.raises(UsageError, match="must hold a JSON object"):
+            load_operator(op)
+
     def test_operator_file_of_one_number_is_usage_error(self, tmp_path, capsys):
         op = str(tmp_path / "op.json")
         write_json(5, op)
@@ -804,6 +818,19 @@ class TestSavedAtlas:
         err = capsys.readouterr().err
         assert code == 64, err
         assert err.startswith(f"{path}: not valid JSON")
+
+
+@pytest.mark.parametrize("obj, kind", [([{"N": 2}], "an array"), ("net", "a string"),
+                                       (7, "a number"), (None, "null"), (True, "a boolean")])
+def test_network_file_not_an_object_is_usage_error(tmp_path, capsys, obj, kind):
+    net = str(tmp_path / "net.json")
+    write_json(obj, net)
+    for command in ("certify", "lift"):
+        assert main([command, "--net", net, "--out-dir", str(tmp_path / "out")]) == 64
+        assert capsys.readouterr().err.strip() == (
+            f"network file: must hold a JSON object, not {kind}")
+    with pytest.raises(UsageError, match="must hold a JSON object"):
+        load_network(net)
 
 
 @pytest.mark.parametrize("command", ["certify", "lift", "invert", "certify_binary"])

@@ -21,6 +21,7 @@ from injop.funcspace import (
     h1_distance,
     h1_gram_cholesky,
     h1_norm,
+    l2_norm,
     mode_table,
     to_spectral,
 )
@@ -175,6 +176,35 @@ def test_h1_norm_of_linear_function():
     g = Grid(0.0, 1.0, 512)
     expected = math.sqrt(1.0 / 3.0 + 1.0)
     assert_allclose(h1_norm(g, g.nodes), expected, rtol=1e-5)
+
+
+def _h1_norm_reference(grid, values):
+    """``h1_norm`` as it read with np.atleast_2d, np.diff and np.sum, kept
+    word for word as the oracle for the slice form."""
+    values = np.atleast_2d(values)
+    l2sq = np.sum(grid.weights * values**2)
+    diff = np.diff(values, axis=-1) / grid.h
+    dsq = np.sum(diff**2) * grid.h
+    return float(np.sqrt(l2sq + dsq))
+
+
+def _l2_norm_reference(grid, values):
+    """The inline quadrature L2 norm that ``l2_norm`` replaces."""
+    return float(np.sqrt(np.sum(grid.weights * values**2)))
+
+
+@pytest.mark.parametrize("size", [2, 65, 512, 1024])
+@pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 3)], ids=["M", "1xM", "hxM", "BxhxM"])
+def test_norms_equal_their_references_bit_for_bit(shape, size):
+    g = Grid(-1.0, 2.0, size)
+    rng = np.random.default_rng([size, len(shape)])
+    for scale in 10.0 ** np.arange(-8, 9, 4):
+        for _ in range(25):
+            v = scale * rng.standard_normal(shape + (size,)) * rng.uniform(0.5, 2.0)
+            assert h1_norm(g, v) == _h1_norm_reference(g, v)
+            assert l2_norm(g, v) == _l2_norm_reference(g, v)
+    f = GridFunction(g, v)
+    assert f.l2_norm() == l2_norm(g, v) and f.h1_norm() == h1_norm(g, v)
 
 
 @pytest.mark.parametrize("size", [2, 3, 65, 129, 512, 1024])

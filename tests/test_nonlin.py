@@ -28,6 +28,7 @@ from injop.nonlin import (
     FRECHET_SINGULAR_TOL,
     FactorizedFrechet,
     InversionTrace,
+    KernelBase,
     LinearTableKernel,
     NonlinearIntegralOperator,
     SigmoidSumKernel,
@@ -363,6 +364,125 @@ class TestIntegral:
         want = scipy_expit(z)
         assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
         assert got[0] == 0.0 and got[-1] == 1.0
+
+
+def _strided_integral(kernel, grid, values):
+    """``KernelBase.integral`` as it read the broadcast (M, M) table's
+    strides, kept word for word as the oracle for the stored-table routes."""
+    vals = values[0]
+    s = vals[:, None] if kernel.uses_ux else None
+    table = kernel.table(grid.nodes[:, None], grid.nodes[None, :], s, vals[None, :])
+    if table.strides[0] == 0:
+        return trapezoid(grid, table[0] * vals, kernel.causal)
+    if table.strides[1] == 0:
+        return table[:, 0] * trapezoid(grid, vals, kernel.causal)
+    return (table * quad_weights(grid, kernel.causal)) @ vals
+
+
+def _param_at_each_call(p, x, y):
+    """The parameter read as it was before parameters were normalized once."""
+    if callable(p):
+        return p(x, y)
+    arr = np.asarray(p, dtype=float)
+    return float(arr) if arr.ndim == 0 else arr
+
+
+def _volterra_case(nonlinearity, dense):
+    return lambda x: VolterraKernel(
+        np.exp(-np.abs(x[:, None] - x[None, :])) if dense else 0.8, nonlinearity)
+
+
+#: Ridge kernels on the grid nodes x, with scalar, dense, row, column and
+#: callable parameters.
+RIDGE_CASES = {
+    "sigmoid_sum_ux": lambda x: SigmoidSumKernel([(0.3, 1.2, 0.3), (-0.2, 0.8, -0.2)], "u(x)"),
+    "sigmoid_sum_uy": lambda x: SigmoidSumKernel([(0.3, 1.2, 0.3), (-0.2, 0.8, -0.2)], "u(y)"),
+    "wire_ux": lambda x: WireKernel(3.0, [(0.3, 1.0, 0.1)], "u(x)"),
+    "wire_uy": lambda x: WireKernel(3.0, [(0.3, 1.0, 0.1)], "u(y)"),
+    **{f"volterra_{nl}_{base}": _volterra_case(nl, base == "dense")
+       for nl in ("none", "sigmoid", "sin") for base in ("scalar", "dense")},
+    "linear_table_scalar": lambda x: LinearTableKernel(0.4),
+    "linear_table_dense": lambda x: LinearTableKernel(np.cos(x[:, None] - 2 * x[None, :])),
+    "linear_table_row": lambda x: LinearTableKernel(np.cos(x)[None, :]),
+    "linear_table_column": lambda x: LinearTableKernel(np.cos(x)[:, None]),
+    "callable_c_uy": lambda x: SigmoidSumKernel([(lambda a, b: a + b, 1.0, 0.0)], "u(y)"),
+    "callable_ab_ux": lambda x: SigmoidSumKernel(
+        [(0.5, lambda a, b: 1.0 + 0.0 * b, lambda a, b: np.sin(b))], "u(x)"),
+    "callable_table": lambda x: LinearTableKernel(lambda a, b: a * b),
+}
+
+
+class TestStoredTable:
+    @pytest.mark.parametrize("size", [64, 512])
+    @pytest.mark.parametrize("name", sorted(RIDGE_CASES))
+    def test_integral_equals_the_strided_oracle(self, name, size):
+        grid = Grid(0.0, 1.0, size)
+        kernel = RIDGE_CASES[name](grid.nodes)
+        for seed in range(3):
+            u = 3.0 * _probe_input(grid, seed).values
+            got = kernel.integral(grid, u)
+            assert got.tobytes() == _strided_integral(kernel, grid, u).tobytes()
+
+    def test_parameters_read_once_give_the_same_table(self):
+        grid = Grid(0.0, 1.0, 33)
+        x, y = grid.nodes[:, None], grid.nodes[None, :]
+        t = _probe_input(grid, 4).values[0][None, :]
+        terms = [(1, 2, 0), (np.float64(0.3), np.array(1.5), [0.1] * 33),
+                 (np.arange(33)[:, None], np.ones((1, 33), dtype=np.float32), 0.2)]
+        kernel = SigmoidSumKernel(terms, "u(y)")
+        want = sum(_param_at_each_call(c, x, y) * expit(
+            _param_at_each_call(a, x, y) * t + _param_at_each_call(b, x, y)) for c, a, b in terms)
+        got = kernel.table(x, y, None, t)
+        assert got.shape == (33, 33) and got.tobytes() == want.tobytes()
+
+    def test_ridge_sum_is_stored_unbroadcast(self):
+        grid = Grid(0.0, 1.0, 64)
+        x, y = grid.nodes[:, None], grid.nodes[None, :]
+        t = grid.nodes[None, :]
+        assert SCALAR_KERNELS["sigmoid_sum_uy"]().stored_table(x, y, None, t).shape == (1, 64)
+        assert SCALAR_KERNELS["sigmoid_sum_ux"]().stored_table(x, y, t.T, t).shape == (64, 1)
+        assert LinearTableKernel(0.4).stored_table(x, y, None, t) == 0.4
+        assert LinearTableKernel(0.4).table(x, y, None, t).shape == (64, 64)
+
+
+class _TableOnlyKernel(KernelBase):
+    """Test-only kernel that supplies nothing but ``table``."""
+
+    kind = "test_table_only"
+
+    def __init__(self, make, causal):
+        self.make, self.causal = make, causal
+
+    def table(self, x, y, s, t):
+        return self.make(x, y, t)
+
+
+#: (M, M) tables of a table-only kernel, by the route they take.
+TABLE_ONLY = {
+    "zero_stride_row": lambda x, y, t: np.broadcast_to(np.cos(y) * t, (x.size, y.size)),
+    "zero_stride_column": lambda x, y, t: np.broadcast_to(np.cos(x), (x.size, y.size)),
+    "dense": lambda x, y, t: np.cos(x - y) * t,
+}
+
+
+@pytest.mark.parametrize("causal", [False, True])
+@pytest.mark.parametrize("route", sorted(TABLE_ONLY))
+def test_table_only_kernel_integrates_by_its_route(route, causal, monkeypatch):
+    import injop.nonlin as nonlin
+
+    grid = Grid(0.0, 1.0, 257)
+    kernel = _TableOnlyKernel(TABLE_ONLY[route], causal)
+    u = _probe_input(grid, 3)
+    x, y, t = grid.nodes[:, None], grid.nodes[None, :], u.values[0][None, :]
+    table = np.broadcast_to(kernel.table(x, y, None, t), (grid.size, grid.size))
+    want = (table * quad_weights(grid, causal)) @ u.values[0]
+    dense_calls = []
+    monkeypatch.setattr(nonlin, "quad_weights",
+                        lambda *args: dense_calls.append(args) or quad_weights(*args))
+    got = kernel.integral(grid, u.values)
+    assert len(dense_calls) == (route == "dense")
+    scale = (np.abs(table) * quad_weights(grid, causal)) @ np.abs(u.values[0])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(scale)
 
 
 class TestBanach:
