@@ -202,12 +202,11 @@ def _run_invert(cfg: argparse.Namespace) -> Tuple[int, dict]:
 
 def _run_truncate(cfg: argparse.Namespace) -> Tuple[int, dict]:
     obj = serialize.json_object(serialize.read_json(cfg.op), "operator file")
-    with serialize.file_field("operator file"):
-        if obj.get("kernel", obj).get("kind") != "linear_table":
-            raise UsageError("truncate expects a linear_table kernel file")
     if "kernel" not in obj:  # a bare kernel object
         obj = {**obj, "kernel": obj}
     op = serialize.operator_from_obj(obj, None if "grid" in obj else Grid(0.0, 1.0, cfg.grid_size))
+    if op.kernel.kind != "linear_table":
+        raise UsageError("operator file: kernel: truncate expects a linear_table kernel")
     grid = op.grid
     # A contiguous copy: a scalar table broadcasts with zero strides, which
     # would take matmul off its BLAS path and change the last digits.

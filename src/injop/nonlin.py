@@ -70,6 +70,7 @@ class KernelBase:
 
     kind: str = "base"
     uses_ux: bool = False
+    reads: Tuple[str, ...] = ()  # the solution values the kernel reads: "u(x)", "u(y)"
     causal: bool = False
     channels: int = 1
 
@@ -168,9 +169,9 @@ class RidgeKernel(KernelBase):
         for j, term in enumerate(self.terms):
             for name, p in zip("cab", term):
                 require_finite(f"{self.kind} kernel term {j} parameter {name}", p)
-        self.signature = signature
         self.uses_ux = signature == "u(x)"
         self._g, self._dg = profile
+        self.reads = () if self._g is None else (signature,)
 
     def stored_table(self, x, y, s, t):
         """The ridge sum unbroadcast: one row (u(y)) or column (u(x)) for scalars."""
@@ -242,7 +243,7 @@ class VolterraKernel(RidgeKernel):
     causal = True
 
     def __init__(self, base: TableParam = 1.0, nonlinearity: str = "none"):
-        if nonlinearity not in _PROFILES:
+        if type(nonlinearity) is not str or nonlinearity not in _PROFILES:
             raise ValueError(
                 f"unknown nonlinearity {nonlinearity!r}; expected one of {sorted(_PROFILES)}"
             )
@@ -268,6 +269,7 @@ class SoftmaxAttentionKernel(KernelBase):
 
     kind = "softmax_attention"
     uses_ux = True
+    reads = ("u(x)", "u(y)")
 
     def __init__(self, a_mat, b_mat):
         self.a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
@@ -322,6 +324,9 @@ class NonlinearIntegralOperator:
         self.w_values = w_values
         if bias is not None:
             grid.require_matches(bias.grid)
+            if bias.values.shape != (kernel.channels, grid.size):
+                raise DimensionError(f"bias has shape {bias.values.shape}, operator expects "
+                                     f"({kernel.channels}, {grid.size})")
             require_finite("bias", bias.values)
         self.bias = bias
         self.channels = kernel.channels

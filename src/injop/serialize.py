@@ -13,7 +13,8 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -130,12 +131,14 @@ def finite_array(value: Any, what: str) -> np.ndarray:
     return arr
 
 
-def json_object(obj: Any, what: str) -> Dict[str, Any]:
-    """obj, if it is a JSON object; any other JSON value is a usage error."""
+def json_object(obj: Any, what: Optional[str] = None) -> Dict[str, Any]:
+    """obj, if it is a JSON object; any other JSON value is a usage error,
+    named by ``what`` or else by the enclosing :func:`file_field`."""
     if isinstance(obj, dict):
         return obj
     kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
-    raise UsageError(f"{what}: must hold a JSON object, not {kind.get(type(obj), 'a number')}")
+    where = f"{what}: " if what else ""
+    raise UsageError(f"{where}must hold a JSON object, not {kind.get(type(obj), 'a number')}")
 
 
 def _integer(value: Any, what: str) -> int:
@@ -164,7 +167,7 @@ def _activation_to_obj(act: Activation) -> Dict[str, Any]:
 
 
 def _activation_from_obj(obj: Dict[str, Any]) -> Activation:
-    a = obj.get("a")
+    a = json_object(obj, "activation").get("a")
     return Activation(obj["kind"], None if a is None else float(finite_array(a, "the slope a")))
 
 
@@ -185,13 +188,13 @@ def network_to_obj(net: FiniteRankNetwork) -> Dict[str, Any]:
 def network_from_obj(obj: Dict[str, Any]) -> FiniteRankNetwork:
     json_object(obj, "network file")
     with file_field("network file"):
-        basis = basis_from_obj(obj["basis"])
+        basis = basis_from_obj(json_object(obj["basis"], "basis"))
         n = _integer(obj["N"], "N")
         layer_objs = list(obj["layers"])
     layers = []
     for i, lobj in enumerate(layer_objs):
         with file_field(f"network file: layer {i}"):
-            n_out = _integer(lobj.get("n_out", n), "n_out")
+            n_out = _integer(json_object(lobj).get("n_out", n), "n_out")
             c = finite_array(lobj["C"], "kernel blocks C")
             bias = SpectralCoeffs(basis, n_out, finite_array(lobj["bias"], "a layer bias"))
             layers.append(FiniteRankLayer(_integer(lobj["d_in"], "d_in"),
@@ -295,77 +298,75 @@ def write_trace_csv(trace: InversionTrace, path: str):
 # ---------------------------------------------------------------------------
 # nonlinear operators
 
-def _table_param_to_obj(p) -> Any:
-    """A ridge parameter as it is stored: a float or a float array."""
-    if callable(p):
-        raise TypeError("callable kernel parameters cannot be serialized; tabulate first")
-    return p
+#: The keys of one ridge term in a kernel's ``terms`` entry, in file order.
+TERM_KEYS = ("c", "a", "b")
+
+
+class KernelEntry:
+    """A kernel file entry: its key, the constructor argument it fills,
+    the value the writer stores, the reader's ``read(value, key)``, and
+    whether it must be there (if not, the constructor's default holds)."""
+
+    def __init__(self, key: str, arg: str, value: Callable[[Any], Any],
+                 read: Callable[[Any, str], Any] = finite_array, required: bool = True):
+        self.key, self.arg, self.value, self.read, self.required = key, arg, value, read, required
+
+
+def kernel_signature(kernel: KernelBase) -> List[str]:
+    """The arguments a kernel reads: x and y, then u(x) and/or u(y)."""
+    return ["x", "y", *kernel.reads]
+
+
+_TABLE = lambda k: k.terms[0][0]  # noqa: E731  (the c of a Volterra or linear-table kernel)
+_TERMS = KernelEntry(
+    "terms", "terms", lambda k: [dict(zip(TERM_KEYS, t)) for t in k.terms],
+    lambda terms, key: [tuple(finite_array(json_object(t, f"term {j}")[p], f"term {j} {p}")
+                              for p in TERM_KEYS) for j, t in enumerate(terms)])
+#: sigmoid_sum and wire kernels take the u entry of the signature as an argument.
+_U = KernelEntry("signature", "signature", kernel_signature,
+                 lambda sig, key: "u(y)" if "u(y)" in sig else "u(x)", required=False)
+
+#: Each kernel kind's class and its file entries after ``kind``, in file order.
+KERNEL_KINDS: Dict[str, Tuple[type, Tuple[KernelEntry, ...]]] = {
+    "sigmoid_sum": (SigmoidSumKernel, (_U, _TERMS)),
+    "wire": (WireKernel, (_U, KernelEntry("omega", "omega", attrgetter("omega")), _TERMS)),
+    "volterra": (VolterraKernel, (
+        KernelEntry("base", "base", _TABLE, required=False),
+        KernelEntry("nonlinearity", "nonlinearity", attrgetter("nonlinearity"),
+                    lambda v, key: v, required=False))),
+    "softmax_attention": (SoftmaxAttentionKernel, (KernelEntry("A", "a_mat", attrgetter("a_mat")),
+                                                   KernelEntry("B", "b_mat", attrgetter("b_mat")))),
+    "linear_table": (LinearTableKernel, (KernelEntry("table", "table", _TABLE),)),
+}
 
 
 def kernel_to_obj(kernel: KernelBase) -> Dict[str, Any]:
-    kind = kernel.kind
-    if kind in ("sigmoid_sum", "wire"):
-        obj: Dict[str, Any] = {"kind": kind, "signature": ["x", "y", kernel.signature]}
-        if kind == "wire":
-            obj["omega"] = float(kernel.omega)
-        obj["terms"] = [
-            {
-                "c": _table_param_to_obj(c),
-                "a": _table_param_to_obj(a),
-                "b": _table_param_to_obj(b),
-            }
-            for c, a, b in kernel.terms
-        ]
-        return obj
-    if kind == "volterra":
-        sig = ["x", "y"] if kernel.nonlinearity == "none" else ["x", "y", "u(y)"]
-        return {
-            "kind": kind,
-            "signature": sig,
-            "base": _table_param_to_obj(kernel.terms[0][0]),
-            "nonlinearity": kernel.nonlinearity,
-        }
-    if kind == "softmax_attention":
-        return {
-            "kind": kind,
-            "signature": ["x", "y", "u(x)", "u(y)"],
-            "A": kernel.a_mat,
-            "B": kernel.b_mat,
-        }
-    if kind == "linear_table":
-        return {"kind": kind, "signature": ["x", "y"],
-                "table": _table_param_to_obj(kernel.terms[0][0])}
-    raise TypeError(f"cannot serialize kernel of kind {kind!r}")
+    if kernel.kind not in KERNEL_KINDS:
+        raise TypeError(f"cannot serialize kernel of kind {kernel.kind!r}")
+    if any(callable(p) for term in getattr(kernel, "terms", ()) for p in term):
+        raise TypeError("callable kernel parameters cannot be serialized; tabulate first")
+    obj = {"kind": kernel.kind, "signature": kernel_signature(kernel)}
+    obj.update((e.key, e.value(kernel)) for e in KERNEL_KINDS[kernel.kind][1])
+    return obj
 
 
 def kernel_from_obj(obj: Dict[str, Any]) -> KernelBase:
-    kind = obj["kind"]
-    if kind in ("sigmoid_sum", "wire"):
-        sig = obj.get("signature", ["x", "y", "u(x)"])
-        signature = "u(y)" if "u(y)" in sig else "u(x)"
-        terms = [
-            (_param_from_obj(t["c"]), _param_from_obj(t["a"]), _param_from_obj(t["b"]))
-            for t in obj["terms"]
-        ]
-        if kind == "wire":
-            return WireKernel(float(finite_array(obj["omega"], "omega")), terms, signature)
-        return SigmoidSumKernel(terms, signature)
-    if kind == "volterra":
-        return VolterraKernel(
-            base=_param_from_obj(obj.get("base", 1.0)),
-            nonlinearity=obj.get("nonlinearity", "none"),
-        )
-    if kind == "softmax_attention":
-        return SoftmaxAttentionKernel(finite_array(obj["A"], "A"), finite_array(obj["B"], "B"))
-    if kind == "linear_table":
-        return LinearTableKernel(_param_from_obj(obj["table"]))
-    raise UsageError(f"unknown kernel kind {kind!r}")
-
-
-def _param_from_obj(p):
-    # A dense table stays an array, so it saves again; the operator checks
-    # its shape against the grid.
-    return finite_array(p, "a kernel parameter")
+    """Rebuild a kernel.  An entry its kind does not name, or a signature
+    other than the rebuilt kernel's, is a ValueError.  A dense table is read
+    as an array, so it saves again; the operator checks it against the grid."""
+    kind, sig = json_object(obj)["kind"], obj.get("signature")
+    if type(kind) is not str or kind not in KERNEL_KINDS:
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    cls, entries = KERNEL_KINDS[kind]
+    unknown = set(obj) - {"kind", "signature", *(e.key for e in entries)}
+    if unknown:
+        raise ValueError(f"a {kind} kernel has no entry {min(unknown)!r}")
+    kernel = cls(**{e.arg: e.read(obj[e.key], e.key) for e in entries
+                    if e.required or e.key in obj})
+    if sig is not None and sig != kernel_signature(kernel):
+        raise ValueError(f"signature {sig!r} differs from {kernel_signature(kernel)!r}, "
+                         f"what this {kind} kernel reads")
+    return kernel
 
 
 def grid_to_obj(grid: Grid) -> Dict[str, Any]:
@@ -373,16 +374,12 @@ def grid_to_obj(grid: Grid) -> Dict[str, Any]:
 
 
 def grid_from_obj(obj: Dict[str, Any]) -> Grid:
-    a, b = finite_array([obj["a"], obj["b"]], "the grid interval")
+    a, b = finite_array([json_object(obj)["a"], obj["b"]], "the grid interval")
     return Grid(float(a), float(b), _integer(obj["size"], "size"))
 
 
 def operator_to_obj(op: NonlinearIntegralOperator) -> Dict[str, Any]:
-    obj: Dict[str, Any] = {
-        "grid": grid_to_obj(op.grid),
-        "w": op.w_values,
-        "kernel": kernel_to_obj(op.kernel),
-    }
+    obj = {"grid": grid_to_obj(op.grid), "w": op.w_values, "kernel": kernel_to_obj(op.kernel)}
     if op.bias is not None:
         obj["bias"] = op.bias.values
     return obj
@@ -392,8 +389,7 @@ def operator_from_obj(obj: Dict[str, Any], grid: Optional[Grid] = None) -> Nonli
     json_object(obj, "operator file")
     with file_field("operator file: grid"):
         file_grid = grid_from_obj(obj["grid"]) if "grid" in obj else None
-    if grid is None:
-        grid = file_grid
+    grid = file_grid if grid is None else grid
     if grid is None:
         raise UsageError("operator file names no grid and none was supplied")
     if file_grid is not None and not grid.matches(file_grid):
@@ -401,8 +397,7 @@ def operator_from_obj(obj: Dict[str, Any], grid: Optional[Grid] = None) -> Nonli
     with file_field("operator file: kernel"):
         kernel = kernel_from_obj(obj["kernel"])
     with file_field("operator file: w"):
-        w = finite_array(obj.get("w", 1.0), "w")
-    w = float(w) if w.ndim == 0 else w
+        w = finite_array(obj.get("w", 1.0), "w")  # a 0-d array is a constant multiplier
     bias = None
     if obj.get("bias") is not None:
         with file_field("operator file: bias"):
@@ -413,15 +408,14 @@ def operator_from_obj(obj: Dict[str, Any], grid: Optional[Grid] = None) -> Nonli
 
 @contextmanager
 def file_field(where: str):
-    """Report a construction error from file data as a usage error naming
-    where in the file it came from, e.g. ``operator file: kernel``."""
+    """Report a construction error from file data, a usage error included,
+    as a usage error naming where in the file it came from, e.g.
+    ``operator file: kernel``."""
     try:
         yield
-    except UsageError:
-        raise
     except KeyError as err:
         raise UsageError(f"{where} lacks the entry {err}") from None
-    except (AttributeError, TypeError, ValueError) as err:  # DimensionError is a ValueError
+    except (AttributeError, TypeError, ValueError) as err:  # so are UsageError, DimensionError
         raise UsageError(f"{where}: {err}") from None
 
 

@@ -402,6 +402,18 @@ def test_network_numbers_are_json_numbers(tmp_path, capsys, command, edit, messa
     assert err.startswith(message), err
 
 
+@pytest.mark.parametrize("command", ["certify", "lift"])
+@pytest.mark.parametrize("edit, where", [
+    (_set("basis", [0.0, 1.0]), "network file: basis"),
+    (_set("layers", 0, [1.0]), "network file: layer 0"),
+    (_set("layers", 1, "activation", ["leaky_relu", 0.2]), "network file: layer 1: activation"),
+], ids=["basis", "layer", "activation"])
+def test_network_entry_not_an_object_is_usage_error(tmp_path, capsys, command, edit, where):
+    net = _edited_network(tmp_path, edit, Activation("leaky_relu", 0.2))
+    assert main([command, "--net", net, "--out-dir", str(tmp_path / "out")]) == 64
+    assert capsys.readouterr().err.strip() == f"{where}: must hold a JSON object, not an array"
+
+
 class TestInvert:
     def test_banach_converges(self, tmp_path):
         grid = Grid(0.0, 1.0, 65)
@@ -492,10 +504,28 @@ class TestInvert:
          {"grid": {"a": 0.0, "b": 1.0, "size": "65"}}),
         ("grid: size must be an integer", {"kind": "volterra"},
          {"grid": {"a": 0.0, "b": 1.0, "size": 65.5}}),
+        ("kernel: unknown kernel kind 'foo'", {"kind": "foo"}, {}),
+        ("kernel: unknown kernel kind ['volterra']", {"kind": ["volterra"]}, {}),
+        ("kernel: a volterra kernel has no entry 'nonlinerity'",
+         {"kind": "volterra", "base": 0.5, "nonlinerity": "sigmoid"}, {}),
+        ("kernel: signature ['x', 'y', 'garbage'] differs",
+         {"kind": "sigmoid_sum", "signature": ["x", "y", "garbage"],
+          "terms": [{"c": 0.3, "a": 1.0, "b": 0.0}]}, {}),
+        ("kernel: signature ['x', 'y', 'u(x)', 'u(y)'] differs",
+         {"kind": "sigmoid_sum", "signature": ["x", "y", "u(x)", "u(y)"],
+          "terms": [{"c": 0.3, "a": 1.0, "b": 0.0}]}, {}),
+        ("kernel: signature ['x', 'y', 'u(y)'] differs",
+         {"kind": "volterra", "signature": ["x", "y", "u(y)"]}, {}),
+        ("kernel: unknown nonlinearity ['sigmoid']",
+         {"kind": "volterra", "nonlinearity": ["sigmoid"]}, {}),
+        ("operator: bias has shape (2, 65)", {"kind": "volterra"},
+         {"bias": [[0.5] * 65, [0.25] * 65]}),
     ], ids=["unknown_nonlinearity", "empty_terms", "missing_terms", "wire_without_omega",
             "non_square_attention", "zero_w", "short_bias", "misshapen_base", "grid_without_b",
             "one_node_grid", "reversed_grid", "non_integer_grid_size", "numeric_string_grid_size",
-            "fractional_grid_size"])
+            "fractional_grid_size", "unknown_kind", "kind_in_a_list", "misspelt_entry",
+            "garbage_signature", "two_u_signature", "linear_volterra_reading_u",
+            "nonlinearity_in_a_list", "bias_with_extra_channel"])
     def test_malformed_operator_is_usage_error(self, tmp_path, capsys, field, kernel, top):
         grid = Grid(0.0, 1.0, 65)
         op = str(tmp_path / "op.json")
@@ -519,6 +549,28 @@ class TestInvert:
                 f"operator file: must hold a JSON object, not {kind}")
         with pytest.raises(UsageError, match="must hold a JSON object"):
             load_operator(op)
+
+    @pytest.mark.parametrize("where, obj, commands", [
+        ("operator file: kernel", {"kernel": [{"kind": "linear_table", "table": 0.1}]},
+         ("invert", "truncate")),
+        ("operator file: grid", {"grid": [0.0, 1.0, 65],
+                                 "kernel": {"kind": "linear_table", "table": 0.1}},
+         ("invert", "truncate")),
+        ("operator file: kernel: term 0", {"kernel": {"kind": "sigmoid_sum",
+                                                      "terms": [[0.3, 1.0, 0.0]]}}, ("invert",)),
+    ], ids=["kernel", "grid", "term"])
+    def test_operator_entry_not_an_object_is_usage_error(self, tmp_path, capsys, where, obj,
+                                                         commands):
+        op = str(tmp_path / "op.json")
+        write_json(obj, op)
+        target = str(tmp_path / "target.csv")
+        write_grid_function_csv(GridFunction(Grid(0.0, 1.0, 65), np.ones(65)), target)
+        for command in commands:
+            argv = ["invert", "--op", op, "--target", target] if command == "invert" else [
+                "truncate", "--op", op]
+            assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 64
+            assert capsys.readouterr().err.strip() == (
+                f"{where}: must hold a JSON object, not an array")
 
     def test_operator_file_of_one_number_is_usage_error(self, tmp_path, capsys):
         op = str(tmp_path / "op.json")

@@ -15,14 +15,17 @@ import shutil
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from injop.cli import main
-from injop.serialize import network_to_obj, canonical_json, read_json
+from injop.funcspace import GridFunction
+from injop.serialize import (KERNEL_KINDS, TERM_KEYS, canonical_json, network_to_obj,
+                             operator_to_obj, read_json, write_grid_function_csv)
 from test_cli import write_saved_atlas
-from test_roundtrip import networks
+from test_roundtrip import networks, operators
 
 MUTATION = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -225,3 +228,71 @@ def test_broken_atlas_file_is_usage_error(saved_atlas, how, data):
         assert message.startswith(f"{path}: not valid JSON" if how == "truncate"
                                   else "atlas file"), message
         assert not os.path.exists(out)
+
+
+def _operator_required_keys(tree):
+    """The grid's keys, the kernel, its kind, the entries the kind table
+    marks required, and each ridge term's keys."""
+    kernel = tree["kernel"]
+    yield ("kernel",)
+    yield ("kernel", "kind")
+    yield from (("grid", key) for key in tree["grid"])
+    yield from (("kernel", e.key) for e in KERNEL_KINDS[kernel["kind"]][1] if e.required)
+    for j in range(len(kernel.get("terms", []))):
+        yield from (("kernel", "terms", j, key) for key in TERM_KEYS)
+
+
+def _arrays(tree, path=()):
+    """Paths of the outermost numeric arrays in a JSON tree."""
+    if isinstance(tree, list) and tree and all(isinstance(v, (int, float, list)) for v in tree):
+        yield path
+    elif isinstance(tree, (dict, list)):
+        for key, value in tree.items() if isinstance(tree, dict) else enumerate(tree):
+            yield from _arrays(value, path + (key,))
+
+
+@st.composite
+def broken_operators(draw, kind, how):
+    """(operator, file text) of an operator file of ``kind`` broken by
+    ``how``.  The grid has at least 3 nodes, so no reshaped parameter table
+    broadcasts to the (M, M) grid table again."""
+    op = draw(operators(kind, draw(st.booleans()), min_nodes=3))
+    tree = json.loads(canonical_json(operator_to_obj(op)))
+    if how == "truncate":
+        text = json.dumps(tree)
+        return op, text[:draw(st.integers(0, len(text) - 1))]
+    if how == "drop_key":
+        path = draw(st.sampled_from(list(_operator_required_keys(tree))))
+        del _get(tree, path[:-1])[path[-1]]
+    elif how in ("string", "non_finite"):
+        path = draw(st.sampled_from([p for p, _ in _leaves(tree)]))
+        _set(tree, path, draw(STRINGS if how == "string" else NON_FINITE))
+    else:  # reshape
+        path = draw(st.sampled_from(list(_arrays(tree))))
+        _set(tree, path, _reshape(draw, _get(tree, path)))
+    return op, json.dumps(tree)
+
+
+@pytest.mark.parametrize("kind", list(KERNEL_KINDS))
+@pytest.mark.parametrize("how", ["drop_key", "string", "non_finite", "reshape", "truncate"])
+@MUTATION
+@given(data=st.data())
+def test_broken_operator_file_is_usage_error(kind, how, data):
+    op, text = data.draw(broken_operators(kind, how))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, target = os.path.join(tmp, "op.json"), os.path.join(tmp, "target.csv")
+        with open(path, "w") as fh:
+            fh.write(text)
+        write_grid_function_csv(GridFunction(op.grid, np.zeros((op.channels, op.grid.size))),
+                                target)
+        commands = ["invert", "truncate"] if kind == "linear_table" else ["invert"]
+        for command in commands:
+            out, err = os.path.join(tmp, command), io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--op", path, "--out-dir", out]
+                            + (["--target", target] if command == "invert" else []))
+            message = err.getvalue()
+            assert code == 64, message
+            assert message.startswith(f"{path}: not valid JSON" if how == "truncate"
+                                      else "operator file"), message
+            assert not os.path.exists(out)

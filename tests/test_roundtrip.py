@@ -125,11 +125,12 @@ KERNEL_CASES = [(kind, dense) for kind in ("sigmoid_sum", "wire", "volterra", "l
 
 
 @st.composite
-def operators(draw, kind, dense):
-    """An operator with a kernel of ``kind`` whose table parameters are
-    scalars or, when ``dense``, arrays of shape (M, M), (M, 1) or (1, M);
-    the multiplier is a scalar or a field, and a bias is optional."""
-    m = draw(st.integers(2, 6))
+def operators(draw, kind, dense, min_nodes=2):
+    """An operator with a kernel of ``kind`` on ``min_nodes`` to 6 nodes,
+    whose table parameters are scalars or, when ``dense``, arrays of shape
+    (M, M), (M, 1) or (1, M); the multiplier is a scalar or a field, and a
+    bias is optional."""
+    m = draw(st.integers(min_nodes, 6))
     grid = Grid(*draw(intervals()), m)
     shapes = st.sampled_from([(m, m), (m, 1), (1, m)])
     param = arrays(np.float64, shapes, elements=FLOATS) if dense else FLOATS
