@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import OutOfBasinError
-from .funcspace import Grid, GridFunction, h1_distance, h1_gram_cholesky, h1_norm, l2_norm
+from .funcspace import Grid, GridFunction, h1_distance, h1_gram_cholesky, h1_norm, l2_h1_norms
 from .nonlin import FactorizedFrechet, InversionTrace, NonlinearIntegralOperator, linearize
 
 #: Consecutive H1 residual increases tolerated before leaving the basin.
@@ -294,11 +294,12 @@ def local_invert(
     ``op`` is the operator the anchor was built for.  The residual is checked
     before each step, the first being the stored image ``anchor.g`` minus g,
     so n iterations evaluate F n - 1 times and the anchor's own image returns
-    in one iteration.  Raises :class:`OutOfBasinError` after ``BASIN_PATIENCE``
-    consecutive H1 residual increases, or at the first non-finite residual;
-    the trace then holds the finite iterations before it.
+    in one iteration.  g is checked once; the loop steps on (h, M) arrays and
+    wraps only the u it returns.  Raises :class:`OutOfBasinError` after
+    ``BASIN_PATIENCE`` consecutive H1 residual increases, or at the first
+    non-finite residual; the trace then holds the finite iterations before it.
     """
-    op.grid.require_matches(g.grid)
+    g_values = op.checked_values(g)
     u = anchor.v.values.copy()
     trace = InversionTrace(
         meta={"method": "newton", "tol": tol, "anchor": anchor.index, "ratio_kind": "step_h1"}
@@ -306,10 +307,9 @@ def local_invert(
     increases = 0
     prev_step: Optional[float] = None
     for m in range(1, max_iter + 1):
-        f_u = op.apply(GridFunction(op.grid, u)).values if m > 1 else anchor.g.values
-        diff = f_u - g.values
-        res_h1 = h1_norm(op.grid, diff)
-        res_l2 = l2_norm(op.grid, diff)
+        f_u = op.evaluate(u)[1] if m > 1 else anchor.g.values
+        diff = f_u - g_values
+        res_l2, res_h1 = l2_h1_norms(op.grid, diff)
         if not (math.isfinite(res_l2) and math.isfinite(res_h1)):
             raise OutOfBasinError(
                 f"non-finite residual at iteration {m} near anchor {anchor.index} "
@@ -323,7 +323,7 @@ def local_invert(
         trace.iterations = m
         if res_h1 <= tol:
             trace.converged = True
-            return GridFunction(op.grid, u), trace
+            break
         if increases >= BASIN_PATIENCE:
             raise OutOfBasinError(
                 f"H1 residual rose {BASIN_PATIENCE} iterations in a row near anchor "

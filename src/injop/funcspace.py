@@ -375,6 +375,15 @@ def h1_norm(grid: Grid, values: np.ndarray) -> float:
     return math.sqrt((grid.weights * values**2).sum() + (diff**2).sum() * h)
 
 
+def l2_h1_norms(grid: Grid, values: np.ndarray) -> tuple:
+    """(:func:`l2_norm`, :func:`h1_norm`) of one array from one pass: the
+    two share the quadrature sum, so each equals its own function bit for bit."""
+    h = grid.h
+    l2_sq = (grid.weights * values**2).sum()
+    diff = (values[..., 1:] - values[..., :-1]) / h
+    return math.sqrt(l2_sq), math.sqrt(l2_sq + (diff**2).sum() * h)
+
+
 @functools.lru_cache(maxsize=1)
 def h1_gram_cholesky(grid: Grid) -> tuple:
     """Diagonal (M,) and subdiagonal (M - 1,) of the lower bidiagonal L with

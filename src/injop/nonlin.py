@@ -13,9 +13,11 @@ integral.  A scalar integral whose kernel values are one row or one
 column (they depend on y alone or on x alone, as for every ridge kernel
 with scalar parameters) is one trapezoid sum: a dot product of length M,
 or a running sum for a Volterra kernel.  Any other table costs the dense
-M x M product with the quadrature weights, which are built only for it.  Linearization
-is available exactly
-for the kernels that read at most u(y), matching the derivative formula
+M x M product with the quadrature weights, which are built only for it.
+:meth:`NonlinearIntegralOperator.evaluate` gives K(u) and F(u) on bare
+(h, M) arrays; the inversion loops step on it and check their target
+``GridFunction`` once.  Linearization is available exactly for the
+kernels that read at most u(y), matching the derivative formula
 
     (A_{u0} w)(x) = W(x) w(x)
                     + integral of [k(x,y,u0(y)) + u0(y) dk/du(x,y,u0(y))] w(y) dy.
@@ -43,8 +45,8 @@ from .errors import (
     SingularOperatorError,
 )
 from .finite_rank import expit
-from .funcspace import (BasisSpec, Grid, GridFunction, SpectralCoeffs, from_spectral, h1_norm,
-                        l2_norm, require_finite)
+from .funcspace import (BasisSpec, Grid, GridFunction, SpectralCoeffs, from_spectral,
+                        l2_h1_norms, require_finite)
 
 TableParam = Union[float, np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
@@ -158,6 +160,9 @@ class RidgeKernel(KernelBase):
     the pair (g, g').  Each parameter is made a float, a float array or a
     callable of (x, y) once; scalars keep :meth:`stored_table` a row or a
     column, and a dense parameter must broadcast to the (M, M) grid table.
+    With scalars alone, :meth:`integral` takes the route fixed here: a row
+    in u(y) or a column in u(x), or for the constant profile one number,
+    the sum of the c_j, taken as a row.
     """
 
     def __init__(self, terms: Sequence[tuple], profile: tuple, signature: str = "u(y)"):
@@ -172,17 +177,35 @@ class RidgeKernel(KernelBase):
         self.uses_ux = signature == "u(x)"
         self._g, self._dg = profile
         self.reads = () if self._g is None else (signature,)
+        scalar = all(type(p) is float for term in self.terms for p in term)
+        self._route = None if not scalar else (
+            "column" if self.uses_ux and self._g is not None else "row")
+
+    def _ridge_sum(self, terms, u):
+        """sum_j c_j g(a_j u + b_j) over parameter values, or sum_j c_j for g = 1."""
+        acc = None
+        for c, a, b in terms:
+            term = c if self._g is None else c * self._g(a * u + b)
+            acc = term if acc is None else acc + term
+        return acc
 
     def stored_table(self, x, y, s, t):
         """The ridge sum unbroadcast: one row (u(y)) or column (u(x)) for scalars."""
-        u = s if self.uses_ux else t
-        acc = None
-        for c, a, b in self.terms:
-            term = _param_at(c, x, y)
-            if self._g is not None:
-                term = term * self._g(_param_at(a, x, y) * u + _param_at(b, x, y))
-            acc = term if acc is None else acc + term
-        return acc
+        terms = [tuple(_param_at(p, x, y) for p in term) for term in self.terms]
+        return self._ridge_sum(terms, s if self.uses_ux else t)
+
+    def integral(self, grid: Grid, values: np.ndarray) -> np.ndarray:
+        """K(u).  With scalar parameters the ridge sum is taken over the
+        solution values alone: K(u) is the trapezoid sum of r u for a row r
+        (or a constant), or a column c times that of u.  Any other parameter
+        takes the stored-table route of :meth:`KernelBase.integral`."""
+        if self._route is None:
+            return super().integral(grid, values)
+        vals = values[0]
+        ridge = self._ridge_sum(self.terms, vals)
+        if self._route == "column":
+            return ridge * trapezoid(grid, vals, self.causal)
+        return trapezoid(grid, ridge * vals, self.causal)
 
     def table(self, x, y, s, t):
         u = s if self.uses_ux else t
@@ -336,22 +359,28 @@ class NonlinearIntegralOperator:
         """Operator norm of the inverse multiplier, max 1/|W|."""
         return float(np.max(1.0 / np.abs(self.w_values)))
 
-    def kernel_part(self, u: GridFunction) -> GridFunction:
-        """K(u) alone, without multiplier and bias."""
+    def checked_values(self, u: GridFunction) -> np.ndarray:
+        """The (h, M) values of u, once its grid and channel count match the operator's."""
         self.grid.require_matches(u.grid)
         if u.channels != self.channels:
             raise DimensionError(f"operator expects {self.channels} channel(s), got {u.channels}")
-        return GridFunction(self.grid, self.kernel.integral(self.grid, u.values))
+        return u.values
 
-    def _affine(self, u: GridFunction, k_values: np.ndarray) -> np.ndarray:
-        """W u + K(u) + b from the values of K(u)."""
-        out = self.w_values * u.values + k_values
+    def evaluate(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """K(u) and F(u) = W u + K(u) + b, each (h, M), from values that
+        :meth:`checked_values` returned or that were computed from them."""
+        k = self.kernel.integral(self.grid, values).reshape(values.shape)
+        f = self.w_values * values + k
         if self.bias is not None:
-            out = out + self.bias.values
-        return out
+            f = f + self.bias.values
+        return k, f
+
+    def kernel_part(self, u: GridFunction) -> GridFunction:
+        """K(u) alone, without multiplier and bias."""
+        return GridFunction(self.grid, self.evaluate(self.checked_values(u))[0])
 
     def apply(self, u: GridFunction) -> GridFunction:
-        return GridFunction(self.grid, self._affine(u, self.kernel_part(u).values))
+        return GridFunction(self.grid, self.evaluate(self.checked_values(u))[1])
 
 
 @dataclass
@@ -385,23 +414,22 @@ def invert_banach(
 
     Starts from u = 0; iteration m is the m-th application of the map, and
     its K(u) serves both its residual and the next update (n iterations take
-    n + 1 kernel integrals).  Raises :class:`DivergenceError` (with the
-    trace attached) after ``DIVERGENCE_PATIENCE`` consecutive residual
-    increases, or at the first non-finite residual; the trace then holds the
-    finite iterations before it.
+    n + 1 kernel integrals).  z is checked once; the loop steps on (h, M)
+    arrays and wraps only the u it returns.  Raises :class:`DivergenceError`
+    (with the trace attached) after ``DIVERGENCE_PATIENCE`` consecutive
+    residual increases, or at the first non-finite residual; the trace then
+    holds the finite iterations before it.
     """
-    op.grid.require_matches(z.grid)
-    rhs = z.values if op.bias is None else z.values - op.bias.values
-    u = GridFunction(op.grid, np.zeros_like(z.values))
-    k_u = op.kernel_part(u).values
+    z_values = op.checked_values(z)
+    rhs = z_values if op.bias is None else z_values - op.bias.values
+    u = np.zeros_like(z_values)
+    k_u = op.evaluate(u)[0]
     trace = InversionTrace(meta={"method": "banach", "tol": tol})
     increases = 0
     for m in range(1, max_iter + 1):
-        u = GridFunction(op.grid, (rhs - k_u) / op.w_values)
-        k_u = op.kernel_part(u).values
-        diff = op._affine(u, k_u) - z.values
-        res_l2 = l2_norm(op.grid, diff)
-        res_h1 = h1_norm(op.grid, diff)
+        u = (rhs - k_u) / op.w_values
+        k_u, f_u = op.evaluate(u)
+        res_l2, res_h1 = l2_h1_norms(op.grid, f_u - z_values)
         if not (math.isfinite(res_l2) and math.isfinite(res_h1)):
             raise DivergenceError(
                 f"non-finite residual at iteration {m} (L2 {res_l2}, H1 {res_h1})",
@@ -416,14 +444,14 @@ def invert_banach(
         trace.iterations = m
         if res_l2 <= tol:
             trace.converged = True
-            return u, trace
+            break
         if increases >= DIVERGENCE_PATIENCE:
             raise DivergenceError(
                 f"residual increased {DIVERGENCE_PATIENCE} iterations in a row "
                 f"(last {res_l2:.3e})",
                 trace=trace,
             )
-    return u, trace
+    return GridFunction(op.grid, u), trace
 
 
 def _derivative_table(op: NonlinearIntegralOperator, u0: GridFunction) -> np.ndarray:
@@ -607,7 +635,7 @@ def estimate_coercivity(
     values = np.empty((n_rays, radii.size))
     for d, ray in enumerate(rays):
         for j, r in enumerate(radii):
-            ku = op.kernel_part(GridFunction(grid, ray * r)).values
+            ku = op.evaluate(ray * r)[0]
             values[d, j] = alpha * r * unit_sq[d] + np.sum(grid.weights * (ku / op.w_values) * ray)
     min_values = values.min(axis=0)
     scale = np.maximum(1.0, np.abs(min_values[:-1]))
@@ -660,7 +688,7 @@ def estimate_contraction(op: NonlinearIntegralOperator, seed: int = 0) -> float:
     n_random = max(0, 64 - 4 * n_modes)
     random = smooth(rng.standard_normal((2 * n_random, ch, n_modes)) * 0.5)
     points = np.concatenate([bases, shifted.reshape(-1, ch, grid.size), random])
-    k_points = np.stack([op.kernel_part(GridFunction(grid, u)).values for u in points])
+    k_points = np.stack([op.evaluate(u)[0] for u in points])
     k_points = k_points / op.w_values
     fixed = np.stack([np.repeat([0, 1], 2 * n_modes), np.arange(2, 2 + 4 * n_modes)], axis=1)
     drawn = 2 + 4 * n_modes + np.arange(2 * n_random).reshape(-1, 2)

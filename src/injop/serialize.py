@@ -131,14 +131,28 @@ def finite_array(value: Any, what: str) -> np.ndarray:
     return arr
 
 
-def json_object(obj: Any, what: Optional[str] = None) -> Dict[str, Any]:
-    """obj, if it is a JSON object; any other JSON value is a usage error,
-    named by ``what`` or else by the enclosing :func:`file_field`."""
-    if isinstance(obj, dict):
-        return obj
-    kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+def finite_number(value: Any, what: str) -> float:
+    """One number of file data as a float: what :func:`finite_array` reads,
+    holding no array, not even of one element; else a ValueError."""
+    arr = finite_array(value, what)
+    if arr.ndim:
+        raise ValueError(f"{what} must be a number, not an array")
+    return float(arr)
+
+
+def json_object(obj: Any, what: Optional[str] = None,
+                keys: Optional[Tuple[str, ...]] = None) -> Dict[str, Any]:
+    """obj, if it is a JSON object with no entries other than ``keys`` (when
+    given); else a usage error, named by ``what`` or else by the enclosing
+    :func:`file_field`."""
     where = f"{what}: " if what else ""
-    raise UsageError(f"{where}must hold a JSON object, not {kind.get(type(obj), 'a number')}")
+    if not isinstance(obj, dict):
+        kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+        raise UsageError(f"{where}must hold a JSON object, not {kind.get(type(obj), 'a number')}")
+    if keys is not None and not set(obj) <= set(keys):
+        raise UsageError(f"{where}unknown entry {min(set(obj) - set(keys))!r}; the entries "
+                         f"are {', '.join(keys)}")
+    return obj
 
 
 def _integer(value: Any, what: str) -> int:
@@ -156,7 +170,8 @@ def basis_to_obj(basis: BasisSpec) -> Dict[str, Any]:
 
 
 def basis_from_obj(obj: Dict[str, Any]) -> BasisSpec:
-    return BasisSpec(obj["kind"], finite_array(obj["interval"], "the basis interval"))
+    return BasisSpec(json_object(obj, "basis", ("kind", "interval"))["kind"],
+                     finite_array(obj["interval"], "the basis interval"))
 
 
 def _activation_to_obj(act: Activation) -> Dict[str, Any]:
@@ -167,8 +182,8 @@ def _activation_to_obj(act: Activation) -> Dict[str, Any]:
 
 
 def _activation_from_obj(obj: Dict[str, Any]) -> Activation:
-    a = json_object(obj, "activation").get("a")
-    return Activation(obj["kind"], None if a is None else float(finite_array(a, "the slope a")))
+    a = json_object(obj, "activation", ("kind", "a")).get("a")
+    return Activation(obj["kind"], None if a is None else finite_number(a, "the slope a"))
 
 
 def network_to_obj(net: FiniteRankNetwork) -> Dict[str, Any]:
@@ -185,16 +200,21 @@ def network_to_obj(net: FiniteRankNetwork) -> Dict[str, Any]:
     return {"basis": basis_to_obj(net.basis), "N": net.n, "layers": layers}
 
 
+#: The entries of a network file, and of each of its layers, in file order.
+NETWORK_KEYS = ("basis", "N", "layers")
+LAYER_KEYS = ("d_in", "d_out", "n_out", "activation", "C", "bias")
+
+
 def network_from_obj(obj: Dict[str, Any]) -> FiniteRankNetwork:
-    json_object(obj, "network file")
+    json_object(obj, "network file", NETWORK_KEYS)
     with file_field("network file"):
-        basis = basis_from_obj(json_object(obj["basis"], "basis"))
+        basis = basis_from_obj(obj["basis"])
         n = _integer(obj["N"], "N")
         layer_objs = list(obj["layers"])
     layers = []
     for i, lobj in enumerate(layer_objs):
         with file_field(f"network file: layer {i}"):
-            n_out = _integer(json_object(lobj).get("n_out", n), "n_out")
+            n_out = _integer(json_object(lobj, keys=LAYER_KEYS).get("n_out", n), "n_out")
             c = finite_array(lobj["C"], "kernel blocks C")
             bias = SpectralCoeffs(basis, n_out, finite_array(lobj["bias"], "a layer bias"))
             layers.append(FiniteRankLayer(_integer(lobj["d_in"], "d_in"),
@@ -320,8 +340,9 @@ def kernel_signature(kernel: KernelBase) -> List[str]:
 _TABLE = lambda k: k.terms[0][0]  # noqa: E731  (the c of a Volterra or linear-table kernel)
 _TERMS = KernelEntry(
     "terms", "terms", lambda k: [dict(zip(TERM_KEYS, t)) for t in k.terms],
-    lambda terms, key: [tuple(finite_array(json_object(t, f"term {j}")[p], f"term {j} {p}")
-                              for p in TERM_KEYS) for j, t in enumerate(terms)])
+    lambda terms, key: [tuple(finite_array(json_object(t, f"term {j}", TERM_KEYS)[p],
+                                           f"term {j} {p}") for p in TERM_KEYS)
+                        for j, t in enumerate(terms)])
 #: sigmoid_sum and wire kernels take the u entry of the signature as an argument.
 _U = KernelEntry("signature", "signature", kernel_signature,
                  lambda sig, key: "u(y)" if "u(y)" in sig else "u(x)", required=False)
@@ -329,7 +350,8 @@ _U = KernelEntry("signature", "signature", kernel_signature,
 #: Each kernel kind's class and its file entries after ``kind``, in file order.
 KERNEL_KINDS: Dict[str, Tuple[type, Tuple[KernelEntry, ...]]] = {
     "sigmoid_sum": (SigmoidSumKernel, (_U, _TERMS)),
-    "wire": (WireKernel, (_U, KernelEntry("omega", "omega", attrgetter("omega")), _TERMS)),
+    "wire": (WireKernel, (_U, KernelEntry("omega", "omega", attrgetter("omega"), finite_number),
+                          _TERMS)),
     "volterra": (VolterraKernel, (
         KernelEntry("base", "base", _TABLE, required=False),
         KernelEntry("nonlinearity", "nonlinearity", attrgetter("nonlinearity"),
@@ -374,8 +396,9 @@ def grid_to_obj(grid: Grid) -> Dict[str, Any]:
 
 
 def grid_from_obj(obj: Dict[str, Any]) -> Grid:
-    a, b = finite_array([json_object(obj)["a"], obj["b"]], "the grid interval")
-    return Grid(float(a), float(b), _integer(obj["size"], "size"))
+    json_object(obj, keys=("a", "b", "size"))
+    return Grid(finite_number(obj["a"], "a"), finite_number(obj["b"], "b"),
+                _integer(obj["size"], "size"))
 
 
 def operator_to_obj(op: NonlinearIntegralOperator) -> Dict[str, Any]:
@@ -385,8 +408,12 @@ def operator_to_obj(op: NonlinearIntegralOperator) -> Dict[str, Any]:
     return obj
 
 
+#: The entries of an operator file, in file order.
+OPERATOR_KEYS = ("grid", "w", "kernel", "bias")
+
+
 def operator_from_obj(obj: Dict[str, Any], grid: Optional[Grid] = None) -> NonlinearIntegralOperator:
-    json_object(obj, "operator file")
+    json_object(obj, "operator file", OPERATOR_KEYS)
     with file_field("operator file: grid"):
         file_grid = grid_from_obj(obj["grid"]) if "grid" in obj else None
     grid = file_grid if grid is None else grid
@@ -456,7 +483,7 @@ def load_atlas(dirpath: str, op: NonlinearIntegralOperator) -> Atlas:
         names = obj["anchors"]
         if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
             raise TypeError("anchors must be a non-empty list of CSV file names")
-        ell0, eps1 = _integer(obj["ell0"], "ell0"), float(finite_array(obj["eps1"], "eps1"))
+        ell0, eps1 = _integer(obj["ell0"], "ell0"), finite_number(obj["eps1"], "eps1")
         if not 1 <= ell0 <= op.grid.size:
             raise ValueError(f"ell0 must lie in [1, {op.grid.size}], got {ell0}")
         if not eps1 > 0:

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,18 +15,24 @@ from numpy.testing import assert_allclose
 import injop.atlas
 import injop.nonlin
 from injop.errors import OutOfBasinError
-from injop.funcspace import Grid, GridFunction, h1_norm
+from injop.funcspace import Grid, GridFunction, h1_norm, l2_norm
 from injop.nonlin import (
     FactorizedFrechet,
+    InversionTrace,
     KernelBase,
     LinearTableKernel,
     NonlinearIntegralOperator,
     SigmoidSumKernel,
+    SoftmaxAttentionKernel,
     VolterraKernel,
     WireKernel,
     frechet_derivative,
+    invert_banach,
+    linearize,
 )
 from injop.atlas import (
+    BASIN_PATIENCE,
+    Anchor,
     build_atlas,
     cell_key,
     compose_cell_masks,
@@ -35,6 +42,7 @@ from injop.atlas import (
     probe_indices,
 )
 from injop.serialize import load_atlas, save_atlas
+from test_nonlin import RIDGE_CASES, _full_outcome, _on_stored_tables
 
 GRID = Grid(0.0, 1.0, 129)
 
@@ -315,6 +323,122 @@ class TestNonFinite:
         trace = err.value.trace
         assert not trace.converged
         assert np.all(np.isfinite(trace.residuals_l2 + trace.residuals_h1))
+
+
+def _wrapped_local_invert(
+    op: NonlinearIntegralOperator,
+    anchor: Anchor,
+    g: GridFunction,
+    tol: float = 1e-8,
+    max_iter: int = 50,
+) -> tuple:
+    """``local_invert`` as it evaluated F through ``GridFunction`` wraps,
+    kept word for word as the oracle for the array loop."""
+    op.grid.require_matches(g.grid)
+    u = anchor.v.values.copy()
+    trace = InversionTrace(
+        meta={"method": "newton", "tol": tol, "anchor": anchor.index, "ratio_kind": "step_h1"}
+    )
+    increases = 0
+    prev_step = None
+    for m in range(1, max_iter + 1):
+        f_u = op.apply(GridFunction(op.grid, u)).values if m > 1 else anchor.g.values
+        diff = f_u - g.values
+        res_h1 = h1_norm(op.grid, diff)
+        res_l2 = l2_norm(op.grid, diff)
+        if not (math.isfinite(res_l2) and math.isfinite(res_h1)):
+            raise OutOfBasinError(
+                f"non-finite residual at iteration {m} near anchor {anchor.index} "
+                f"(L2 {res_l2}, H1 {res_h1})",
+                trace=trace,
+            )
+        if trace.residuals_h1:
+            increases = increases + 1 if res_h1 > trace.residuals_h1[-1] else 0
+        trace.residuals_l2.append(res_l2)
+        trace.residuals_h1.append(res_h1)
+        trace.iterations = m
+        if res_h1 <= tol:
+            trace.converged = True
+            return GridFunction(op.grid, u), trace
+        if increases >= BASIN_PATIENCE:
+            raise OutOfBasinError(
+                f"H1 residual rose {BASIN_PATIENCE} iterations in a row near anchor "
+                f"{anchor.index} (last {res_h1:.3e})",
+                trace=trace,
+            )
+        step = anchor.fact.solve(diff[0])
+        u = u - step
+        step_norm = h1_norm(op.grid, step)
+        if prev_step is not None and prev_step > 0:
+            trace.ratios.append(step_norm / prev_step)
+        prev_step = step_norm
+    return GridFunction(op.grid, u), trace
+
+
+def _chart(kernel, grid, w=2.0):
+    """An operator, an anchor at a smooth v and a target F(v + dv).  A kernel
+    that reads u(x) has no linearization; its anchor freezes A = diag(W),
+    the chord of the contraction map."""
+    op = NonlinearIntegralOperator(grid, kernel, w=w)
+    v = GridFunction(grid, 0.2 + 0.3 * np.sin(2 * np.pi * grid.nodes))
+    fact = (FactorizedFrechet(op.w_values, np.zeros(grid.size)) if "u(x)" in kernel.reads
+            else linearize(op, v))
+    target = op.apply(GridFunction(grid, v.values[0] + 0.1 * np.cos(2 * np.pi * grid.nodes)))
+    return op, Anchor(index=3, v=v, g=op.apply(v), fact=fact), target
+
+
+#: (operator, anchor, target, max_iter) on a grid, by the path the solve
+#: takes: every ridge case and attention converge; then the max_iter,
+#: rising-residual and non-finite-residual exits.
+LOCAL_CASES = {
+    **{name: (lambda grid, make=make: (*_chart(make(grid.nodes), grid), 50), "converged")
+       for name, make in RIDGE_CASES.items()},
+    "softmax_attention": (lambda grid: (
+        *_chart(SoftmaxAttentionKernel([[1.0]], [[0.5]]), grid), 50), "converged"),
+    "max_iter": (lambda grid: (
+        *_chart(SigmoidSumKernel([(0.4, 1.0, 0.0)], "u(y)"), grid), 3), "max_iter"),
+    "out_of_basin": (lambda grid: (
+        *_chart(_FoldKernel(), grid, w=1.0)[:2], GridFunction(grid, np.ones(grid.size)), 50),
+        "H1 residual rose"),
+    "non_finite": (lambda grid: (
+        *_chart(_SquareKernel(), grid, w=1.0)[:2],
+        GridFunction(grid, np.full(grid.size, 1e10)), 50), "non-finite residual"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("size", [33, 64, 257])
+@pytest.mark.parametrize("name", sorted(LOCAL_CASES))
+def test_array_newton_is_the_wrapped_newton_bit_for_bit(name, size):
+    make, path = LOCAL_CASES[name]
+    op, anchor, g, max_iter = make(Grid(0.0, 1.0, size))
+    got = _full_outcome(local_invert, op, anchor, g, tol=1e-12, max_iter=max_iter)
+    assert got == _on_stored_tables(_wrapped_local_invert, op, anchor, g, tol=1e-12,
+                                    max_iter=max_iter)
+    solution, _, _, _, iterations, converged, _, error, message = got
+    if path == "converged":
+        assert converged and error is type(None)
+    elif path == "max_iter":
+        assert solution is not None and not converged and iterations == max_iter
+    else:
+        assert error is OutOfBasinError and message.startswith(path)
+
+
+def test_inversion_loops_wrap_only_their_result(grid_functions_built):
+    """Each loop checks its target once and steps on arrays: one call builds
+    one ``GridFunction``, the solution it returns."""
+    grid = Grid(0.0, 1.0, 129)
+    op = NonlinearIntegralOperator(grid, SigmoidSumKernel([(0.4, 1.0, 0.0)], "u(y)"), w=1.0)
+    z = op.apply(GridFunction(grid, np.cos(2 * np.pi * grid.nodes)))
+    zero = GridFunction(grid, np.zeros(grid.size))
+    chord = Anchor(index=0, v=zero, g=op.apply(zero),
+                   fact=FactorizedFrechet(op.w_values, np.zeros(grid.size)))
+    for solve in (lambda: invert_banach(op, z, tol=1e-13, max_iter=100),
+                  lambda: local_invert(op, chord, z, tol=1e-13, max_iter=100)):
+        grid_functions_built.clear()
+        u, trace = solve()
+        assert trace.converged and trace.iterations >= 10
+        assert len(grid_functions_built) == 1 and grid_functions_built[0] is u
 
 
 class TestGlobalInvert:

@@ -756,6 +756,61 @@ def write_saved_atlas(tmp_path):
     return op, target, atlas_dir
 
 
+def _run_on_edited_file(tmp_path, which, edit):
+    """Exit code of the command that reads an ``operator``, ``network`` or
+    saved ``atlas`` file after ``edit(obj)`` on its JSON tree."""
+    if which == "network":
+        argv = ["certify", "--net", _edited_network(tmp_path, edit, Activation("leaky_relu", 0.2))]
+    else:
+        op, target, atlas_dir = write_saved_atlas(tmp_path)
+        path = op if which == "operator" else os.path.join(atlas_dir, "atlas.json")
+        obj = read_json(path)
+        edit(obj)
+        write_json(obj, path)
+        argv = ["invert", "--op", op, "--target", target]
+        if which == "atlas":
+            argv += ["--method", "atlas", "--anchors", atlas_dir]
+    return main(argv + ["--out-dir", str(tmp_path / "out")])
+
+
+_WIRE = {"kind": "wire", "omega": [3.0], "terms": [{"c": 0.2, "a": 1.0, "b": 0.0}]}
+
+
+@pytest.mark.parametrize("which, edit, message", [
+    ("operator", _set("kernel", _WIRE), "operator file: kernel: omega must be a number"),
+    ("operator", _set("grid", "a", [0.0]), "operator file: grid: a must be a number"),
+    ("operator", _set("grid", "b", [1.0]), "operator file: grid: b must be a number"),
+    ("network", _set("layers", 0, "activation", "a", [0.2]),
+     "network file: layer 0: the slope a must be a number"),
+    ("atlas", _set("eps1", [0.25]), "atlas file: eps1 must be a number"),
+], ids=["wire_omega", "grid_a", "grid_b", "activation_slope", "atlas_eps1"])
+def test_scalar_entry_holding_an_array_is_usage_error(tmp_path, capsys, which, edit, message):
+    code = _run_on_edited_file(tmp_path, which, edit)
+    err = capsys.readouterr().err
+    assert code == 64, err
+    assert err.startswith(message), err
+
+
+@pytest.mark.parametrize("which, edit, message", [
+    ("operator", _set("bais", [0.0] * 65), "operator file: unknown entry 'bais'"),
+    ("operator", _set("kernel", "terms", 0, "bb", 4),
+     "operator file: kernel: term 0: unknown entry 'bb'"),
+    ("operator", _set("grid", "step", 0.1), "operator file: grid: unknown entry 'step'"),
+    ("network", _set("depth", 2), "network file: unknown entry 'depth'"),
+    ("network", _set("basis", "n", 2), "network file: basis: unknown entry 'n'"),
+    ("network", _set("layers", 0, "bais", [[0.0, 0.0]]),
+     "network file: layer 0: unknown entry 'bais'"),
+    ("network", _set("layers", 0, "activation", "slope", 0.2),
+     "network file: layer 0: activation: unknown entry 'slope'"),
+], ids=["operator_bais", "term_bb", "grid_step", "network_depth", "basis_n", "layer_bais",
+        "activation_slope"])
+def test_unknown_entry_is_usage_error(tmp_path, capsys, which, edit, message):
+    code = _run_on_edited_file(tmp_path, which, edit)
+    err = capsys.readouterr().err
+    assert code == 64, err
+    assert err.startswith(message), err
+
+
 def truncate_file(path):
     """Cut a text file in half."""
     with open(path) as fh:

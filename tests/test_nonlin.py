@@ -1,5 +1,6 @@
 """Nonlinear integral operators: quadrature, fixed points, linearization."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -12,6 +13,7 @@ from injop.errors import (
     DivergenceError,
     GridMismatchError,
     NotDifferentiableError,
+    OutOfBasinError,
     SingularOperatorError,
 )
 from injop.finite_rank import expit
@@ -22,6 +24,7 @@ from injop.funcspace import (
     SpectralCoeffs,
     from_spectral,
     h1_norm,
+    l2_norm,
 )
 from injop.nonlin import (
     DIVERGENCE_PATIENCE,
@@ -31,6 +34,7 @@ from injop.nonlin import (
     KernelBase,
     LinearTableKernel,
     NonlinearIntegralOperator,
+    RidgeKernel,
     SigmoidSumKernel,
     SoftmaxAttentionKernel,
     VolterraKernel,
@@ -651,6 +655,138 @@ def test_banach_matches_full_evaluation_reference(name):
         assert got[2] is DivergenceError
     else:
         assert got[1][4]  # converged
+
+
+def _affine(op, u, k_values):
+    """W u + K(u) + b from the values of K(u): the operator's former
+    ``_affine`` method, which the wrapped loop below calls."""
+    out = op.w_values * u.values + k_values
+    if op.bias is not None:
+        out = out + op.bias.values
+    return out
+
+
+def _wrapped_banach(
+    op: NonlinearIntegralOperator,
+    z: GridFunction,
+    tol: float = 1e-10,
+    max_iter: int = 100,
+) -> tuple:
+    """``invert_banach`` as it stepped on ``GridFunction`` wraps, kept word
+    for word (``op._affine`` now :func:`_affine`) as the oracle for the
+    array loop."""
+    op.grid.require_matches(z.grid)
+    rhs = z.values if op.bias is None else z.values - op.bias.values
+    u = GridFunction(op.grid, np.zeros_like(z.values))
+    k_u = op.kernel_part(u).values
+    trace = InversionTrace(meta={"method": "banach", "tol": tol})
+    increases = 0
+    for m in range(1, max_iter + 1):
+        u = GridFunction(op.grid, (rhs - k_u) / op.w_values)
+        k_u = op.kernel_part(u).values
+        diff = _affine(op, u, k_u) - z.values
+        res_l2 = l2_norm(op.grid, diff)
+        res_h1 = h1_norm(op.grid, diff)
+        if not (math.isfinite(res_l2) and math.isfinite(res_h1)):
+            raise DivergenceError(
+                f"non-finite residual at iteration {m} (L2 {res_l2}, H1 {res_h1})",
+                trace=trace,
+            )
+        if trace.residuals_l2:
+            prev = trace.residuals_l2[-1]
+            trace.ratios.append(res_l2 / prev if prev > 0 else 0.0)
+            increases = increases + 1 if res_l2 > prev else 0
+        trace.residuals_l2.append(res_l2)
+        trace.residuals_h1.append(res_h1)
+        trace.iterations = m
+        if res_l2 <= tol:
+            trace.converged = True
+            return u, trace
+        if increases >= DIVERGENCE_PATIENCE:
+            raise DivergenceError(
+                f"residual increased {DIVERGENCE_PATIENCE} iterations in a row "
+                f"(last {res_l2:.3e})",
+                trace=trace,
+            )
+    return u, trace
+
+
+def _full_outcome(solve, *args, **kwargs):
+    """Solution bytes (None on error), every trace field, and the error's
+    type and message, of one solve."""
+    u, error = None, None
+    try:
+        u, trace = solve(*args, **kwargs)
+    except (DivergenceError, OutOfBasinError) as err:
+        trace, error = err.trace, err
+    return (None if u is None else u.values.tobytes(), trace.residuals_l2, trace.residuals_h1,
+            trace.ratios, trace.iterations, trace.converged, trace.meta,
+            type(error), str(error))
+
+
+def _on_stored_tables(solve, *args, **kwargs):
+    """:func:`_full_outcome` with every ridge kernel integrating through the
+    stored-table route of ``KernelBase.integral``, as all of them did before
+    scalar kernels took their own route."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RidgeKernel, "integral", KernelBase.integral)
+        return _full_outcome(solve, *args, **kwargs)
+
+
+def _banach_ridge_case(make):
+    return lambda grid: (NonlinearIntegralOperator(grid, make(grid.nodes), w=2.0),
+                         GridFunction(grid, 1.0 + np.cos(3 * grid.nodes)), 100)
+
+
+#: Three ridge terms, whose sum depends on the order it is taken in.
+_THREE_TERMS = [(0.3, 1.2, 0.3), (-0.2, 0.8, -0.2), (0.1, -1.5, 0.4)]
+
+#: (operator, target, max_iter) on a grid, by the path the solve takes:
+#: every ridge case converges, three-term sums included; then a bias,
+#: two-channel attention, and the max_iter, increasing-residual and
+#: non-finite-residual exits.
+BANACH_ARRAY_CASES = {
+    **{name: (_banach_ridge_case(make), "converged") for name, make in RIDGE_CASES.items()},
+    "sigmoid_sum_uy_three_terms": (_banach_ridge_case(
+        lambda x: SigmoidSumKernel(_THREE_TERMS, "u(y)")), "converged"),
+    "wire_ux_three_terms": (_banach_ridge_case(
+        lambda x: WireKernel(3.0, _THREE_TERMS, "u(x)")), "converged"),
+    "sigmoid_sum_uy_bias": (lambda grid: (
+        NonlinearIntegralOperator(
+            grid, SigmoidSumKernel([(0.3, 1.0, 0.0), (0.2, -2.0, 0.5)], "u(y)"), w=1.5,
+            bias=GridFunction(grid, np.sin(2 * np.pi * grid.nodes))),
+        GridFunction(grid, 1.0 + grid.nodes), 100), "converged"),
+    "softmax_attention_two_channel": (lambda grid: (
+        NonlinearIntegralOperator(
+            grid, SoftmaxAttentionKernel(0.5 * np.eye(2), [[0.2, 0.1], [0.0, 0.3]]), w=2.0),
+        GridFunction(grid, np.stack([np.sin(grid.nodes), 1.0 - grid.nodes])), 100), "converged"),
+    "max_iter": (lambda grid: (
+        NonlinearIntegralOperator(grid, SigmoidSumKernel([(0.3, 1.0, 0.0)], "u(y)"), w=2.0),
+        GridFunction(grid, 1.0 + grid.nodes), 4), "max_iter"),
+    "diverges": (lambda grid: (
+        NonlinearIntegralOperator(grid, LinearTableKernel(3.0)),
+        GridFunction(grid, np.ones(grid.size)), 100), "residual increased"),
+    "non_finite_target": (lambda grid: (
+        NonlinearIntegralOperator(grid, SigmoidSumKernel([(0.3, 1.0, 0.0)], "u(y)")),
+        GridFunction(grid, np.where(np.arange(grid.size) == 17, np.nan, 1.0)), 100),
+        "non-finite residual"),
+}
+
+
+@pytest.mark.parametrize("size", [33, 64, 257])
+@pytest.mark.parametrize("name", sorted(BANACH_ARRAY_CASES))
+def test_array_loop_is_the_wrapped_loop_bit_for_bit(name, size):
+    make, path = BANACH_ARRAY_CASES[name]
+    op, z, max_iter = make(Grid(0.0, 1.0, size))
+    got = _full_outcome(invert_banach, op, z, tol=1e-12, max_iter=max_iter)
+    assert got == _on_stored_tables(_wrapped_banach, op, z, tol=1e-12, max_iter=max_iter)
+    solution, _, _, _, iterations, converged, _, error, message = got
+    if path == "converged":
+        assert converged and error is type(None)
+    elif path == "max_iter":
+        assert solution is not None and not converged and iterations == max_iter
+    else:
+        assert error is DivergenceError and message.startswith(path)
 
 
 class TestFrechet:
