@@ -12,7 +12,8 @@ evaluated on a grid and the result is projected back to the first N' modes.
 The layer maps accept a batch: coefficients of shape (B, d, N) pass
 through one einsum, one synthesis product and one analysis product per
 layer, and come out as (B, d', N').  A single function of shape (d, N) is
-the unbatched case of the same code.
+the unbatched case of the same code.  A network checks its input once and
+steps through its layers on bare arrays.
 """
 
 from __future__ import annotations
@@ -33,6 +34,18 @@ def expit(x):
     """Logistic sigmoid; exp(-x) overflows to inf for x < -709.78, where the result is 0."""
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
+
+
+def _leaky(x: np.ndarray, slope: float) -> np.ndarray:
+    """max(x, 0) - slope * max(-x, 0) on a float array.  Below slope 1 it is
+    max(x, slope * x) in two passes, which cannot overflow; the + 0.0 gives
+    the +0.0 the formula gives at -0.0 and where slope * x underflows."""
+    if slope >= 1.0:
+        return np.maximum(x, 0.0) - slope * np.maximum(-x, 0.0)
+    out = slope * x
+    np.maximum(x, out, out=out)
+    out += 0.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -58,13 +71,11 @@ class Activation:
             raise ValueError(f"{self.kind} takes no parameter")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "identity":
-            return np.asarray(x, dtype=float)
+        if self.kind == "leaky_relu":
+            return _leaky(x, self.a)
         if self.kind == "relu":
             return np.maximum(x, 0.0)
-        if self.kind == "leaky_relu":
-            return np.maximum(x, 0.0) - self.a * np.maximum(-x, 0.0)
-        return expit(x)  # sigmoid
+        return expit(x) if self.kind == "sigmoid" else np.asarray(x, dtype=float)
 
     @property
     def is_injective(self) -> bool:
@@ -82,29 +93,18 @@ class Activation:
         if self.is_identity_map:
             return np.asarray(x, dtype=float)
         if self.kind == "leaky_relu":
-            return np.maximum(x, 0.0) - (1.0 / self.a) * np.maximum(-x, 0.0)
+            return _leaky(x, 1.0 / self.a)
         x = np.asarray(x, dtype=float)
         return np.log(x) - np.log1p(-x)  # sigmoid
 
 
 @dataclass
 class FiniteRankLayer:
-    """One finite-rank integral layer.
-
-    Attributes
-    ----------
-    d_in, d_out : int
-        Input/output channel counts.
-    n : int
-        Spectral order N of the input.
-    c : ndarray, shape (n, n_out, d_out, d_in)
-        Kernel blocks indexed [input mode k][output mode p][out chan][in chan].
-    bias : SpectralCoeffs
-        Output-side bias, shape (d_out, n_out).
-    activation : Activation
-    n_out : int, optional
-        Spectral order of the output; defaults to ``n``.
-    """
+    """One finite-rank integral layer from ``d_in`` to ``d_out`` channels and
+    from input order ``n`` to output order ``n_out`` (default ``n``).  The
+    kernel blocks ``c``, shape (n, n_out, d_out, d_in), are indexed [input
+    mode k][output mode p][out chan][in chan]; the output-side ``bias`` has
+    shape (d_out, n_out)."""
 
     d_in: int
     d_out: int
@@ -152,8 +152,8 @@ class FiniteRankNetwork:
             if prev.basis != nxt.basis:
                 raise DimensionError(f"layer {t}: all layers must share the basis")
         if not self.layers[-1].activation.is_identity_map:
-            last = len(self.layers) - 1
-            raise DimensionError(f"layer {last}: final layer must carry the identity activation")
+            raise DimensionError(f"layer {len(self.layers) - 1}: final layer must carry the "
+                                 f"identity activation")
 
     @property
     def n(self) -> int:
@@ -194,29 +194,34 @@ def apply_finite_rank(layer: FiniteRankLayer, u: SpectralCoeffs) -> SpectralCoef
 def apply_affine(layer: FiniteRankLayer, u: SpectralCoeffs) -> SpectralCoeffs:
     """Kernel plus bias, no activation."""
     out = apply_finite_rank(layer, u)
-    out.coeffs = out.coeffs + layer.bias.coeffs
-    return out
+    return SpectralCoeffs(out.basis, out.n, out.coeffs + layer.bias.coeffs)
+
+
+def _layer_step(layer: FiniteRankLayer, coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """:func:`apply_layer` on checked (..., d_in, n) coefficients.  An
+    identity-map activation skips the grid round trip, so purely linear
+    layers compose exactly."""
+    z = np.einsum("kpij,...jk->...ip", layer.c, coeffs) + layer.bias.coeffs
+    if layer.activation.is_identity_map:
+        return z
+    table = resolved_mode_table(layer.basis, grid, layer.n_out)
+    return layer.activation.apply(z @ table.phi) @ table.analysis
 
 
 def apply_layer(layer: FiniteRankLayer, u: SpectralCoeffs, grid: Grid) -> SpectralCoeffs:
-    """Full layer: affine map, activation on the grid, reprojection to n_out.
-
-    Identity-map activations skip the grid round trip, so purely linear
-    layers compose exactly.
-    """
+    """Full layer: affine map, activation on the grid, reprojection to n_out."""
     _require_input(layer, u)
-    z = np.einsum("kpij,...jk->...ip", layer.c, u.coeffs) + layer.bias.coeffs
-    if not layer.activation.is_identity_map:
-        table = resolved_mode_table(layer.basis, grid, layer.n_out)
-        z = layer.activation.apply(z @ table.phi) @ table.analysis
-    return SpectralCoeffs(layer.basis, layer.n_out, z)
+    return SpectralCoeffs(layer.basis, layer.n_out, _layer_step(layer, u.coeffs, grid))
 
 
 def apply_network(net: FiniteRankNetwork, u: SpectralCoeffs, grid: Grid) -> SpectralCoeffs:
-    """Compose the layers on one input (d_in, N) or a batch (B, d_in, N)."""
+    """Compose the layers on one input (d_in, N) or a batch (B, d_in, N).
+    The input is checked once: the network checked that its layers chain."""
+    _require_input(net.layers[0], u)
+    coeffs = u.coeffs
     for layer in net.layers:
-        u = apply_layer(layer, u, grid)
-    return u
+        coeffs = _layer_step(layer, coeffs, grid)
+    return SpectralCoeffs(net.basis, net.n_out, coeffs)
 
 
 def block_matrix(layer: FiniteRankLayer) -> np.ndarray:
@@ -276,9 +281,7 @@ def truncate_kernel(
     modes 1..n, the guard of :func:`to_spectral`.
     """
     phi_w = resolved_mode_table(basis, grid, n).analysis.T  # (n, M)
-    x = grid.nodes[:, None]
-    y = grid.nodes[None, :]
-    table = np.asarray(kernel(x, y), dtype=float)
+    table = np.asarray(kernel(grid.nodes[:, None], grid.nodes[None, :]), dtype=float)
     if table.shape != (grid.size, grid.size):
         raise DimensionError(
             f"kernel table has shape {table.shape}, expected {(grid.size, grid.size)}"
@@ -289,14 +292,10 @@ def truncate_kernel(
     tail_sq = hs_sq - float(np.sum(coeff**2))
     clamped = tail_sq < 0.0
     if clamped:
-        warnings.warn(
-            f"Hilbert-Schmidt tail^2 = {tail_sq:.3e} clamped to 0 (kernel is "
-            f"numerically inside the span)",
-            stacklevel=2,
-        )
+        warnings.warn(f"Hilbert-Schmidt tail^2 = {tail_sq:.3e} clamped to 0 (kernel is "
+                      f"numerically inside the span)", stacklevel=2)
         tail_sq = 0.0
     c = coeff[:, :, None, None]  # (k, p, 1, 1)
-    layer = FiniteRankLayer(
-        d_in=1, d_out=1, n=n, c=c, bias=zero_bias(basis, 1, n), activation=Activation()
-    )
+    layer = FiniteRankLayer(d_in=1, d_out=1, n=n, c=c, bias=zero_bias(basis, 1, n),
+                            activation=Activation())
     return TruncationResult(layer=layer, hs_tail=float(np.sqrt(tail_sq)), tail_clamped=clamped)

@@ -15,10 +15,10 @@ plane the direct rotation is the plane rotation by asin(alpha); everywhere
 else both projections and the rotation are the identity.  The explicit
 route therefore builds the pair, its tilt and B from those planes in
 closed form, with no eigendecomposition or SVD.  Both routes then fold B
-into the last layer by one product: B's columns on the modes the last
-layer writes times that layer's block matrix.  Each such column block of
-the explicit B has one nonzero entry per row (1, or -alpha on a slot), so
-its fold is exact.
+into the last layer, on the columns of the modes that layer writes: the
+randomized B by one product, the explicit B by its planes.  On those
+columns each row of the explicit B has one nonzero entry (1, or -alpha on
+a slot), so it folds by copying and scaling rows, with no dense B built.
 
 A randomized alternative draws the tilted subspace by rotating the
 reference one with a random rotation, builds the direct rotation densely
@@ -27,6 +27,7 @@ and checks injectivity empirically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -103,6 +104,11 @@ class ProjectionPair:
     def amp(self) -> float:
         return math.sqrt(1.0 - self.alpha * self.alpha)
 
+    @property
+    def xi_rows(self) -> np.ndarray:
+        """Row of each plane's xi slot among the kept (last ell) channels."""
+        return (self.xi_slots // self.m) * self.ell + self.ell - 1
+
     def _plane_matrix(self, block: np.ndarray) -> np.ndarray:
         """Identity with the 2x2 ``block`` on (slot, xi) of every plane."""
         (ss, sx), (xs, xx) = block
@@ -113,19 +119,13 @@ class ProjectionPair:
         mat[self.xi_slots, self.xi_slots] = xx
         return mat
 
-    def _p_alpha_block(self) -> np.ndarray:
-        # 1 - u u^T on one plane, rounded as the dense product rounds it.
-        amp, alpha = self.amp, self.alpha
-        return np.array([[1.0 - amp * amp, -(amp * alpha)],
-                         [-(amp * alpha), 1.0 - alpha * alpha]])
-
     @property
     def p_zero(self) -> np.ndarray:
         return self._plane_matrix(_P_ZERO_BLOCK)
 
     @property
     def p_alpha(self) -> np.ndarray:
-        return self._plane_matrix(self._p_alpha_block())
+        return self._plane_matrix(_p_alpha_block(self.alpha))
 
     @property
     def q(self) -> np.ndarray:
@@ -138,21 +138,75 @@ class ProjectionPair:
         The difference is block diagonal over the planes with one repeated
         2x2 block, so its norm is that block's.
         """
-        return float(np.linalg.norm(self._p_alpha_block() - _P_ZERO_BLOCK, 2))
+        return _tilt_norm(self.alpha)
+
+
+def _p_alpha_block(alpha: float) -> np.ndarray:
+    # 1 - u u^T on one plane, rounded as the dense product rounds it.
+    amp = math.sqrt(1.0 - alpha * alpha)
+    return np.array([[1.0 - amp * amp, -(amp * alpha)],
+                     [-(amp * alpha), 1.0 - alpha * alpha]])
+
+
+@functools.lru_cache
+def _tilt_norm(alpha: float) -> float:
+    """2-norm of one plane's p_alpha - p_zero block; an SVD, run once per alpha."""
+    return float(np.linalg.norm(_p_alpha_block(alpha) - _P_ZERO_BLOCK, 2))
 
 
 @dataclass
 class ReductionMap:
-    """Dense reduction matrix from stacked m-channel to stacked ell-channel
-    coefficients, with provenance metadata."""
+    """Reduction from stacked m-channel to stacked ell-channel coefficients,
+    with provenance metadata.  The randomized kind holds its matrix
+    ``dense``; the explicit kind holds its projection ``pair``."""
 
-    b: np.ndarray
     kind: str
     meta: dict = field(default_factory=dict)
+    dense: Optional[np.ndarray] = None
+    pair: Optional[ProjectionPair] = None
+
+    @property
+    def b(self) -> np.ndarray:
+        """The dense matrix B; the explicit kind builds it on each access.
+
+        Since q p_alpha = p_zero q and the kept rows avoid the slots, the
+        explicit B is the kept rows of q: unit rows, except that each xi
+        row is ``amp * e_xi - alpha * e_slot``.
+        """
+        if self.pair is None:
+            return self.dense
+        pair = self.pair
+        keep = _keep_indices(pair.m, pair.ell, pair.n_total)
+        b = np.zeros((keep.size, pair.dim))
+        b[np.arange(keep.size), keep] = 1.0
+        b[pair.xi_rows, pair.xi_slots] = pair.amp
+        b[pair.xi_rows, pair.slots] = -pair.alpha
+        return b
 
     def row_orthonormality_defect(self) -> float:
-        gram = self.b @ self.b.T
+        b = self.b
+        gram = b @ b.T
         return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+
+    def fold(self, mat: np.ndarray, columns: Optional[np.ndarray] = None) -> np.ndarray:
+        """``B[:, columns] @ mat``, for a vector or matrix ``mat`` whose rows
+        stand for B's ``columns`` (default: its leading ``len(mat)``).
+
+        The explicit kind folds the default by its planes, bit for bit the
+        product.  On its leading columns, whole modes, B copies the kept
+        rows and puts ``-alpha`` times each slot's row on its xi row; the
+        + 0.0 gives the +0.0 the product's sum gives for -0.0.
+        """
+        if self.pair is None or columns is not None:
+            # take, not b[:, columns], whose copy is F-ordered: BLAS rounds
+            # the product on that layout differently.
+            return self.b.take(np.arange(len(mat)) if columns is None else columns, 1) @ mat
+        pair = self.pair
+        out = np.zeros((pair.n_total * pair.ell,) + mat.shape[1:])
+        kept = _keep_indices(pair.m, pair.ell, len(mat) // pair.m)
+        out[: kept.size] = mat[kept] + 0.0
+        out[pair.xi_rows] = -pair.alpha * mat[pair.slots] + 0.0
+        return out
 
 
 def _kato_rotation(p_zero: np.ndarray, p_alpha: np.ndarray) -> np.ndarray:
@@ -223,31 +277,10 @@ def _keep_indices(m: int, ell: int, n_total: int) -> np.ndarray:
 
 def build_reduction_explicit(pair: ProjectionPair) -> ReductionMap:
     """Restrict-to-output-channels composed with the rotation and the
-    tilted projection.
-
-    Since q p_alpha = p_zero q and the kept rows avoid the slots, B is the
-    kept rows of q: unit rows, except that each xi row is
-    ``amp * e_xi - alpha * e_slot``.
-    """
-    m, ell = pair.m, pair.ell
-    keep = _keep_indices(m, ell, pair.n_total)
-    b = np.zeros((keep.size, pair.dim))
-    b[np.arange(keep.size), keep] = 1.0
-    xi_rows = (pair.xi_slots // m) * ell + ell - 1
-    b[xi_rows, pair.xi_slots] = pair.amp
-    b[xi_rows, pair.slots] = -pair.alpha
-    return ReductionMap(
-        b=b,
-        kind="explicit",
-        meta={
-            "alpha": pair.alpha,
-            "m": m,
-            "ell": ell,
-            "n_core": pair.n_core,
-            "n_total": pair.n_total,
-            "tilt": pair.tilt_norm(),
-        },
-    )
+    tilted projection of ``pair`` (:attr:`ReductionMap.b`)."""
+    meta = {"alpha": pair.alpha, "m": pair.m, "ell": pair.ell, "n_core": pair.n_core,
+            "n_total": pair.n_total, "tilt": pair.tilt_norm()}
+    return ReductionMap(kind="explicit", meta=meta, pair=pair)
 
 
 def check_reduction_dimensions(n_in_modes: int, out_modes: int):
@@ -300,7 +333,7 @@ def build_reduction_randomized(
 
         if _verify_randomized(t_map, b, n_in_modes, rng):
             return ReductionMap(
-                b=b,
+                dense=b,
                 kind="randomized",
                 meta={
                     "seed": seed,
@@ -494,24 +527,26 @@ def lift_to_injective(
         pair = None
         t_map = _augmented_coefficient_map(augmented, d_in, d_out, n, n_total)
         reduction = build_reduction_randomized(t_map, n_in_modes, out_modes, seed=seed)
-        b = _embed_randomized_b(reduction.b, m, d_in, n)
+        columns = _ambient_columns(m, d_in, n)
     else:
         pair = build_projection_pair(m=m, ell=d_out, n_core=n, alpha=alpha)
         n_total = pair.n_total
         reduction = build_reduction_explicit(pair)
-        # The augmented net writes only modes < n; B's other columns never count.
-        b = reduction.b[:, : n * m]
+        columns = None  # stacked order n: B's leading n * m columns
     eps0 = float(reduction.meta["tilt"])
 
-    # Fold B into the last layer: G's last layer is B after H's.
+    # Fold B into the last layer: G's last layer is B after H's.  The
+    # augmented net writes only modes < n; B's other columns never count.
     final = augmented.layers[-1]
     lifted_final = FiniteRankLayer(
         d_in=final.d_in,
         d_out=d_out,
         n=n,
-        c=blocks_from_matrix(b @ block_matrix(final), n, d_out, final.d_in, n_total),
+        c=blocks_from_matrix(reduction.fold(block_matrix(final), columns),
+                             n, d_out, final.d_in, n_total),
         bias=SpectralCoeffs(final.basis, n_total,
-                            (b @ stack_coeffs(final.bias)).reshape(n_total, d_out).T),
+                            reduction.fold(stack_coeffs(final.bias), columns)
+                            .reshape(n_total, d_out).T),
         activation=Activation(),
         n_out=n_total,
     )
@@ -559,10 +594,9 @@ def _augmented_coefficient_map(augmented, d_in, d_out, n, n_total):
     return batch_map
 
 
-def _embed_randomized_b(b_sub, m, d_in, n):
-    """A randomized reduction's columns on the stacked order-n ambient
-    space, the only modes the augmented network writes."""
-    b = np.empty((b_sub.shape[0], n, m))
-    b[:, :, :d_in] = b_sub[:, : n * d_in].reshape(-1, n, d_in)
-    b[:, :, d_in:] = b_sub[:, n * d_in : n * m].reshape(-1, n, m - d_in)
-    return b.reshape(-1, n * m)
+def _ambient_columns(m, d_in, n):
+    """The randomized reduction's column for each stacked order-n entry of
+    the augmented output (mode k, channel c at k * m + c): the pathway
+    block, then the output block (:func:`_augmented_coefficient_map`)."""
+    k, c = np.divmod(np.arange(n * m), m)
+    return np.where(c < d_in, k * d_in + c, n * d_in + k * (m - d_in) + c - d_in)

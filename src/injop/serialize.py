@@ -477,8 +477,12 @@ def save_atlas(atlas: Atlas, dirpath: str):
     write_json(obj, os.path.join(dirpath, "atlas.json"))
 
 
+#: The entries of a saved atlas.json, as :func:`save_atlas` writes them.
+ATLAS_KEYS = ("ell0", "eps1", "probe_indices", "anchors", "cell_map", "constants")
+
+
 def load_atlas(dirpath: str, op: NonlinearIntegralOperator) -> Atlas:
-    obj = json_object(read_json(os.path.join(dirpath, "atlas.json")), "atlas file")
+    obj = json_object(read_json(os.path.join(dirpath, "atlas.json")), "atlas file", ATLAS_KEYS)
     with file_field("atlas file"):
         names = obj["anchors"]
         if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
@@ -491,7 +495,7 @@ def load_atlas(dirpath: str, op: NonlinearIntegralOperator) -> Atlas:
         stored_cells = {
             tuple(_integer(i, "a cell index") for i in e["cell"]):
                 _integer(e["anchor"], "a cell's anchor")
-            for e in obj["cell_map"]
+            for e in (json_object(e, keys=("cell", "anchor")) for e in obj["cell_map"])
         }
         stored_probes = [_integer(i, "a probe index") for i in obj["probe_indices"]]
     inputs = [read_grid_function_csv(os.path.join(dirpath, n), op.grid, op.channels) for n in names]

@@ -2,8 +2,16 @@
 
 import pytest
 
-from injop.funcspace import GridFunction
+from injop.funcspace import GridFunction, SpectralCoeffs
 from injop.nonlin import RidgeKernel
+from injop.reduction import _tilt_norm
+
+
+@pytest.fixture(autouse=True)
+def cold_tilt_norms():
+    """Each test starts with no tilt norm cached, so a test that counts the
+    lift's 2-norms sees the same count whatever ran before it."""
+    _tilt_norm.cache_clear()
 
 
 @pytest.fixture
@@ -32,4 +40,18 @@ def grid_functions_built(monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(GridFunction, "__post_init__", counting)
+    return built
+
+
+@pytest.fixture
+def spectral_coeffs_built(monkeypatch):
+    """A list of every ``SpectralCoeffs`` built while the fixture is active."""
+    built = []
+    post_init = SpectralCoeffs.__post_init__
+
+    def counting(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(SpectralCoeffs, "__post_init__", counting)
     return built

@@ -802,8 +802,10 @@ def test_scalar_entry_holding_an_array_is_usage_error(tmp_path, capsys, which, e
      "network file: layer 0: unknown entry 'bais'"),
     ("network", _set("layers", 0, "activation", "slope", 0.2),
      "network file: layer 0: activation: unknown entry 'slope'"),
+    ("atlas", _set("ell1", 4), "atlas file: unknown entry 'ell1'"),
+    ("atlas", _set("cell_map", 0, "weight", 1.0), "atlas file: unknown entry 'weight'"),
 ], ids=["operator_bais", "term_bb", "grid_step", "network_depth", "basis_n", "layer_bais",
-        "activation_slope"])
+        "activation_slope", "atlas_ell1", "cell_map_weight"])
 def test_unknown_entry_is_usage_error(tmp_path, capsys, which, edit, message):
     code = _run_on_edited_file(tmp_path, which, edit)
     err = capsys.readouterr().err

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from injop import finite_rank
 from injop.errors import AliasingGuardError, DimensionError, IntervalMismatchError
 from injop.finite_rank import (
     Activation,
@@ -33,6 +34,7 @@ from injop.funcspace import (
     to_spectral,
 )
 from injop.nonlin import SigmoidSumKernel
+from injop.reduction import lift_to_injective
 
 BASIS = BasisSpec("fourier", (0.0, 1.0))
 
@@ -266,6 +268,125 @@ class TestOnePassLayer:
         with pytest.raises(error) as want:
             wrapper_chain_layer(layer, u, grid)
         assert str(got.value) == str(want.value)
+
+
+def four_pass_leaky(x, slope):
+    """LeakyReLU as first written, in four passes: the reference for its
+    two-pass form."""
+    return np.maximum(x, 0.0) - slope * np.maximum(-x, 0.0)
+
+
+def layered_network(net, u, grid, monkeypatch):
+    """apply_network as first written, a loop of checked layers with the
+    four-pass LeakyReLU: the reference for the array path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(finite_rank, "_leaky", four_pass_leaky)
+        for layer in net.layers:
+            u = apply_layer(layer, u, grid)
+    return u
+
+
+#: Finite values that stress the sign of zero, underflow and overflow.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -1.0]
+#: Slopes from the smallest one accepted, the next double above 2**-1024.
+EDGE_SLOPES = [float(np.nextafter(2.0**-1024, 1.0)), 1e-300, 0.2, 0.3, 0.8,
+               float(np.nextafter(1.0, 0.0)), 1.0, 2.0, 2.5, 1e300]
+
+
+class TestArrayPath:
+    """apply_network steps on bare arrays and LeakyReLU takes two passes,
+    to the bytes of the layered path and the four-pass formula."""
+
+    @pytest.mark.parametrize("slope", EDGE_SLOPES)
+    @pytest.mark.parametrize("direction", ["apply", "inverse"])
+    def test_leaky_edge_values_equal_the_four_pass_form(self, direction, slope):
+        act = Activation("leaky_relu", slope)
+        for x in EDGE_VALUES + [math.inf, -math.inf, math.nan]:
+            x = np.array([x])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if direction == "apply":
+                    want = four_pass_leaky(x, slope)
+                else:  # slope 1 is the identity map, whose inverse returns its input
+                    want = x if slope == 1.0 else four_pass_leaky(x, 1.0 / slope)
+            with warnings.catch_warnings():
+                # Where the formula warns (a huge slope times a huge value
+                # overflows) the two-pass form may warn as well.
+                warnings.simplefilter("ignore" if caught else "error")
+                got = getattr(act, direction)(x)
+            assert got.tobytes() == want.tobytes(), (x, slope)
+
+    @pytest.mark.parametrize("slope", [0.2, 0.5, 0.8, 1.5])
+    def test_leaky_random_values_equal_the_four_pass_form(self, slope):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((4, 300)) * 10.0 ** rng.integers(-320, 300, (4, 300))
+        act = Activation("leaky_relu", slope)
+        assert act.apply(x).tobytes() == four_pass_leaky(x, slope).tobytes()
+        assert act.inverse(x).tobytes() == four_pass_leaky(x, 1.0 / slope).tobytes()
+
+    @pytest.mark.parametrize("activation", [
+        Activation(), Activation("relu"), Activation("leaky_relu", 0.3),
+        Activation("leaky_relu", 1.0), Activation("leaky_relu", 2.5), Activation("sigmoid"),
+    ], ids=["identity", "relu", "leaky_0.3", "leaky_1.0", "leaky_2.5", "sigmoid"])
+    @pytest.mark.parametrize("batch", [(), (5,)], ids=["single", "batched"])
+    def test_network_equals_the_layered_path(self, activation, batch, monkeypatch):
+        rng = np.random.default_rng(27)
+        net = FiniteRankNetwork([
+            random_layer(rng, n=4, d_in=2, d_out=3, activation=activation),
+            random_layer(rng, n=4, d_in=3, d_out=3, activation=activation),
+            random_layer(rng, n=4, d_in=3, d_out=2),
+        ])
+        grid = Grid(0.0, 1.0, 64)
+        u = SpectralCoeffs(BASIS, 4, rng.standard_normal((*batch, 2, 4)))
+        got = apply_network(net, u, grid)
+        want = layered_network(net, u, grid, monkeypatch)
+        assert (got.basis, got.n, got.coeffs.shape) == (want.basis, want.n, (*batch, 2, 4))
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    @pytest.mark.parametrize("mode, activation", [
+        ("relu", Activation("relu")), ("injective", Activation("leaky_relu", 0.4)),
+    ], ids=["relu", "leaky"])
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batched"])
+    def test_lifted_network_equals_the_layered_path(self, mode, activation, batch, monkeypatch):
+        # The lifted net's last layer maps order n to n_total > n.
+        rng = np.random.default_rng(28)
+        net = FiniteRankNetwork([
+            random_layer(rng, n=3, d_in=2, d_out=3, activation=activation),
+            random_layer(rng, n=3, d_in=3, d_out=3, activation=activation),
+            random_layer(rng, n=3, d_in=3, d_out=2),
+        ])
+        lifted = lift_to_injective(net, mode=mode, alpha=0.1).network
+        assert lifted.n_out > lifted.n
+        grid = Grid(0.0, 1.0, 256)
+        u = SpectralCoeffs(BASIS, 3, rng.standard_normal((*batch, 2, 3)))
+        got = apply_network(lifted, u, grid)
+        want = layered_network(lifted, u, grid, monkeypatch)
+        assert got.n == want.n == lifted.n_out
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_network_wraps_only_its_result(self, spectral_coeffs_built):
+        rng = np.random.default_rng(29)
+        act = Activation("leaky_relu", 0.3)
+        net = FiniteRankNetwork([random_layer(rng, d_in=2, d_out=3, activation=act),
+                                 random_layer(rng, d_in=3, d_out=3, activation=act),
+                                 random_layer(rng, d_in=3, d_out=2)])
+        u = SpectralCoeffs(BASIS, 4, rng.standard_normal((2, 4)))
+        spectral_coeffs_built.clear()
+        out = apply_network(net, u, Grid(0.0, 1.0, 64))
+        assert spectral_coeffs_built == [out]
+
+    @pytest.mark.parametrize("batch", [(), (4,)], ids=["single", "batched"])
+    @pytest.mark.parametrize("shape, message", [
+        ((2, 3), "coefficient order 3 != layer order 4"),
+        ((3, 4), "3 channels fed to a d_in=2 layer"),
+    ], ids=["order", "channels"])
+    def test_network_checks_its_input(self, batch, shape, message):
+        rng = np.random.default_rng(30)
+        net = FiniteRankNetwork([random_layer(rng, d_in=2, d_out=3, activation=Activation("relu")),
+                                 random_layer(rng, d_in=3, d_out=1)])
+        u = SpectralCoeffs(BASIS, shape[-1], rng.standard_normal((*batch, *shape)))
+        with pytest.raises(DimensionError, match=message):
+            apply_network(net, u, Grid(0.0, 1.0, 64))
 
 
 class TestTruncateKernel:

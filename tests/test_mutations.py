@@ -1,9 +1,9 @@
 """Mutation tests: a file broken in one way is a usage error.
 
-Each example saves a valid file, breaks its JSON tree or its text in one
-way and drives ``cli.main`` in-process on it.  Every command that reads
-the file must exit 64 with a message that starts with where the fault is,
-never 0 and never 1.
+Each example saves a valid file, breaks its JSON tree, its CSV table or
+its text in one way and drives ``cli.main`` in-process on it.  Every
+command that reads the file must exit 64 with a message that starts with
+where the fault is, never 0 and never 1.
 """
 
 import contextlib
@@ -296,3 +296,99 @@ def test_broken_operator_file_is_usage_error(kind, how, data):
             assert message.startswith(f"{path}: not valid JSON" if how == "truncate"
                                       else "operator file"), message
             assert not os.path.exists(out)
+
+
+def _not_a_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+#: Cell text that ``float`` does not read.
+NOT_NUMBERS = st.text(max_size=4).filter(_not_a_number)
+
+
+@st.composite
+def broken_csvs(draw, text, how):
+    """``text``, a grid-function CSV, broken by ``how``."""
+    if how == "truncate":
+        # Cut before the last cell is whole, so that no cut is a whole table.
+        return text[:draw(st.integers(0, text.rindex(",") + 1))]
+    table = [line.split(",") for line in text.splitlines()]
+    if how == "nodes":  # the same function on a grid of another size
+        xs = np.array([float(row[0]) for row in table[1:]])
+        nodes = np.linspace(xs[0], xs[-1], draw(st.sampled_from([2, 33, 64, 66, 129])))
+        columns = [np.interp(nodes, xs, [float(row[j]) for row in table[1:]])
+                   for j in range(1, len(table[0]))]
+        table = table[:1] + [[repr(float(v)) for v in row] for row in zip(nodes, *columns)]
+    elif how == "drop_row":
+        del table[draw(st.integers(0, len(table) - 1))]
+    elif how == "drop_column":  # from every row, header included, or from one data row
+        j = draw(st.integers(0, len(table[0]) - 1))
+        every = draw(st.booleans())
+        for row in table if every else [table[draw(st.integers(1, len(table) - 1))]]:
+            del row[j]
+    else:  # a data cell holds text that is no number, or one that is not finite
+        row = table[draw(st.integers(1, len(table) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(
+            NOT_NUMBERS if how == "string" else st.sampled_from(["nan", "inf", "-inf", "NaN"]))
+    return "\n".join(",".join(row) for row in table) + "\n"
+
+
+@pytest.fixture(scope="module")
+def csv_inputs(tmp_path_factory):
+    """(operator path, target path, saved atlas directory, anchor CSV names)."""
+    op, target, atlas_dir = write_saved_atlas(tmp_path_factory.mktemp("csv"))
+    return op, target, atlas_dir, sorted(n for n in os.listdir(atlas_dir) if n.endswith(".csv"))
+
+
+def _invert_exits_64_naming(path, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = os.path.join(tmp, "out"), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--out-dir", out])
+        message = err.getvalue()
+        assert code == 64, message
+        assert message.startswith(f"{path}: "), message
+        assert not os.path.exists(out)
+
+
+HOWS_CSV = ["drop_row", "drop_column", "string", "non_finite", "nodes", "truncate"]
+
+
+@pytest.mark.parametrize("how", HOWS_CSV)
+@MUTATION
+@given(data=st.data())
+def test_broken_target_csv_is_usage_error(csv_inputs, how, data):
+    op, target, _, _ = csv_inputs
+    with open(target) as fh:
+        text = data.draw(broken_csvs(fh.read(), how))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "target.csv")
+        with open(path, "w") as fh:
+            fh.write(text)
+        _invert_exits_64_naming(path, ["invert", "--op", op, "--target", path,
+                                       "--method", "banach"])
+
+
+@pytest.mark.parametrize("how", HOWS_CSV)
+@MUTATION
+@given(data=st.data())
+def test_broken_anchor_csv_is_usage_error(csv_inputs, how, data):
+    """One anchor broken, in a directory of anchor CSVs and in a saved atlas."""
+    op, target, atlas_dir, names = csv_inputs
+    name = data.draw(st.sampled_from(names))
+    with open(os.path.join(atlas_dir, name)) as fh:
+        text = data.draw(broken_csvs(fh.read(), how))
+    with tempfile.TemporaryDirectory() as tmp:
+        saved = shutil.copytree(atlas_dir, os.path.join(tmp, "saved"))
+        plain = shutil.copytree(atlas_dir, os.path.join(tmp, "plain"))
+        os.remove(os.path.join(plain, "atlas.json"))
+        for anchors in (plain, saved):
+            path = os.path.join(anchors, name)
+            with open(path, "w") as fh:
+                fh.write(text)
+            _invert_exits_64_naming(path, ["invert", "--op", op, "--target", target,
+                                           "--method", "atlas", "--anchors", anchors])

@@ -11,6 +11,7 @@ from injop.finite_rank import (
     FiniteRankNetwork,
     apply_network,
     block_matrix,
+    blocks_from_matrix,
     stack_coeffs,
     zero_bias,
 )
@@ -138,6 +139,27 @@ class TestClosedFormPair:
         folded = res.network.layers[-1]
         assert folded.c.tobytes() == c.tobytes()
         assert folded.bias.coeffs.tobytes() == bias.tobytes()
+
+    @pytest.mark.parametrize("mode", ["relu", "injective"])
+    def test_plane_fold_is_the_dense_product_on_signed_zeros(self, mode):
+        # The dense product sums +0.0 terms into every entry, so a -0.0 in
+        # the last layer comes out +0.0 there; the plane fold must agree.
+        act = Activation("relu") if mode == "relu" else Activation("leaky_relu", 0.5)
+        net = deep_net(np.random.default_rng(66), 2, act, n=3, d_in=2, width=3, d_out=2)
+        last = net.layers[-1]
+        last.c[::2, 1::2] = -0.0
+        last.bias.coeffs[:, 1] = -0.0
+        res = lift_to_injective(net, mode=mode, alpha=0.1)
+        final, n, m = res.augmented.layers[-1], res.n, res.pair.m
+        b = res.reduction.b[:, : n * m]
+        assert np.signbit(block_matrix(final)).sum() > 0
+        dense = b @ block_matrix(final)
+        assert res.reduction.fold(block_matrix(final)).tobytes() == dense.tobytes()
+        want_c = blocks_from_matrix(dense, n, 2, final.d_in, res.n_total)
+        want_bias = (b @ stack_coeffs(final.bias)).reshape(res.n_total, 2).T
+        folded = res.network.layers[-1]
+        assert folded.c.tobytes() == want_c.tobytes()
+        assert folded.bias.coeffs.tobytes() == want_bias.tobytes()
 
     def test_explicit_lift_runs_no_dense_factorization(self, monkeypatch):
         # The largest explicit lift of the lift benchmark: N=6, d_in=8,
