@@ -117,11 +117,16 @@ def _report_path(cfg: argparse.Namespace, name: str) -> str:
 def _run_certify(cfg: argparse.Namespace) -> Tuple[int, dict]:
     net = serialize.load_network(cfg.net)
     grid = Grid(net.basis.interval[0], net.basis.interval[1], cfg.grid_size)
-    layer_reports = [
-        certify_bijective_activation(layer) if layer.activation.is_injective
-        else certify_relu_dss(layer, grid, trials=cfg.trials, seed=cfg.seed)
-        for layer in net.layers
-    ]
+    try:
+        layer_reports = [
+            certify_bijective_activation(layer) if layer.activation.is_injective
+            else certify_relu_dss(layer, grid, trials=cfg.trials, seed=cfg.seed)
+            for layer in net.layers
+        ]
+    except AliasingGuardError as err:
+        raise UsageError(
+            f"--grid-size {cfg.grid_size} does not resolve the network: {err}"
+        ) from None
     if any(r.verdict == VERDICT_COUNTEREXAMPLE for r in layer_reports):
         verdict = VERDICT_COUNTEREXAMPLE
     elif all(r.verdict == VERDICT_CERTIFIED for r in layer_reports):

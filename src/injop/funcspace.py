@@ -16,9 +16,9 @@ arithmetic here treat the whole array as one function.
 
 The trapezoid rule on a uniform closed grid is exact for periodic
 trigonometric polynomials, so the Fourier modes stay orthonormal under the
-discrete inner product as long as the grid resolves them; ``to_spectral``
-and ``finite_rank.truncate_kernel`` enforce the guard ``size >= 8 * n``
-before projecting, and refuse a grid on which the modes are not
+discrete inner product as long as the grid resolves them; both
+transforms and ``finite_rank.truncate_kernel`` enforce the guard
+``size >= 8 * n``, and refuse a grid on which the modes are not
 orthonormal under the quadrature (:func:`resolved_mode_table`).
 
 The synthesis and analysis tables of each (basis, grid, n) are built once
@@ -358,8 +358,8 @@ def to_spectral(f: GridFunction, basis: BasisSpec, n: int) -> SpectralCoeffs:
 
 def from_spectral(c: SpectralCoeffs, grid: Grid) -> GridFunction:
     """Synthesize coefficients (one function or a batch) on a grid over the
-    same interval."""
-    return GridFunction(grid, c.coeffs @ mode_table(c.basis, grid, c.n).phi)
+    same interval that resolves their modes (:func:`resolved_mode_table`)."""
+    return GridFunction(grid, c.coeffs @ resolved_mode_table(c.basis, grid, c.n).phi)
 
 
 def l2_norm(grid: Grid, values: np.ndarray) -> float:

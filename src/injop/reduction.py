@@ -13,12 +13,13 @@ tilted projection gives B.
 The tilt acts in mutually orthogonal (slot, xi-slot) planes, and in each
 plane the direct rotation is the plane rotation by asin(alpha); everywhere
 else both projections and the rotation are the identity.  The explicit
-route therefore builds the pair, its tilt and B from those planes in
-closed form, with no eigendecomposition or SVD.  Both routes then fold B
-into the last layer, on the columns of the modes that layer writes: the
-randomized B by one product, the explicit B by its planes.  On those
-columns each row of the explicit B has one nonzero entry (1, or -alpha on
-a slot), so it folds by copying and scaling rows, with no dense B built.
+route therefore reads the pair, its tilt (eps0 = alpha) and the row
+defect of B from those planes in closed form, with no dense algebra; its
+dense matrices are built only on request, as references.  Both routes
+then fold B into the last layer, on the columns of the modes that layer
+writes: the randomized B by one product, the explicit B by its planes.
+On those columns each row of the explicit B has one nonzero entry (1, or
+-alpha on a slot), so it folds by copying and scaling rows.
 
 A randomized alternative draws the tilted subspace by rotating the
 reference one with a random rotation, builds the direct rotation densely
@@ -27,7 +28,6 @@ and checks injectivity empirically.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -49,7 +49,7 @@ from .finite_rank import (
     blocks_from_matrix,
     stack_coeffs,
 )
-from .funcspace import Grid, SpectralCoeffs, from_spectral, to_spectral
+from .funcspace import ALIASING_FACTOR, Grid, SpectralCoeffs, from_spectral, to_spectral
 
 #: Hidden activation kinds each lift mode accepts.
 LIFT_MODES = {"injective": {"identity", "leaky_relu"}, "relu": {"relu"}}
@@ -60,9 +60,6 @@ LIFT_MODES = {"injective": {"identity", "leaky_relu"}, "relu": {"relu"}}
 #: 2-vCPU Xeon a randomized lift (N=3) took 30-45 ms against 115 ms with
 #: 1024-row chunks.
 VERIFY_CHUNK_ROWS = 256
-
-#: p_zero on one (slot, xi) plane: the slot direction is projected out.
-_P_ZERO_BLOCK = np.array([[0.0, 0.0], [0.0, 1.0]])
 
 
 @dataclass
@@ -84,8 +81,8 @@ class ProjectionPair:
     ``amp * e_slot + alpha * e_xi`` with ``amp = sqrt(1 - alpha^2)``; ``q``
     is the direct rotation with ``q @ p_alpha = p_zero @ q``, which is
     ``[[amp, alpha], [-alpha, amp]]`` in (slot, xi) coordinates of each
-    plane and the identity elsewhere.  The three are filled in on access;
-    the lift itself only reads the planes.
+    plane and the identity elsewhere.  The three are dense references,
+    filled in on access; the lift and its report read only the planes.
     """
 
     alpha: float
@@ -109,7 +106,7 @@ class ProjectionPair:
         """Row of each plane's xi slot among the kept (last ell) channels."""
         return (self.xi_slots // self.m) * self.ell + self.ell - 1
 
-    def _plane_matrix(self, block: np.ndarray) -> np.ndarray:
+    def _plane_matrix(self, block) -> np.ndarray:
         """Identity with the 2x2 ``block`` on (slot, xi) of every plane."""
         (ss, sx), (xs, xx) = block
         mat = np.eye(self.dim)
@@ -121,37 +118,29 @@ class ProjectionPair:
 
     @property
     def p_zero(self) -> np.ndarray:
-        return self._plane_matrix(_P_ZERO_BLOCK)
+        # The slot direction is projected out of each plane.
+        return self._plane_matrix(((0.0, 0.0), (0.0, 1.0)))
 
     @property
     def p_alpha(self) -> np.ndarray:
-        return self._plane_matrix(_p_alpha_block(self.alpha))
+        # 1 - u u^T on each plane, rounded as the dense product rounds it.
+        amp, alpha = self.amp, self.alpha
+        return self._plane_matrix(((1.0 - amp * amp, -(amp * alpha)),
+                                   (-(amp * alpha), 1.0 - alpha * alpha)))
 
     @property
     def q(self) -> np.ndarray:
         amp, alpha = self.amp, self.alpha
-        return self._plane_matrix(np.array([[amp, alpha], [-alpha, amp]]))
+        return self._plane_matrix(((amp, alpha), (-alpha, amp)))
 
     def tilt_norm(self) -> float:
-        """Operator norm of p_alpha - p_zero (the measured eps0).
+        """Operator norm of p_alpha - p_zero, the eps0 of the lift.
 
-        The difference is block diagonal over the planes with one repeated
-        2x2 block, so its norm is that block's.
+        On each plane the difference has eigenvalues +-alpha (the tilted
+        direction leans by asin(alpha)); it is zero elsewhere.  So the norm
+        is alpha itself.
         """
-        return _tilt_norm(self.alpha)
-
-
-def _p_alpha_block(alpha: float) -> np.ndarray:
-    # 1 - u u^T on one plane, rounded as the dense product rounds it.
-    amp = math.sqrt(1.0 - alpha * alpha)
-    return np.array([[1.0 - amp * amp, -(amp * alpha)],
-                     [-(amp * alpha), 1.0 - alpha * alpha]])
-
-
-@functools.lru_cache
-def _tilt_norm(alpha: float) -> float:
-    """2-norm of one plane's p_alpha - p_zero block; an SVD, run once per alpha."""
-    return float(np.linalg.norm(_p_alpha_block(alpha) - _P_ZERO_BLOCK, 2))
+        return self.alpha
 
 
 @dataclass
@@ -176,17 +165,17 @@ class ReductionMap:
         if self.pair is None:
             return self.dense
         pair = self.pair
-        keep = _keep_indices(pair.m, pair.ell, pair.n_total)
-        b = np.zeros((keep.size, pair.dim))
-        b[np.arange(keep.size), keep] = 1.0
-        b[pair.xi_rows, pair.xi_slots] = pair.amp
-        b[pair.xi_rows, pair.slots] = -pair.alpha
-        return b
+        return pair.q[_keep_indices(pair.m, pair.ell, pair.n_total)]
 
     def row_orthonormality_defect(self) -> float:
-        b = self.b
-        gram = b @ b.T
-        return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+        """max |B B^T - I|.  The explicit rows have disjoint supports and
+        are unit rows except the xi rows, amp * e_xi - alpha * e_slot, so
+        the defect is theirs: |amp^2 + alpha^2 - 1|."""
+        if self.pair is None:
+            gram = self.dense @ self.dense.T
+            return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+        amp, alpha = self.pair.amp, self.pair.alpha
+        return abs(amp * amp + alpha * alpha - 1.0)
 
     def fold(self, mat: np.ndarray, columns: Optional[np.ndarray] = None) -> np.ndarray:
         """``B[:, columns] @ mat``, for a vector or matrix ``mat`` whose rows
@@ -434,8 +423,9 @@ class LiftResult:
     ``network`` is the lifted map G: its hidden layers are H's, at the
     original order n, and its last layer maps order n to ``n_total``.
     ``augmented`` is the pathway-carrying map H at order n; ``eps0`` is the
-    measured projection tilt driving the closeness guarantee
-    ||original(a) - G(a)|| <= 5 * eps0 * ||H(a)||.
+    projection tilt ||p_alpha - p_zero|| driving the closeness guarantee
+    ||original(a) - G(a)|| <= 5 * eps0 * ||H(a)||: alpha itself for the
+    explicit pair, measured for the randomized one.
     """
 
     original: FiniteRankNetwork
@@ -494,13 +484,13 @@ def lift_to_injective(
     ----------
     net : FiniteRankNetwork
         Hidden activations must all be ReLU (mode "relu") or all be
-        Identity/LeakyReLU (mode "injective").
+        Identity/LeakyReLU (mode "injective"), and every layer must keep
+        its order (n_out == n); a lifted network does not lift again.
     mode : {"injective", "relu"} or None
         None takes "relu" when every hidden activation is ReLU (a net
         with no hidden layer included) and "injective" otherwise.
     alpha : float
-        Tilt amplitude of the explicit reduction; the measured eps0
-        equals it.
+        Tilt amplitude of the explicit reduction; its eps0 is alpha.
     seed : int
         Only used by the randomized reduction.
     randomized : bool
@@ -515,6 +505,10 @@ def lift_to_injective(
     if not kinds <= LIFT_MODES[mode]:
         raise UsageError(f"{mode} lift needs hidden activations in "
                          f"{sorted(LIFT_MODES[mode])}, got {sorted(kinds)}")
+    for t, layer in enumerate(net.layers):
+        if layer.n_out != layer.n:
+            raise UsageError(f"layer {t}: the lift needs layers that keep their order, "
+                             f"got order {layer.n} -> {layer.n_out}")
 
     augmented = _augment_network(net, mode)
     d_in, d_out, n = net.d_in, net.d_out, net.n
@@ -574,7 +568,7 @@ def _augmented_coefficient_map(augmented, d_in, d_out, n, n_total):
     runs batched in chunks of ``VERIFY_CHUNK_ROWS`` rows.
     """
     basis = augmented.basis
-    grid = Grid(basis.interval[0], basis.interval[1], max(8 * n_total, 64))
+    grid = Grid(basis.interval[0], basis.interval[1], max(ALIASING_FACTOR * n_total, 64))
     n_path = n * d_in
 
     def batch_map(batch):

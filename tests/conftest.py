@@ -4,14 +4,6 @@ import pytest
 
 from injop.funcspace import GridFunction, SpectralCoeffs
 from injop.nonlin import RidgeKernel
-from injop.reduction import _tilt_norm
-
-
-@pytest.fixture(autouse=True)
-def cold_tilt_norms():
-    """Each test starts with no tilt norm cached, so a test that counts the
-    lift's 2-norms sees the same count whatever ran before it."""
-    _tilt_norm.cache_clear()
 
 
 @pytest.fixture

@@ -140,6 +140,22 @@ class TestSvdCriterion:
                 residual = verify_collision(layer, v1, v2, grid)
                 assert residual <= collision_threshold(layer, v1, grid)
 
+    @pytest.mark.parametrize("activation", [Activation(), Activation("leaky_relu", 0.3)],
+                             ids=["identity", "leaky_relu"])
+    def test_zero_layer_witness_collides(self, activation):
+        # With every singular value zero the witness direction is e_1.
+        bias = SpectralCoeffs(BASIS, 3, np.random.default_rng(70).standard_normal((2, 3)))
+        layer = make_layer(np.zeros((3, 3, 2, 2)), 2, 2, 3, activation, bias)
+        report = certify_bijective_activation(layer)
+        assert report.verdict == VERDICT_COUNTEREXAMPLE
+        assert report.sigma_max == report.sigma_min == 0.0
+        v1, v2 = report.witness
+        e1 = np.zeros((2, 3))
+        e1[0, 0] = 1.0
+        assert np.array_equal(v1.coeffs, np.zeros((2, 3))) and np.array_equal(v2.coeffs, e1)
+        grid = Grid(0.0, 1.0, 64)
+        assert verify_collision(layer, v1, v2, grid) <= collision_threshold(layer, v1, grid)
+
     def test_rejects_relu(self):
         layer = make_layer(np.ones((1, 1, 1, 1)), 1, 1, 1, activation=Activation("relu"))
         with pytest.raises(ValueError):

@@ -72,9 +72,8 @@ def write_collapsing_relu_net(path):
     save_network(FiniteRankNetwork([layer, final]), path)
 
 
-def write_relu_net(path, seed=6):
+def write_relu_net(path, seed=6, n=2):
     rng = np.random.default_rng(seed)
-    n = 2
     hidden = FiniteRankLayer(
         d_in=1, d_out=2, n=n,
         c=rng.standard_normal((n, n, 2, 1)),
@@ -231,6 +230,27 @@ class TestCertify:
         assert code == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("size", [2, 3, 8, 31])
+    def test_grid_that_does_not_resolve_the_network_is_usage_error(self, tmp_path, capsys,
+                                                                   size):
+        # A ReLU layer of order 4 needs at least 8 * 4 = 32 nodes.
+        net = str(tmp_path / "net.json")
+        write_relu_net(net, n=4)
+        out = str(tmp_path / "out")
+        code = main(["certify", "--net", net, "--grid-size", str(size), "--out-dir", out])
+        err = capsys.readouterr().err
+        assert code == 64, err
+        assert err.startswith(f"--grid-size {size} ") and "< 8 * 4" in err
+        assert not os.path.exists(out)
+
+    def test_grid_that_resolves_the_network_certifies(self, tmp_path):
+        net = str(tmp_path / "net.json")
+        write_relu_net(net, n=4)
+        out = str(tmp_path / "out")
+        assert main(["certify", "--net", net, "--grid-size", "32", "--trials", "20",
+                     "--out-dir", out]) in (0, 2)
+        assert read_json(os.path.join(out, "report.json"))["command"] == "certify"
+
 
 class TestLift:
     def test_relu_lift(self, tmp_path):
@@ -288,6 +308,19 @@ class TestLift:
         err = capsys.readouterr().err
         assert code == 64, err
         assert "needs hidden activations in" in err and "--mode" not in err
+        assert not os.path.exists(out)
+
+    def test_lifted_network_does_not_lift_again(self, tmp_path, capsys):
+        # Its last layer maps order 2 to order 4.
+        net = str(tmp_path / "net.json")
+        write_relu_net(net)
+        lifted = str(tmp_path / "lifted")
+        assert main(["lift", "--net", net, "--out-dir", lifted]) == 0
+        out = str(tmp_path / "out")
+        code = main(["lift", "--net", os.path.join(lifted, "network.json"), "--out-dir", out])
+        err = capsys.readouterr().err
+        assert code == 64, err
+        assert err.startswith("layer 1: ") and "order 2 -> 4" in err
         assert not os.path.exists(out)
 
     def test_certify_reads_lifted_network(self, tmp_path):

@@ -1,5 +1,7 @@
 """Projection pairs, randomized reductions, and the injective lift."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,6 +20,7 @@ from injop.finite_rank import (
 from injop.funcspace import BasisSpec, Grid, SpectralCoeffs
 from injop.reduction import (
     _PATHWAY_BLOCKS,
+    ProjectionPair,
     _augment_network,
     _kato_rotation,
     _keep_indices,
@@ -79,18 +82,26 @@ class TestProjectionPair:
 class TestClosedFormPair:
     """The closed-form pair against the dense constructions it replaces."""
 
-    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.25, 0.49])
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.45, 0.49])
     @pytest.mark.parametrize("m, ell, n_core",
                              [(2, 1, 1), (3, 1, 4), (4, 2, 3), (5, 3, 2), (6, 1, 2)])
     def test_matches_dense_pair(self, m, ell, n_core, alpha):
+        # eps0 is alpha by construction, and the row defect of B comes from
+        # its xi rows alone; both against the dense matrices.
         pair = build_projection_pair(m=m, ell=ell, n_core=n_core, alpha=alpha)
         p_zero, p_alpha = pair.p_zero, pair.p_alpha
         q_dense = _kato_rotation(p_zero, p_alpha)
         assert np.max(np.abs(pair.q - q_dense)) <= 1e-14
-        assert abs(pair.tilt_norm() - np.linalg.norm(p_alpha - p_zero, 2)) <= 1e-15
+        red = build_reduction_explicit(pair)
+        assert pair.tilt_norm() == red.meta["tilt"] == alpha
+        assert abs(alpha - np.linalg.norm(p_alpha - p_zero, 2)) <= 1.2e-16
         keep = _keep_indices(m, ell, pair.n_total)
         b_dense = (q_dense @ p_alpha)[keep]
-        assert np.max(np.abs(build_reduction_explicit(pair).b - b_dense)) <= 1e-14
+        b = red.b
+        assert np.max(np.abs(b - b_dense)) <= 1e-14
+        gram = b @ b.T
+        gram_defect = np.max(np.abs(gram - np.eye(len(gram))))
+        assert abs(red.row_orthonormality_defect() - gram_defect) <= 2.3e-16
 
     @pytest.mark.parametrize("mode, depth", [("relu", 2), ("relu", 3), ("injective", 2),
                                              ("injective", 3), ("relu", 1), ("injective", 1)])
@@ -162,27 +173,30 @@ class TestClosedFormPair:
         assert folded.bias.coeffs.tobytes() == want_bias.tobytes()
 
     def test_explicit_lift_runs_no_dense_factorization(self, monkeypatch):
-        # The largest explicit lift of the lift benchmark: N=6, d_in=8,
-        # width 8, d_out 8, lifted dim 16 * 54 = 864.
+        # The explicit lift and its report make no np.linalg call and read
+        # no dense matrix of the pair.  N=16, d_in=8, width 8, d_out 8:
+        # lifted dim 16 * 144 = 2304, where a dense B alone takes 21 MB.
         def refuse(*args, **kwargs):
-            raise AssertionError("dense factorization on the explicit lift path")
-
-        norm = np.linalg.norm
-
-        def small_two_norms(x, ord=None, *args, **kwargs):
-            # np.linalg.norm(x, 2) runs its own SVD; only a plane block may use it.
-            if ord == 2 and np.size(x) > 4:
-                refuse()
-            return norm(x, ord, *args, **kwargs)
+            raise AssertionError("dense algebra on the explicit lift path")
 
         net = deep_net(np.random.default_rng(62), 2, Activation("relu"),
-                       n=6, d_in=8, width=8, d_out=8)
-        for name in ("eigh", "svd"):
-            monkeypatch.setattr(np.linalg, name, refuse)
-        monkeypatch.setattr(np.linalg, "norm", small_two_norms)
-        res = lift_to_injective(net, mode="relu", alpha=0.1)
-        assert res.pair.dim == 864
-        assert res.eps0 == 0.1
+                       n=16, d_in=8, width=8, d_out=8)
+        for name, value in vars(np.linalg).items():
+            if callable(value) and not name.startswith("_") and not isinstance(value, type):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        for name in ("q", "p_alpha", "p_zero"):
+            monkeypatch.setattr(ProjectionPair, name, property(refuse))
+        tracemalloc.start()
+        try:
+            res = lift_to_injective(net, mode="relu", alpha=0.1)
+            defect = res.reduction.row_orthonormality_defect()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dim = res.pair.dim
+        assert dim == 2304
+        assert peak < dim * dim * 8 / 4
+        assert res.eps0 == 0.1 and defect <= 1e-15
 
 
 class TestRectangularLift:
@@ -439,7 +453,7 @@ class TestLift:
         assert_allclose(back.coeffs, a.coeffs, atol=1e-10)
         check_closeness(res, grid, rng, count=10)
 
-    def test_explicit_lift_measures_tilt_once(self, monkeypatch):
+    def test_explicit_lift_runs_no_two_norm(self, monkeypatch):
         two_norms = []
         norm = np.linalg.norm
 
@@ -451,10 +465,26 @@ class TestLift:
         monkeypatch.setattr(np.linalg, "norm", counting)
         net = relu_net(np.random.default_rng(58))
         res = lift_to_injective(net, mode="relu", alpha=0.15)
-        assert len(two_norms) == 1
+        assert two_norms == []
         monkeypatch.undo()
-        assert res.eps0 == res.pair.tilt_norm()
-        assert res.eps0 == pytest.approx(0.15, abs=1e-12)
+        assert res.eps0 == res.pair.tilt_norm() == 0.15
+
+    @pytest.mark.parametrize("slope", [0.3, 2.5])
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    def test_leaky_pathway_of_one_sign_inverts_exactly(self, sign, depth, slope):
+        # A constant-mode input keeps one sign on the whole grid, so each
+        # LeakyReLU on the pathway is linear there and inverts exactly.
+        n, d_in = 4, 2
+        net = deep_net(np.random.default_rng(67), depth, Activation("leaky_relu", slope),
+                       n=n, d_in=d_in, width=3, d_out=2)
+        res = lift_to_injective(net, mode="injective", alpha=0.1)
+        grid = Grid(0.0, 1.0, 256)
+        coeffs = np.zeros((d_in, n))
+        coeffs[:, 0] = sign * np.array([0.7, 1.3])
+        a = SpectralCoeffs(BASIS, n, coeffs)
+        back = res.recover_input(res.apply_augmented(a, grid), grid)
+        assert np.max(np.abs(back.coeffs - a.coeffs)) <= 1e-12
 
     def test_randomized_lift_draw_is_reproducible(self):
         # Attempt and tilt of these seeded lifts, recorded with the
