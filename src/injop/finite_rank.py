@@ -10,10 +10,10 @@ layer is the block matrix with (p, k) block C[k, p]; activations are
 evaluated on a grid and the result is projected back to the first N' modes.
 
 The layer maps accept a batch: coefficients of shape (B, d, N) pass
-through one einsum, one synthesis product and one analysis product per
-layer, and come out as (B, d', N').  A single function of shape (d, N) is
-the unbatched case of the same code.  A network checks its input once and
-steps through its layers on bare arrays.
+through one product with the layer's stored matrix, one synthesis product
+and one analysis product per layer, and come out as (B, d', N').  A single
+function of shape (d, N) is the unbatched case of the same code.  A
+network checks its input once and steps through its layers on bare arrays.
 """
 
 from __future__ import annotations
@@ -104,7 +104,9 @@ class FiniteRankLayer:
     from input order ``n`` to output order ``n_out`` (default ``n``).  The
     kernel blocks ``c``, shape (n, n_out, d_out, d_in), are indexed [input
     mode k][output mode p][out chan][in chan]; the output-side ``bias`` has
-    shape (d_out, n_out)."""
+    shape (d_out, n_out).  ``c`` is a view of ``mat``, the C-ordered copy
+    made at construction, with rows (in chan, k) and columns (out chan, p);
+    a layer does not alias the array it was given."""
 
     d_in: int
     d_out: int
@@ -117,10 +119,12 @@ class FiniteRankLayer:
     def __post_init__(self):
         if self.n_out is None:
             self.n_out = self.n
-        self.c = np.asarray(self.c, dtype=float)
+        c = np.asarray(self.c, dtype=float)
         expected = (self.n, self.n_out, self.d_out, self.d_in)
-        if self.c.shape != expected:
-            raise DimensionError(f"kernel blocks C have shape {self.c.shape}, expected {expected}")
+        if c.shape != expected:
+            raise DimensionError(f"kernel blocks C have shape {c.shape}, expected {expected}")
+        self.mat = np.array(c.transpose(3, 0, 2, 1), order="C").reshape(self.d_in * self.n, -1)
+        self.c = self.mat.reshape(self.d_in, self.n, self.d_out, self.n_out).transpose(1, 3, 2, 0)
         if self.bias.coeffs.shape != (self.d_out, self.n_out):
             raise DimensionError(
                 f"bias has shape {self.bias.coeffs.shape}, expected {(self.d_out, self.n_out)}"
@@ -184,11 +188,16 @@ def _require_input(layer: FiniteRankLayer, u: SpectralCoeffs) -> None:
         raise DimensionError(f"{u.channels} channels fed to a d_in={layer.d_in} layer")
 
 
+def _kernel_step(layer: FiniteRankLayer, coeffs: np.ndarray) -> np.ndarray:
+    """The kernel part on checked coefficients: one gemv, or one gemm on a batch."""
+    lead = coeffs.shape[:-2]
+    return (coeffs.reshape(*lead, -1) @ layer.mat).reshape(*lead, layer.d_out, layer.n_out)
+
+
 def apply_finite_rank(layer: FiniteRankLayer, u: SpectralCoeffs) -> SpectralCoeffs:
     """Apply only the kernel part: out[..., :, p] = sum_k C[k, p] @ u[..., :, k]."""
     _require_input(layer, u)
-    out = np.einsum("kpij,...jk->...ip", layer.c, u.coeffs)
-    return SpectralCoeffs(layer.basis, layer.n_out, out)
+    return SpectralCoeffs(layer.basis, layer.n_out, _kernel_step(layer, u.coeffs))
 
 
 def apply_affine(layer: FiniteRankLayer, u: SpectralCoeffs) -> SpectralCoeffs:
@@ -201,7 +210,7 @@ def _layer_step(layer: FiniteRankLayer, coeffs: np.ndarray, grid: Grid) -> np.nd
     """:func:`apply_layer` on checked (..., d_in, n) coefficients.  An
     identity-map activation skips the grid round trip, so purely linear
     layers compose exactly."""
-    z = np.einsum("kpij,...jk->...ip", layer.c, coeffs) + layer.bias.coeffs
+    z = _kernel_step(layer, coeffs) + layer.bias.coeffs
     if layer.activation.is_identity_map:
         return z
     table = resolved_mode_table(layer.basis, grid, layer.n_out)

@@ -147,12 +147,13 @@ class ProjectionPair:
 class ReductionMap:
     """Reduction from stacked m-channel to stacked ell-channel coefficients,
     with provenance metadata.  The randomized kind holds its matrix
-    ``dense``; the explicit kind holds its projection ``pair``."""
+    ``dense`` and fold ``columns``; the explicit kind holds its ``pair``."""
 
     kind: str
     meta: dict = field(default_factory=dict)
     dense: Optional[np.ndarray] = None
     pair: Optional[ProjectionPair] = None
+    columns: Optional[np.ndarray] = None
 
     @property
     def b(self) -> np.ndarray:
@@ -177,19 +178,19 @@ class ReductionMap:
         amp, alpha = self.pair.amp, self.pair.alpha
         return abs(amp * amp + alpha * alpha - 1.0)
 
-    def fold(self, mat: np.ndarray, columns: Optional[np.ndarray] = None) -> np.ndarray:
+    def fold(self, mat: np.ndarray) -> np.ndarray:
         """``B[:, columns] @ mat``, for a vector or matrix ``mat`` whose rows
-        stand for B's ``columns`` (default: its leading ``len(mat)``).
+        stand for the randomized kind's ``columns`` or B's leading ones.
 
-        The explicit kind folds the default by its planes, bit for bit the
-        product.  On its leading columns, whole modes, B copies the kept
-        rows and puts ``-alpha`` times each slot's row on its xi row; the
-        + 0.0 gives the +0.0 the product's sum gives for -0.0.
+        The explicit kind folds by its planes, bit for bit the product.  On
+        its leading columns, whole modes, B copies the kept rows and puts
+        ``-alpha`` times each slot's row on its xi row; the + 0.0 gives the
+        +0.0 the product's sum gives for -0.0.
         """
-        if self.pair is None or columns is not None:
-            # take, not b[:, columns], whose copy is F-ordered: BLAS rounds
-            # the product on that layout differently.
-            return self.b.take(np.arange(len(mat)) if columns is None else columns, 1) @ mat
+        if self.pair is None:
+            # take, not dense[:, columns], whose copy is F-ordered: BLAS
+            # rounds the product on that layout differently.
+            return self.dense.take(self.columns, 1) @ mat
         pair = self.pair
         out = np.zeros((pair.n_total * pair.ell,) + mat.shape[1:])
         kept = _keep_indices(pair.m, pair.ell, len(mat) // pair.m)
@@ -289,12 +290,14 @@ def build_reduction_randomized(
     out_modes: int,
     seed: int = 0,
     max_retries: int = 8,
+    columns: Optional[np.ndarray] = None,
 ) -> ReductionMap:
     """Draw a random reduction for a black-box graph map and verify it.
 
     ``t_map`` sends a (batch, n_in_modes) array of stacked input
     coefficients to the (batch, n_in_modes + out_modes) array of their
-    stacked ambient coefficients.  The reference complement is the output
+    stacked ambient coefficients; ``columns`` are kept for
+    :meth:`ReductionMap.fold`.  The reference complement is the output
     block; the tilted complement is its image under exp(0.1 S) for a random
     unit-norm skew-symmetric S.  Each candidate B is accepted only if the
     finite difference Jacobian of B o T has full rank n_in_modes at 32
@@ -323,6 +326,7 @@ def build_reduction_randomized(
         if _verify_randomized(t_map, b, n_in_modes, rng):
             return ReductionMap(
                 dense=b,
+                columns=columns,
                 kind="randomized",
                 meta={
                     "seed": seed,
@@ -512,21 +516,15 @@ def lift_to_injective(
 
     augmented = _augment_network(net, mode)
     d_in, d_out, n = net.d_in, net.d_out, net.n
-    m = d_in + d_out
 
     if randomized:
-        n_in_modes = n * d_in
-        n_total = max(n * (1 + d_in), -(-(2 * n_in_modes + 1) // d_out))
-        out_modes = n_total * d_out
+        n_total = max(n * (1 + d_in), -(-(2 * n * d_in + 1) // d_out))
         pair = None
-        t_map = _augmented_coefficient_map(augmented, d_in, d_out, n, n_total)
-        reduction = build_reduction_randomized(t_map, n_in_modes, out_modes, seed=seed)
-        columns = _ambient_columns(m, d_in, n)
+        reduction = _randomized_reduction(augmented, d_in, n, n_total, seed)
     else:
-        pair = build_projection_pair(m=m, ell=d_out, n_core=n, alpha=alpha)
+        pair = build_projection_pair(m=d_in + d_out, ell=d_out, n_core=n, alpha=alpha)
         n_total = pair.n_total
         reduction = build_reduction_explicit(pair)
-        columns = None  # stacked order n: B's leading n * m columns
     eps0 = float(reduction.meta["tilt"])
 
     # Fold B into the last layer: G's last layer is B after H's.  The
@@ -536,11 +534,9 @@ def lift_to_injective(
         d_in=final.d_in,
         d_out=d_out,
         n=n,
-        c=blocks_from_matrix(reduction.fold(block_matrix(final), columns),
-                             n, d_out, final.d_in, n_total),
+        c=blocks_from_matrix(reduction.fold(block_matrix(final)), n, d_out, final.d_in, n_total),
         bias=SpectralCoeffs(final.basis, n_total,
-                            reduction.fold(stack_coeffs(final.bias), columns)
-                            .reshape(n_total, d_out).T),
+                            reduction.fold(stack_coeffs(final.bias)).reshape(n_total, d_out).T),
         activation=Activation(),
         n_out=n_total,
     )
@@ -558,39 +554,32 @@ def lift_to_injective(
     )
 
 
-def _augmented_coefficient_map(augmented, d_in, d_out, n, n_total):
-    """Batched stacked-coefficient map of H for the randomized verifier.
+def _randomized_reduction(augmented, d_in, n, n_total, seed):
+    """The randomized reduction for H, verified on its batched
+    stacked-coefficient map.
 
-    Input rows are stacked order-n input coefficients; output rows are the
-    pathway block (order n) followed by the output block (order n_total,
-    zero-padded), which is the ambient layout the randomized reduction
-    expects.  Evaluation uses a grid fine enough for the lifted order, and
-    runs batched in chunks of ``VERIFY_CHUNK_ROWS`` rows.
+    Input rows are stacked order-n input coefficients; output rows are
+    ambient: the pathway block (order n) followed by the zero-padded output
+    block (order n_total).  Evaluation uses a grid fine enough for the
+    lifted order, and runs batched in chunks of ``VERIFY_CHUNK_ROWS`` rows.
     """
-    basis = augmented.basis
+    basis, m = augmented.basis, augmented.d_out
     grid = Grid(basis.interval[0], basis.interval[1], max(ALIASING_FACTOR * n_total, 64))
-    n_path = n * d_in
+    # The ambient column of each stacked order-n entry of H's output (mode
+    # k, channel c at k * m + c): where the map writes it and B folds it.
+    k, c = np.divmod(np.arange(n * m), m)
+    columns = np.where(c < d_in, k * d_in + c, n * d_in + k * (m - d_in) + c - d_in)
 
     def batch_map(batch):
         batch = np.atleast_2d(np.asarray(batch, dtype=float))
-        out = np.zeros((len(batch), n_path + n_total * d_out))
+        out = np.zeros((len(batch), n * d_in + n_total * (m - d_in)))
         for start in range(0, len(batch), VERIFY_CHUNK_ROWS):
             chunk = slice(start, start + VERIFY_CHUNK_ROWS)
             rows = batch[chunk]
             a = SpectralCoeffs(basis, n, rows.reshape(-1, n, d_in).transpose(0, 2, 1))
-            # (rows, n, d_in + d_out): mode-major, like the stacked layout.
-            h = apply_network(augmented, a, grid).coeffs.transpose(0, 2, 1)
-            out[chunk, :n_path] = h[:, :, :d_in].reshape(len(rows), -1)
-            # The output block's modes past n stay zero.
-            out[chunk, n_path : n_path + n * d_out] = h[:, :, d_in:].reshape(len(rows), -1)
+            h = apply_network(augmented, a, grid).coeffs.transpose(0, 2, 1)  # mode-major
+            out[chunk, columns] = h.reshape(len(rows), -1)
         return out
 
-    return batch_map
-
-
-def _ambient_columns(m, d_in, n):
-    """The randomized reduction's column for each stacked order-n entry of
-    the augmented output (mode k, channel c at k * m + c): the pathway
-    block, then the output block (:func:`_augmented_coefficient_map`)."""
-    k, c = np.divmod(np.arange(n * m), m)
-    return np.where(c < d_in, k * d_in + c, n * d_in + k * (m - d_in) + c - d_in)
+    return build_reduction_randomized(batch_map, n * d_in, n_total * (m - d_in), seed=seed,
+                                      columns=columns)

@@ -106,7 +106,8 @@ class TestActivation:
 
 
 class TestBlockAlgebra:
-    """The dense matrix on stacked coefficients must reproduce the einsum."""
+    """The dense matrix on stacked coefficients must reproduce the layer's
+    product with its stored matrix, and that product the einsum it replaced."""
 
     def test_block_matrix_matches_apply(self):
         rng = np.random.default_rng(7)
@@ -115,6 +116,86 @@ class TestBlockAlgebra:
         direct = apply_finite_rank(layer, u)
         via_matrix = block_matrix(layer) @ stack_coeffs(u)
         assert_allclose(stack_coeffs(direct), via_matrix, atol=1e-14)
+
+    @pytest.mark.parametrize("n, n_out, d_in, d_out", [(4, 4, 2, 3), (3, 7, 4, 2)])
+    @pytest.mark.parametrize("form", ["single", "batch", "transposed"])
+    def test_product_matches_the_einsum(self, n, n_out, d_in, d_out, form):
+        # Sums of d_in * n <= 12 terms: the stored product and the einsum
+        # round apart by at most 4 ulp of the output's largest entry.
+        rng = np.random.default_rng(11)
+        c = rng.standard_normal((n, n_out, d_out, d_in))
+        layer = FiniteRankLayer(d_in, d_out, n, c, zero_bias(BASIS, d_out, n_out), n_out=n_out)
+        coeffs = {
+            "single": lambda: rng.standard_normal((d_in, n)),
+            "batch": lambda: rng.standard_normal((5, d_in, n)),
+            # Like certify's kernel directions: a non-contiguous batch.
+            "transposed": lambda: rng.standard_normal((n * d_in, 5)).T
+                                     .reshape(-1, n, d_in).transpose(0, 2, 1),
+        }[form]()
+        want = np.einsum("kpij,...jk->...ip", c, coeffs)
+        u = SpectralCoeffs(BASIS, n, coeffs)
+        grid = Grid(0.0, 1.0, 16 * n_out)
+        for got in (apply_finite_rank(layer, u).coeffs, apply_layer(layer, u, grid).coeffs):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(np.abs(want)))
+
+    def test_product_on_long_sums_is_within_the_rounding_bound(self):
+        # G's last layer in the lift workload: sums of 48 terms, where the
+        # two summation orders may differ by more than 4 ulp of the largest
+        # entry but each stays within K * eps * (|C| |u|) of the exact sum.
+        n, n_out, d_in, d_out = 8, 54, 6, 8
+        rng = np.random.default_rng(12)
+        c = rng.standard_normal((n, n_out, d_out, d_in))
+        layer = FiniteRankLayer(d_in, d_out, n, c, zero_bias(BASIS, d_out, n_out), n_out=n_out)
+        coeffs = rng.standard_normal((6, d_in, n))
+        want = np.einsum("kpij,...jk->...ip", c, coeffs)
+        scale = np.einsum("kpij,...jk->...ip", np.abs(c), np.abs(coeffs))
+        got = apply_finite_rank(layer, SpectralCoeffs(BASIS, n, coeffs)).coeffs
+        k_eps = d_in * n * np.finfo(float).eps
+        assert np.all(np.abs(got - want) <= 2 * k_eps / (1 - k_eps) * scale)
+
+    def test_edits_through_c_reach_the_product(self):
+        # c is a view of the stored matrix, so entries written through it,
+        # -0.0 among them, apply as in a layer built from the edited array.
+        rng = np.random.default_rng(10)
+        given = rng.standard_normal((3, 5, 2, 4))
+        act = Activation("leaky_relu", 0.3)
+        bias = SpectralCoeffs(BASIS, 5, rng.standard_normal((2, 5)))
+        layer = FiniteRankLayer(4, 2, 3, given, bias, act, n_out=5)
+        layer.c[0, 1] = -0.0
+        layer.c[2, :, 1, 3] *= -2.0
+        fresh = FiniteRankLayer(4, 2, 3, np.array(layer.c), bias, act, n_out=5)
+        assert layer.c.shape == fresh.c.shape == (3, 5, 2, 4)
+        assert np.signbit(layer.c[0, 1]).all()
+        assert layer.c.tobytes() == fresh.c.tobytes()
+        assert block_matrix(layer).tobytes() == block_matrix(fresh).tobytes()
+        grid = Grid(0.0, 1.0, 80)
+        last = FiniteRankLayer(2, 1, 5, rng.standard_normal((5, 5, 1, 2)), zero_bias(BASIS, 1, 5))
+        for coeffs in (rng.standard_normal((4, 3)), rng.standard_normal((7, 4, 3))):
+            u = SpectralCoeffs(BASIS, 3, coeffs)
+            assert (apply_finite_rank(layer, u).coeffs.tobytes()
+                    == apply_finite_rank(fresh, u).coeffs.tobytes())
+            assert (apply_layer(layer, u, grid).coeffs.tobytes()
+                    == apply_layer(fresh, u, grid).coeffs.tobytes())
+            assert (apply_network(FiniteRankNetwork([layer, last]), u, grid).coeffs.tobytes()
+                    == apply_network(FiniteRankNetwork([fresh, last]), u, grid).coeffs.tobytes())
+
+    def test_layer_does_not_alias_the_given_array(self):
+        # Neither a plain array nor another layer's c, which is already in
+        # the stored layout, is shared with the new layer.
+        rng = np.random.default_rng(13)
+        given = rng.standard_normal((3, 3, 2, 2))
+        layer = FiniteRankLayer(2, 2, 3, given, zero_bias(BASIS, 2, 3))
+        copy = FiniteRankLayer(2, 2, 3, layer.c, zero_bias(BASIS, 2, 3))
+        u = SpectralCoeffs(BASIS, 3, rng.standard_normal((2, 3)))
+        before = apply_finite_rank(layer, u).coeffs.tobytes()
+        kept = given.tobytes()
+        given[:] = 0.0
+        assert layer.c.tobytes() == kept
+        assert apply_finite_rank(layer, u).coeffs.tobytes() == before
+        layer.c[:] = 0.0
+        assert copy.c.tobytes() == kept
+        assert apply_finite_rank(copy, u).coeffs.tobytes() == before
 
     def test_stack_unstack_round_trip(self):
         rng = np.random.default_rng(8)
