@@ -11,7 +11,6 @@ Reports are byte-identical across repeated runs with the same flags.
 from __future__ import annotations
 
 import argparse
-import glob
 import os
 import sys
 from functools import partial
@@ -20,19 +19,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import serialize
-from .atlas import build_atlas, global_invert
-from .certify import (
-    VERDICT_CERTIFIED,
-    VERDICT_COUNTEREXAMPLE,
-    VERDICT_NO_COUNTEREXAMPLE,
-    certify_bijective_activation,
-    certify_relu_dss,
-)
 from .errors import AliasingGuardError, DivergenceError, UsageError
-from .finite_rank import FiniteRankNetwork, truncate_kernel
 from .funcspace import BasisSpec, Grid, GridFunction
-from .nonlin import NonlinearIntegralOperator, VolterraKernel, invert_banach
-from .reduction import lift_to_injective
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,7 +102,12 @@ def _report_path(cfg: argparse.Namespace, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
+# Each handler imports the modules it runs, so a command loads no other.
+
 def _run_certify(cfg: argparse.Namespace) -> Tuple[int, dict]:
+    from .certify import (VERDICT_CERTIFIED, VERDICT_COUNTEREXAMPLE, VERDICT_NO_COUNTEREXAMPLE,
+                          certify_bijective_activation, certify_relu_dss)
+
     net = serialize.load_network(cfg.net)
     grid = Grid(net.basis.interval[0], net.basis.interval[1], cfg.grid_size)
     try:
@@ -144,6 +137,8 @@ def _run_certify(cfg: argparse.Namespace) -> Tuple[int, dict]:
 
 
 def _run_lift(cfg: argparse.Namespace) -> Tuple[int, dict]:
+    from .reduction import lift_to_injective
+
     result = lift_to_injective(serialize.load_network(cfg.net), alpha=cfg.alpha)
     serialize.save_network(result.network, _report_path(cfg, "network.json"))
     report = {
@@ -182,13 +177,19 @@ def _run_invert(cfg: argparse.Namespace) -> Tuple[int, dict]:
     read_input = partial(serialize.read_grid_function_csv, grid=op.grid, channels=op.channels)
     z = read_input(cfg.target)
     if cfg.method == "banach":
+        from .nonlin import invert_banach
+
         solve, negative = invert_banach, "Diverged"
     else:
+        from .atlas import build_atlas, global_invert
+
         if not cfg.anchors:
             raise UsageError("--method atlas requires --anchors DIR")
         if os.path.isfile(os.path.join(cfg.anchors, "atlas.json")):
             atlas = serialize.load_atlas(cfg.anchors, op)
         else:
+            import glob
+
             paths = sorted(glob.glob(os.path.join(cfg.anchors, "*.csv")))
             if not paths:
                 raise UsageError(f"no anchor CSV files under {cfg.anchors}")
@@ -206,6 +207,8 @@ def _run_invert(cfg: argparse.Namespace) -> Tuple[int, dict]:
 
 
 def _run_truncate(cfg: argparse.Namespace) -> Tuple[int, dict]:
+    from .finite_rank import FiniteRankNetwork, truncate_kernel
+
     obj = serialize.json_object(serialize.read_json(cfg.op), "operator file")
     if "kernel" not in obj:  # a bare kernel object
         obj = {"kernel": obj}
@@ -235,6 +238,8 @@ def _run_truncate(cfg: argparse.Namespace) -> Tuple[int, dict]:
 
 
 def _run_demo(cfg: argparse.Namespace) -> Tuple[int, dict]:
+    from .nonlin import NonlinearIntegralOperator, VolterraKernel, invert_banach
+
     if cfg.demo_name != "volterra":
         raise UsageError(f"unknown demo {cfg.demo_name!r}; available: volterra")
     grid = Grid(0.0, 1.0, cfg.grid_size)

@@ -25,15 +25,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionError
-from .funcspace import BasisSpec, Grid, SpectralCoeffs, resolved_mode_table
+from .funcspace import BasisSpec, Grid, SpectralCoeffs, expit, resolved_mode_table
 
 ACTIVATION_KINDS = ("identity", "relu", "leaky_relu", "sigmoid")
-
-
-def expit(x):
-    """Logistic sigmoid; exp(-x) overflows to inf for x < -709.78, where the result is 0."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _leaky(x: np.ndarray, slope: float) -> np.ndarray:
@@ -124,11 +118,22 @@ class FiniteRankLayer:
         if c.shape != expected:
             raise DimensionError(f"kernel blocks C have shape {c.shape}, expected {expected}")
         self.mat = np.array(c.transpose(3, 0, 2, 1), order="C").reshape(self.d_in * self.n, -1)
-        self.c = self.mat.reshape(self.d_in, self.n, self.d_out, self.n_out).transpose(1, 3, 2, 0)
+        self._view_blocks()
         if self.bias.coeffs.shape != (self.d_out, self.n_out):
             raise DimensionError(
                 f"bias has shape {self.bias.coeffs.shape}, expected {(self.d_out, self.n_out)}"
             )
+
+    def _view_blocks(self):
+        self.c = self.mat.reshape(self.d_in, self.n, self.d_out, self.n_out).transpose(1, 3, 2, 0)
+
+    def __getstate__(self):
+        """Pickle and deep copy keep ``mat``; :meth:`__setstate__` views ``c`` into it again."""
+        return {key: value for key, value in self.__dict__.items() if key != "c"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._view_blocks()
 
     @property
     def basis(self) -> BasisSpec:

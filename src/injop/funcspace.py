@@ -60,6 +60,12 @@ def require_finite(name: str, p) -> None:
         raise ValueError(f"{name} must be finite")
 
 
+def expit(x):
+    """Logistic sigmoid; exp(-x) overflows to inf for x < -709.78, where the result is 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform closed grid on [a, b] with composite trapezoid weights.

@@ -44,8 +44,7 @@ from .errors import (
     NotDifferentiableError,
     SingularOperatorError,
 )
-from .finite_rank import expit
-from .funcspace import (BasisSpec, Grid, GridFunction, SpectralCoeffs, from_spectral,
+from .funcspace import (BasisSpec, Grid, GridFunction, SpectralCoeffs, expit, from_spectral,
                         l2_h1_norms, require_finite)
 
 TableParam = Union[float, np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]

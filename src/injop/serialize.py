@@ -14,25 +14,20 @@ import math
 import os
 from contextlib import contextmanager
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .atlas import Atlas, build_atlas
-from .certify import CertReport
 from .errors import DimensionError, UsageError
-from .finite_rank import Activation, FiniteRankLayer, FiniteRankNetwork
 from .funcspace import BasisSpec, Grid, GridFunction, SpectralCoeffs
-from .nonlin import (
-    InversionTrace,
-    KernelBase,
-    LinearTableKernel,
-    NonlinearIntegralOperator,
-    SigmoidSumKernel,
-    SoftmaxAttentionKernel,
-    VolterraKernel,
-    WireKernel,
-)
+
+# A reader or writer imports the modules of the objects it builds, so
+# loading this module loads no layer.
+if TYPE_CHECKING:
+    from .atlas import Atlas
+    from .certify import CertReport
+    from .finite_rank import Activation, FiniteRankNetwork
+    from .nonlin import InversionTrace, KernelBase, NonlinearIntegralOperator
 
 
 _FLOAT = "%.17g"
@@ -182,6 +177,8 @@ def _activation_to_obj(act: Activation) -> Dict[str, Any]:
 
 
 def _activation_from_obj(obj: Dict[str, Any]) -> Activation:
+    from .finite_rank import Activation
+
     a = json_object(obj, "activation", ("kind", "a")).get("a")
     return Activation(obj["kind"], None if a is None else finite_number(a, "the slope a"))
 
@@ -206,6 +203,8 @@ LAYER_KEYS = ("d_in", "d_out", "n_out", "activation", "C", "bias")
 
 
 def network_from_obj(obj: Dict[str, Any]) -> FiniteRankNetwork:
+    from .finite_rank import FiniteRankLayer, FiniteRankNetwork
+
     json_object(obj, "network file", NETWORK_KEYS)
     with file_field("network file"):
         basis = basis_from_obj(obj["basis"])
@@ -347,18 +346,20 @@ _TERMS = KernelEntry(
 _U = KernelEntry("signature", "signature", kernel_signature,
                  lambda sig, key: "u(y)" if "u(y)" in sig else "u(x)", required=False)
 
-#: Each kernel kind's class and its file entries after ``kind``, in file order.
-KERNEL_KINDS: Dict[str, Tuple[type, Tuple[KernelEntry, ...]]] = {
-    "sigmoid_sum": (SigmoidSumKernel, (_U, _TERMS)),
-    "wire": (WireKernel, (_U, KernelEntry("omega", "omega", attrgetter("omega"), finite_number),
-                          _TERMS)),
-    "volterra": (VolterraKernel, (
+#: Each kernel kind's class in :mod:`injop.nonlin`, by name, and its file
+#: entries after ``kind``, in file order.
+KERNEL_KINDS: Dict[str, Tuple[str, Tuple[KernelEntry, ...]]] = {
+    "sigmoid_sum": ("SigmoidSumKernel", (_U, _TERMS)),
+    "wire": ("WireKernel", (_U, KernelEntry("omega", "omega", attrgetter("omega"),
+                                            finite_number), _TERMS)),
+    "volterra": ("VolterraKernel", (
         KernelEntry("base", "base", _TABLE, required=False),
         KernelEntry("nonlinearity", "nonlinearity", attrgetter("nonlinearity"),
                     lambda v, key: v, required=False))),
-    "softmax_attention": (SoftmaxAttentionKernel, (KernelEntry("A", "a_mat", attrgetter("a_mat")),
-                                                   KernelEntry("B", "b_mat", attrgetter("b_mat")))),
-    "linear_table": (LinearTableKernel, (KernelEntry("table", "table", _TABLE),)),
+    "softmax_attention": ("SoftmaxAttentionKernel", (
+        KernelEntry("A", "a_mat", attrgetter("a_mat")),
+        KernelEntry("B", "b_mat", attrgetter("b_mat")))),
+    "linear_table": ("LinearTableKernel", (KernelEntry("table", "table", _TABLE),)),
 }
 
 
@@ -376,15 +377,17 @@ def kernel_from_obj(obj: Dict[str, Any]) -> KernelBase:
     """Rebuild a kernel.  An entry its kind does not name, or a signature
     other than the rebuilt kernel's, is a ValueError.  A dense table is read
     as an array, so it saves again; the operator checks it against the grid."""
+    from . import nonlin
+
     kind, sig = json_object(obj)["kind"], obj.get("signature")
     if type(kind) is not str or kind not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}")
-    cls, entries = KERNEL_KINDS[kind]
+    name, entries = KERNEL_KINDS[kind]
     unknown = set(obj) - {"kind", "signature", *(e.key for e in entries)}
     if unknown:
         raise ValueError(f"a {kind} kernel has no entry {min(unknown)!r}")
-    kernel = cls(**{e.arg: e.read(obj[e.key], e.key) for e in entries
-                    if e.required or e.key in obj})
+    kernel = getattr(nonlin, name)(**{e.arg: e.read(obj[e.key], e.key) for e in entries
+                                      if e.required or e.key in obj})
     if sig is not None and sig != kernel_signature(kernel):
         raise ValueError(f"signature {sig!r} differs from {kernel_signature(kernel)!r}, "
                          f"what this {kind} kernel reads")
@@ -413,6 +416,8 @@ OPERATOR_KEYS = ("grid", "w", "kernel", "bias")
 
 
 def operator_from_obj(obj: Dict[str, Any], grid: Optional[Grid] = None) -> NonlinearIntegralOperator:
+    from .nonlin import NonlinearIntegralOperator
+
     json_object(obj, "operator file", OPERATOR_KEYS)
     with file_field("operator file: grid"):
         file_grid = grid_from_obj(obj["grid"]) if "grid" in obj else None
@@ -482,6 +487,8 @@ ATLAS_KEYS = ("ell0", "eps1", "probe_indices", "anchors", "cell_map", "constants
 
 
 def load_atlas(dirpath: str, op: NonlinearIntegralOperator) -> Atlas:
+    from .atlas import build_atlas
+
     obj = json_object(read_json(os.path.join(dirpath, "atlas.json")), "atlas file", ATLAS_KEYS)
     with file_field("atlas file"):
         names = obj["anchors"]

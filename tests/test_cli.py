@@ -1144,10 +1144,68 @@ def _scipy_modules_after(argvs, cwd):
     return json.loads(proc.stdout)
 
 
+def _injop_modules_after(argv, cwd):
+    """In a fresh interpreter: the exit code and the ``injop`` modules loaded
+    after ``import injop`` (argv None), ``import injop.cli`` (argv []) or
+    ``injop.cli.main(argv)``."""
+    script = (
+        "import json, sys\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "import injop\n"
+        "if argv is not None:\n"
+        "    import injop.cli\n"
+        "code = injop.cli.main(argv) if argv else None\n"
+        "print(json.dumps([code, sorted(m[6:] for m in sys.modules if m.startswith('injop.'))]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(injop.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
 class TestImportCost:
-    """No command loads scipy, even where scipy is installed.  Each check
-    runs in a fresh interpreter, so modules the test session already holds cannot
-    hide an import."""
+    """No command loads scipy, even where scipy is installed, and each loads
+    only the injop modules it runs.  Each check runs in a fresh interpreter, so
+    modules the test session already holds cannot hide an import."""
+
+    def test_each_command_loads_only_its_modules(self, tmp_path):
+        net = str(tmp_path / "net.json")
+        write_relu_net(net)
+        table_op = str(tmp_path / "table_op.json")
+        grid = Grid(0.0, 1.0, 33)
+        table = np.exp(-np.abs(grid.nodes[:, None] - grid.nodes[None, :]))
+        save_operator(NonlinearIntegralOperator(grid, LinearTableKernel(table)), table_op)
+        op, target, atlas_dir = write_saved_atlas(tmp_path)
+        anchors = tmp_path / "anchors"
+        anchors.mkdir()
+        for j, level in enumerate([0.0, 1.5]):
+            write_grid_function_csv(GridFunction(Grid(0.0, 1.0, 65), np.full(65, level)),
+                                    str(anchors / f"anchor_{j}.csv"))
+        invert = ["invert", "--op", op, "--target", target, "--method"]
+        base = ["cli", "errors", "funcspace", "serialize"]
+        cases = [
+            ("import injop", None, []),
+            ("import injop.cli", [], base),
+            ("certify", ["certify", "--net", net, "--trials", "8", "--grid-size", "65"],
+             base + ["certify", "finite_rank"]),
+            ("lift", ["lift", "--net", net, "--alpha", "0.1"], base + ["finite_rank", "reduction"]),
+            ("invert banach", invert + ["banach"], base + ["nonlin"]),
+            ("invert atlas from CSVs", invert + ["atlas", "--anchors", str(anchors)],
+             base + ["atlas", "nonlin"]),
+            ("invert atlas saved", invert + ["atlas", "--anchors", atlas_dir],
+             base + ["atlas", "nonlin"]),
+            ("truncate", ["truncate", "--op", table_op, "--rank", "4"],
+             base + ["finite_rank", "nonlin"]),
+            ("demo volterra", ["demo", "volterra", "--grid-size", "65"], base + ["nonlin"]),
+        ]
+        for i, (label, argv, want) in enumerate(cases):
+            if argv:
+                argv = argv + ["--out-dir", str(tmp_path / f"out{i}")]
+            code, mods = _injop_modules_after(argv, str(tmp_path))
+            assert mods == sorted(want), f"{label} loaded {mods}"
+            if argv:
+                assert code in ((0, 2) if label == "certify" else (0,)), label
 
     def test_import_and_scipy_free_commands(self, tmp_path):
         net = str(tmp_path / "net.json")

@@ -1,7 +1,9 @@
 """Finite-rank layers: block-matrix algebra, activations, kernel truncation."""
 
 import math
+import pickle
 import warnings
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -196,6 +198,20 @@ class TestBlockAlgebra:
         layer.c[:] = 0.0
         assert copy.c.tobytes() == kept
         assert apply_finite_rank(copy, u).coeffs.tobytes() == before
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_copies_keep_c_a_view_of_the_product(self, how):
+        # A copy's c must be a view of the copy's own matrix, so zeroing it
+        # zeroes the copy's output and leaves the original's alone.
+        layer = FiniteRankLayer(2, 2, 3, np.ones((3, 3, 2, 2)), zero_bias(BASIS, 2, 3))
+        dup = deepcopy(layer) if how == "deepcopy" else pickle.loads(pickle.dumps(layer))
+        assert dup.c.shape == (3, 3, 2, 2)
+        assert np.shares_memory(dup.c, dup.mat)
+        assert not np.shares_memory(dup.mat, layer.mat)
+        u = SpectralCoeffs(BASIS, 3, np.ones((2, 3)))
+        dup.c[:] = 0.0
+        assert np.all(apply_finite_rank(dup, u).coeffs == 0.0)
+        assert np.all(apply_finite_rank(layer, u).coeffs == 6.0)
 
     def test_stack_unstack_round_trip(self):
         rng = np.random.default_rng(8)
