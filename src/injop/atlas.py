@@ -358,8 +358,11 @@ def global_invert(
     The half-open bins are disjoint, so the masked sum over cells has
     exactly one nonzero term and reduces to the selected local inverse.
     Unseen cells fall back to the anchor whose image is nearest in the
-    discrete H1 distance.
+    discrete H1 distance.  ``op`` must be ``atlas.op``, the operator whose
+    images the anchors store.
     """
+    if op is not atlas.op:
+        raise ValueError("global_invert needs the operator the atlas was built for (atlas.op)")
     if not atlas.anchors:
         raise ValueError("atlas has no anchors")
     key = cell_key(g, atlas.probe_idx, atlas.eps1)

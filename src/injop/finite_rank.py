@@ -19,13 +19,14 @@ network checks its input once and steps through its layers on bare arrays.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DimensionError
-from .funcspace import BasisSpec, Grid, SpectralCoeffs, expit, resolved_mode_table
+from .funcspace import (BasisSpec, Grid, SpectralCoeffs, expit, require_finite,
+                        resolved_mode_table)
 
 ACTIVATION_KINDS = ("identity", "relu", "leaky_relu", "sigmoid")
 
@@ -92,48 +93,36 @@ class Activation:
         return np.log(x) - np.log1p(-x)  # sigmoid
 
 
-@dataclass
 class FiniteRankLayer:
     """One finite-rank integral layer from ``d_in`` to ``d_out`` channels and
     from input order ``n`` to output order ``n_out`` (default ``n``).  The
     kernel blocks ``c``, shape (n, n_out, d_out, d_in), are indexed [input
     mode k][output mode p][out chan][in chan]; the output-side ``bias`` has
-    shape (d_out, n_out).  ``c`` is a view of ``mat``, the C-ordered copy
-    made at construction, with rows (in chan, k) and columns (out chan, p);
-    a layer does not alias the array it was given."""
+    shape (d_out, n_out).  The layer stores only ``mat``, the C-ordered copy
+    of the blocks made at construction, with rows (in chan, k) and columns
+    (out chan, p); ``c`` is a read-only attribute that views it, so entries
+    written through ``c`` reach the product.  A layer does not alias the
+    array it was given, and refuses non-finite blocks or bias."""
 
-    d_in: int
-    d_out: int
-    n: int
-    c: np.ndarray
-    bias: SpectralCoeffs
-    activation: Activation = field(default_factory=Activation)
-    n_out: Optional[int] = None
-
-    def __post_init__(self):
-        if self.n_out is None:
-            self.n_out = self.n
-        c = np.asarray(self.c, dtype=float)
+    def __init__(self, d_in: int, d_out: int, n: int, c: np.ndarray, bias: SpectralCoeffs,
+                 activation: Activation = Activation(), n_out: Optional[int] = None):
+        self.d_in, self.d_out, self.n, self.bias, self.activation = d_in, d_out, n, bias, activation
+        self.n_out = n if n_out is None else n_out
+        c = np.asarray(c, dtype=float)
         expected = (self.n, self.n_out, self.d_out, self.d_in)
         if c.shape != expected:
             raise DimensionError(f"kernel blocks C have shape {c.shape}, expected {expected}")
-        self.mat = np.array(c.transpose(3, 0, 2, 1), order="C").reshape(self.d_in * self.n, -1)
-        self._view_blocks()
-        if self.bias.coeffs.shape != (self.d_out, self.n_out):
+        if bias.coeffs.shape != (self.d_out, self.n_out):
             raise DimensionError(
-                f"bias has shape {self.bias.coeffs.shape}, expected {(self.d_out, self.n_out)}"
+                f"bias has shape {bias.coeffs.shape}, expected {(self.d_out, self.n_out)}"
             )
+        self.mat = np.array(c.transpose(3, 0, 2, 1), order="C").reshape(self.d_in * self.n, -1)
+        require_finite("kernel blocks C", self.mat)
+        require_finite("bias", bias.coeffs)
 
-    def _view_blocks(self):
-        self.c = self.mat.reshape(self.d_in, self.n, self.d_out, self.n_out).transpose(1, 3, 2, 0)
-
-    def __getstate__(self):
-        """Pickle and deep copy keep ``mat``; :meth:`__setstate__` views ``c`` into it again."""
-        return {key: value for key, value in self.__dict__.items() if key != "c"}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._view_blocks()
+    @property
+    def c(self) -> np.ndarray:
+        return self.mat.reshape(self.d_in, self.n, self.d_out, self.n_out).transpose(1, 3, 2, 0)
 
     @property
     def basis(self) -> BasisSpec:

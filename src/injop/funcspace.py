@@ -56,7 +56,7 @@ MODE_TABLE_CACHE_SIZE = 32
 
 def require_finite(name: str, p) -> None:
     """Raise ValueError if a parameter that is not callable holds NaN or infinity."""
-    if not callable(p) and not np.all(np.isfinite(np.asarray(p, dtype=float))):
+    if not callable(p) and not np.isfinite(np.asarray(p, dtype=float)).all():
         raise ValueError(f"{name} must be finite")
 
 
@@ -376,9 +376,7 @@ def l2_norm(grid: Grid, values: np.ndarray) -> float:
 def h1_norm(grid: Grid, values: np.ndarray) -> float:
     """Discrete H1 norm of a float array of shape (..., size), taken over
     the whole array: quadrature L2 plus forward-difference derivative."""
-    h = grid.h
-    diff = (values[..., 1:] - values[..., :-1]) / h
-    return math.sqrt((grid.weights * values**2).sum() + (diff**2).sum() * h)
+    return l2_h1_norms(grid, values)[1]
 
 
 def l2_h1_norms(grid: Grid, values: np.ndarray) -> tuple:

@@ -155,19 +155,6 @@ class ReductionMap:
     pair: Optional[ProjectionPair] = None
     columns: Optional[np.ndarray] = None
 
-    @property
-    def b(self) -> np.ndarray:
-        """The dense matrix B; the explicit kind builds it on each access.
-
-        Since q p_alpha = p_zero q and the kept rows avoid the slots, the
-        explicit B is the kept rows of q: unit rows, except that each xi
-        row is ``amp * e_xi - alpha * e_slot``.
-        """
-        if self.pair is None:
-            return self.dense
-        pair = self.pair
-        return pair.q[_keep_indices(pair.m, pair.ell, pair.n_total)]
-
     def row_orthonormality_defect(self) -> float:
         """max |B B^T - I|.  The explicit rows have disjoint supports and
         are unit rows except the xi rows, amp * e_xi - alpha * e_slot, so
@@ -267,7 +254,9 @@ def _keep_indices(m: int, ell: int, n_total: int) -> np.ndarray:
 
 def build_reduction_explicit(pair: ProjectionPair) -> ReductionMap:
     """Restrict-to-output-channels composed with the rotation and the
-    tilted projection of ``pair`` (:attr:`ReductionMap.b`)."""
+    tilted projection of ``pair``.  Since q p_alpha = p_zero q and the kept
+    rows avoid the slots, this B is the kept rows of q: unit rows, except
+    that each xi row is ``amp * e_xi - alpha * e_slot``."""
     meta = {"alpha": pair.alpha, "m": pair.m, "ell": pair.ell, "n_core": pair.n_core,
             "n_total": pair.n_total, "tilt": pair.tilt_norm()}
     return ReductionMap(kind="explicit", meta=meta, pair=pair)
@@ -429,7 +418,7 @@ class LiftResult:
     ``augmented`` is the pathway-carrying map H at order n; ``eps0`` is the
     projection tilt ||p_alpha - p_zero|| driving the closeness guarantee
     ||original(a) - G(a)|| <= 5 * eps0 * ||H(a)||: alpha itself for the
-    explicit pair, measured for the randomized one.
+    explicit pair (``reduction.pair``), measured for the randomized one.
     """
 
     original: FiniteRankNetwork
@@ -440,7 +429,6 @@ class LiftResult:
     eps0: float
     n: int
     n_total: int
-    pair: Optional[ProjectionPair] = None
 
     def apply(self, a: SpectralCoeffs, grid: Grid) -> SpectralCoeffs:
         """Evaluate the lifted network on an order-n input."""
@@ -519,7 +507,6 @@ def lift_to_injective(
 
     if randomized:
         n_total = max(n * (1 + d_in), -(-(2 * n * d_in + 1) // d_out))
-        pair = None
         reduction = _randomized_reduction(augmented, d_in, n, n_total, seed)
     else:
         pair = build_projection_pair(m=d_in + d_out, ell=d_out, n_core=n, alpha=alpha)
@@ -550,7 +537,6 @@ def lift_to_injective(
         eps0=eps0,
         n=n,
         n_total=n_total,
-        pair=pair,
     )
 
 

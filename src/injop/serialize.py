@@ -494,6 +494,9 @@ def load_atlas(dirpath: str, op: NonlinearIntegralOperator) -> Atlas:
         names = obj["anchors"]
         if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
             raise TypeError("anchors must be a non-empty list of CSV file names")
+        for name in names:
+            if os.path.basename(name) != name or name in ("", ".", ".."):
+                raise ValueError(f"anchor {name!r} is not a file name in the atlas directory")
         ell0, eps1 = _integer(obj["ell0"], "ell0"), finite_number(obj["eps1"], "eps1")
         if not 1 <= ell0 <= op.grid.size:
             raise ValueError(f"ell0 must lie in [1, {op.grid.size}], got {ell0}")

@@ -287,6 +287,18 @@ class TestBasinEscape:
         with pytest.raises(OutOfBasinError, match="cell"):
             global_invert(atlas, op, g, tol=1e-10, max_iter=50)
 
+    def test_global_invert_refuses_an_operator_the_atlas_was_not_built_for(self):
+        # The first residual reads the stored anchor image, so another
+        # operator would converge at once to a u it does not map to g.
+        op, anchors = bench_problem(GRID.size)
+        atlas = build_atlas(op, anchors, ell0=4, eps1=0.25)
+        other = NonlinearIntegralOperator(
+            GRID, SigmoidSumKernel([(0.5, 1.0, 0.0)], signature="u(y)"), w=1.0)
+        with pytest.raises(ValueError, match="atlas.op"):
+            global_invert(atlas, other, atlas.anchors[3].g)
+        u, trace = global_invert(atlas, op, atlas.anchors[3].g)
+        assert trace.converged and trace.iterations == 1
+
 
 class _SquareKernel(KernelBase):
     """Test-only kernel u(y), so K(u) = int u^2: from a zero anchor the

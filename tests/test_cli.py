@@ -1273,7 +1273,7 @@ save_atlas(build_atlas(load_operator(cfg["op"]), [read_grid_function_csv(p) for 
            cfg["atlas"])
 codes = [injop.cli.main(argv) for argv in cfg["argvs"]]
 lift = lift_to_injective(load_network(cfg["net"]), mode="relu", randomized=True, seed=0)
-print(json.dumps({"codes": codes, "b": lift.reduction.b.tolist(), "meta": lift.reduction.meta}))
+print(json.dumps({"codes": codes, "b": lift.reduction.dense.tolist(), "meta": lift.reduction.meta}))
 """
 
 
@@ -1331,4 +1331,4 @@ def test_library_and_commands_run_without_scipy(tmp_path):
         assert files_equal(os.path.join(here_atlas, name), os.path.join(blocked_atlas, name))
     lift = lift_to_injective(load_network(net), mode="relu", randomized=True, seed=0)
     assert seen["meta"] == lift.reduction.meta
-    assert np.array_equal(seen["b"], lift.reduction.b)
+    assert np.array_equal(seen["b"], lift.reduction.dense)

@@ -213,6 +213,28 @@ class TestBlockAlgebra:
         assert np.all(apply_finite_rank(dup, u).coeffs == 0.0)
         assert np.all(apply_finite_rank(layer, u).coeffs == 6.0)
 
+    def test_c_is_a_read_only_view_not_a_second_copy(self):
+        # The layer stores only its matrix: c cannot be rebound to an array
+        # the product would not see.
+        layer = FiniteRankLayer(2, 2, 3, np.ones((3, 3, 2, 2)), zero_bias(BASIS, 2, 3))
+        assert "c" not in vars(layer)
+        with pytest.raises(AttributeError):
+            layer.c = np.zeros((3, 3, 2, 2))
+        assert np.all(layer.c == 1.0)
+        u = SpectralCoeffs(BASIS, 3, np.ones((2, 3)))
+        assert np.all(apply_finite_rank(layer, u).coeffs == 6.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_blocks_or_bias_are_refused(self, bad):
+        c = np.ones((3, 3, 2, 2))
+        c[1, 2, 0, 1] = bad
+        with pytest.raises(ValueError, match="kernel blocks C must be finite"):
+            FiniteRankLayer(2, 2, 3, c, zero_bias(BASIS, 2, 3))
+        bias = zero_bias(BASIS, 2, 3)
+        bias.coeffs[1, 0] = bad
+        with pytest.raises(ValueError, match="bias must be finite"):
+            FiniteRankLayer(2, 2, 3, np.ones((3, 3, 2, 2)), bias)
+
     def test_stack_unstack_round_trip(self):
         rng = np.random.default_rng(8)
         u = SpectralCoeffs(BASIS, 5, rng.standard_normal((3, 5)))

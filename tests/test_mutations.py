@@ -193,6 +193,11 @@ def broken_atlases(draw, tree, how):
         _set(tree, path, _get(tree, path) + draw(st.sampled_from([0.0, 0.5, 0.9])))
     elif how == "non_finite":
         tree["eps1"] = draw(NON_FINITE)
+    elif how == "escape":  # an anchor named by a path, not a file name in the directory
+        i = draw(st.integers(0, len(tree["anchors"]) - 1))
+        name = tree["anchors"][i]
+        tree["anchors"][i] = draw(st.sampled_from([f"../elsewhere/{name}", f"./{name}",
+                                                   f"sub/../{name}", ".", "..", ""]))
     else:  # reshape: a cell nested one level deeper, or cut to its first index
         path = ("cell_map", draw(st.integers(0, len(tree["cell_map"]) - 1)), "cell")
         cell = _get(tree, path)
@@ -208,7 +213,7 @@ def saved_atlas(tmp_path_factory):
 
 
 @pytest.mark.parametrize("how", ["drop_key", "string", "fractional", "non_finite", "reshape",
-                                 "truncate"])
+                                 "escape", "truncate"])
 @MUTATION
 @given(data=st.data())
 def test_broken_atlas_file_is_usage_error(saved_atlas, how, data):
@@ -216,6 +221,8 @@ def test_broken_atlas_file_is_usage_error(saved_atlas, how, data):
     text = data.draw(broken_atlases(tree, how))
     with tempfile.TemporaryDirectory() as tmp:
         anchors = shutil.copytree(atlas_dir, os.path.join(tmp, "atlas"))
+        # A valid copy beside it, which an escaping anchor name would reach.
+        shutil.copytree(atlas_dir, os.path.join(tmp, "elsewhere"))
         path = os.path.join(anchors, "atlas.json")
         with open(path, "w") as fh:
             fh.write(text)

@@ -75,7 +75,7 @@ class TestProjectionPair:
         pair = build_projection_pair(m=3, ell=1, n_core=4, alpha=0.2)
         red = build_reduction_explicit(pair)
         assert red.kind == "explicit"
-        b = red.b
+        b = pair.q[_keep_indices(pair.m, pair.ell, pair.n_total)]
         assert_allclose(b @ b.T, np.eye(b.shape[0]), atol=1e-12)
 
 
@@ -97,7 +97,7 @@ class TestClosedFormPair:
         assert abs(alpha - np.linalg.norm(p_alpha - p_zero, 2)) <= 1.2e-16
         keep = _keep_indices(m, ell, pair.n_total)
         b_dense = (q_dense @ p_alpha)[keep]
-        b = red.b
+        b = pair.q[keep]
         assert np.max(np.abs(b - b_dense)) <= 1e-14
         gram = b @ b.T
         gram_defect = np.max(np.abs(gram - np.eye(len(gram))))
@@ -110,7 +110,7 @@ class TestClosedFormPair:
         act = Activation("relu") if mode == "relu" else Activation("leaky_relu", 0.5)
         net = deep_net(rng, depth, act, n=3, d_in=2, width=3, d_out=2)
         res = lift_to_injective(net, mode=mode, alpha=0.2)
-        pair = res.pair
+        pair = res.reduction.pair
         keep = _keep_indices(pair.m, pair.ell, pair.n_total)
         b_full = (_kato_rotation(pair.p_zero, pair.p_alpha) @ pair.p_alpha)[keep]
         final = padded_layer(res.augmented.layers[-1], res.n_total)
@@ -135,7 +135,7 @@ class TestClosedFormPair:
         net = deep_net(np.random.default_rng(65), depth, act, n=n, d_in=d_in, width=width,
                        d_out=d_out)
         res = lift_to_injective(net, mode=mode, alpha=alpha)
-        pair, final = res.pair, res.augmented.layers[-1]
+        pair, final = res.reduction.pair, res.augmented.layers[-1]
         kept = slice(pair.m - pair.ell, None)
         c = np.zeros((n, pair.n_total, pair.ell, final.d_in))
         c[:, :n] = final.c[:, :, kept]
@@ -161,8 +161,8 @@ class TestClosedFormPair:
         last.c[::2, 1::2] = -0.0
         last.bias.coeffs[:, 1] = -0.0
         res = lift_to_injective(net, mode=mode, alpha=0.1)
-        final, n, m = res.augmented.layers[-1], res.n, res.pair.m
-        b = res.reduction.b[:, : n * m]
+        final, n, pair = res.augmented.layers[-1], res.n, res.reduction.pair
+        b = pair.q[_keep_indices(pair.m, pair.ell, pair.n_total)][:, : n * pair.m]
         assert np.signbit(block_matrix(final)).sum() > 0
         dense = b @ block_matrix(final)
         assert res.reduction.fold(block_matrix(final)).tobytes() == dense.tobytes()
@@ -193,7 +193,7 @@ class TestClosedFormPair:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        dim = res.pair.dim
+        dim = res.reduction.pair.dim
         assert dim == 2304
         assert peak < dim * dim * 8 / 4
         assert res.eps0 == 0.1 and defect <= 1e-15
@@ -306,13 +306,13 @@ class TestDimensionGate:
 
         red = build_reduction_randomized(t_map, n_in, out, seed=0)
         assert red.kind == "randomized"
-        assert red.b.shape == (out, n_in + out)
+        assert red.dense.shape == (out, n_in + out)
         assert red.meta["tilt"] > 0.0
         # Fresh pairs must stay separated through the reduced map.
         u = rng.standard_normal((200, n_in))
         v = rng.standard_normal((200, n_in))
         gap_in = np.linalg.norm(u - v, axis=1)
-        gap_out = np.linalg.norm(t_map(u) @ red.b.T - t_map(v) @ red.b.T, axis=1)
+        gap_out = np.linalg.norm(t_map(u) @ red.dense.T - t_map(v) @ red.dense.T, axis=1)
         assert np.all(gap_out >= 1e-9 * gap_in)
 
     def test_degenerate_map_fails_verification(self):
@@ -467,7 +467,7 @@ class TestLift:
         res = lift_to_injective(net, mode="relu", alpha=0.15)
         assert two_norms == []
         monkeypatch.undo()
-        assert res.eps0 == res.pair.tilt_norm() == 0.15
+        assert res.eps0 == res.reduction.pair.tilt_norm() == 0.15
 
     @pytest.mark.parametrize("slope", [0.3, 2.5])
     @pytest.mark.parametrize("depth", [2, 3])
