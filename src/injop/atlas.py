@@ -243,6 +243,8 @@ def build_atlas(
 ) -> Atlas:
     """Anchor the atlas at the given inputs and bin their images into cells.
 
+    Each input must be one function; their images are evaluated in one call.
+
     Duplicate cell keys keep the smallest anchor index; the collision is
     recorded in ``atlas.warnings``.
     """
@@ -252,12 +254,12 @@ def build_atlas(
         raise ValueError(f"eps1 must be finite and positive, got {eps1}")
     grid = op.grid
     idx = probe_indices(grid.size, ell0)
-    anchors: List[Anchor] = []
     for j, v in enumerate(training_inputs):
-        grid.require_matches(v.grid)
-        if not np.all(np.isfinite(v.values)):
+        if not np.all(np.isfinite(op.function_values(v, f"training input {j}"))):
             raise ValueError(f"training input {j} has non-finite values")
-        anchors.append(Anchor(index=j, v=v.copy(), g=op.apply(v), fact=linearize(op, v)))
+    images = op.evaluate(np.stack([v.values for v in training_inputs]))[1]
+    anchors = [Anchor(index=j, v=v.copy(), g=GridFunction(grid, g), fact=linearize(op, v))
+               for j, (v, g) in enumerate(zip(training_inputs, images))]
     cell_map: Dict[Tuple[int, ...], int] = {}
     notes: List[str] = []
     for anchor in anchors:
@@ -299,7 +301,7 @@ def local_invert(
     ``BASIN_PATIENCE`` consecutive H1 residual increases, or at the first
     non-finite residual; the trace then holds the finite iterations before it.
     """
-    g_values = op.checked_values(g)
+    g_values = op.function_values(g, "g")
     u = anchor.v.values.copy()
     trace = InversionTrace(
         meta={"method": "newton", "tol": tol, "anchor": anchor.index, "ratio_kind": "step_h1"}
@@ -365,6 +367,7 @@ def global_invert(
         raise ValueError("global_invert needs the operator the atlas was built for (atlas.op)")
     if not atlas.anchors:
         raise ValueError("atlas has no anchors")
+    op.function_values(g, "g")  # one function on op's grid, before its cell is read
     key = cell_key(g, atlas.probe_idx, atlas.eps1)
     fallback = key not in atlas.cell_map
     if fallback:

@@ -15,9 +15,14 @@ with scalar parameters) is one trapezoid sum: a dot product of length M,
 or a running sum for a Volterra kernel.  Any other table costs the dense
 M x M product with the quadrature weights, which are built only for it.
 :meth:`NonlinearIntegralOperator.evaluate` gives K(u) and F(u) on bare
-(h, M) arrays; the inversion loops step on it and check their target
-``GridFunction`` once.  Linearization is available exactly for the
-kernels that read at most u(y), matching the derivative formula
+(h, M) arrays, or on a (P, h, M) batch whose every function gets the bits
+it gets alone: the scalar ridge routes take the whole batch, with one dot
+product per row for a non-causal trapezoid sum, and any other kernel is
+integrated one function at a time.  The estimators evaluate all their
+probe points in one call; the inversion loops step on one function and
+check their target ``GridFunction`` once.  Linearization is available
+exactly for the kernels that read at most u(y), matching the derivative
+formula
 
     (A_{u0} w)(x) = W(x) w(x)
                     + integral of [k(x,y,u0(y)) + u0(y) dk/du(x,y,u0(y))] w(y) dy.
@@ -67,7 +72,8 @@ def _param_sup(p: TableParam, grid: Grid) -> float:
 class KernelBase:
     """Kernel k(x, y, u(x), u(y)); a scalar kernel supplies ``table`` (its
     (M, M) grid values), ``du`` and optionally ``stored_table`` (the same
-    values unbroadcast); a kernel of another form overrides ``integral``."""
+    values unbroadcast); a kernel of another form overrides
+    ``function_integral``."""
 
     kind: str = "base"
     uses_ux: bool = False
@@ -91,8 +97,16 @@ class KernelBase:
         """Raise :class:`DimensionError` if a parameter does not fit the grid."""
 
     def integral(self, grid: Grid, values: np.ndarray) -> np.ndarray:
-        """K(u) on the grid: the trapezoid integral over y of
-        table(x, y, u(x), u(y)) u(y), read from :meth:`stored_table`.
+        """K(u) for the (h, M) values of one function or each function of a
+        (P, h, M) batch.  :meth:`function_integral` builds its table from u,
+        so a batch takes one table per function, in this loop alone."""
+        if values.ndim == 2:
+            return self.function_integral(grid, values)
+        return np.stack([self.function_integral(grid, v) for v in values])
+
+    def function_integral(self, grid: Grid, values: np.ndarray) -> np.ndarray:
+        """K(u) for the (h, M) values of one function: the trapezoid integral
+        over y of table(x, y, u(x), u(y)) u(y), read from :meth:`stored_table`.
 
         Stored values with an axis of length 1 or stride 0 are one row r
         (constant in x) or one column c (constant in y), so K(u) is the
@@ -113,10 +127,14 @@ class KernelBase:
 def trapezoid(grid: Grid, f: np.ndarray, causal: bool) -> np.ndarray:
     """Trapezoid integral of f along its last axis (y) for every node x_i:
     over [a, x_i] when causal, a running sum that is 0 at x_0; otherwise
-    over the whole interval, the same value at every node."""
+    over the whole interval, the same value at every node.  Each row of f
+    takes its own (1, M) @ (M, 1) dot product with the weights, which gives
+    the bits of ``weights @ row``; a stacked matrix-vector product would not."""
     if causal:
         return grid.h * (np.cumsum(f, axis=-1) - 0.5 * (f[..., :1] + f))
-    return np.full(grid.size, grid.weights @ f)
+    out = np.empty(f.shape)
+    out[...] = (f[..., None, :] @ grid.weights[:, None])[..., 0]  # each row's sum at its nodes
+    return out
 
 
 def quad_weights(grid: Grid, causal: bool) -> np.ndarray:
@@ -194,17 +212,17 @@ class RidgeKernel(KernelBase):
         return self._ridge_sum(terms, s if self.uses_ux else t)
 
     def integral(self, grid: Grid, values: np.ndarray) -> np.ndarray:
-        """K(u).  With scalar parameters the ridge sum is taken over the
-        solution values alone: K(u) is the trapezoid sum of r u for a row r
-        (or a constant), or a column c times that of u.  Any other parameter
-        takes the stored-table route of :meth:`KernelBase.integral`."""
-        if self._route is None:
-            return super().integral(grid, values)
-        vals = values[0]
-        ridge = self._ridge_sum(self.terms, vals)
+        """K(u) for one function or a batch.  With scalar parameters the
+        ridge sum is taken over the solution values alone: K(u) is the
+        trapezoid sum of r u for a row r (or a constant), or a column c
+        times that of u.  Other kernels take the stored-table route of
+        :meth:`KernelBase.integral`, one function at a time."""
+        vals = values[..., 0, :]
         if self._route == "column":
-            return ridge * trapezoid(grid, vals, self.causal)
-        return trapezoid(grid, ridge * vals, self.causal)
+            return self._ridge_sum(self.terms, vals) * trapezoid(grid, vals, self.causal)
+        if self._route == "row":
+            return trapezoid(grid, self._ridge_sum(self.terms, vals) * vals, self.causal)
+        return super().integral(grid, values)
 
     def table(self, x, y, s, t):
         u = s if self.uses_ux else t
@@ -317,7 +335,7 @@ class SoftmaxAttentionKernel(KernelBase):
         denom = grid.weights @ num  # integral over x for each y
         return num / denom[None, :]
 
-    def integral(self, grid: Grid, values: np.ndarray) -> np.ndarray:
+    def function_integral(self, grid: Grid, values: np.ndarray) -> np.ndarray:
         return ((self.weights_on_grid(grid, values) * grid.weights) @ values.T).T
 
 
@@ -359,15 +377,26 @@ class NonlinearIntegralOperator:
         return float(np.max(1.0 / np.abs(self.w_values)))
 
     def checked_values(self, u: GridFunction) -> np.ndarray:
-        """The (h, M) values of u, once its grid and channel count match the operator's."""
+        """The (h, M) or (P, h, M) values of u, once its grid and channel
+        count match the operator's."""
         self.grid.require_matches(u.grid)
         if u.channels != self.channels:
             raise DimensionError(f"operator expects {self.channels} channel(s), got {u.channels}")
         return u.values
 
+    def function_values(self, u: GridFunction, name: str) -> np.ndarray:
+        """:meth:`checked_values` of u as one function: a batch raises
+        :class:`DimensionError` naming ``name`` and its shape."""
+        if u.values.ndim != 2:
+            raise DimensionError(f"{name} must be one function of shape (h, M), "
+                                 f"got a batch of shape {u.values.shape}")
+        return self.checked_values(u)
+
     def evaluate(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """K(u) and F(u) = W u + K(u) + b, each (h, M), from values that
-        :meth:`checked_values` returned or that were computed from them."""
+        """K(u) and F(u) = W u + K(u) + b, each of the shape of ``values``:
+        (h, M) for one function or (P, h, M) for a batch, whose every
+        function gets the bits that it gets alone.  ``values`` are what
+        :meth:`checked_values` returned or were computed from them."""
         k = self.kernel.integral(self.grid, values).reshape(values.shape)
         f = self.w_values * values + k
         if self.bias is not None:
@@ -375,10 +404,11 @@ class NonlinearIntegralOperator:
         return k, f
 
     def kernel_part(self, u: GridFunction) -> GridFunction:
-        """K(u) alone, without multiplier and bias."""
+        """K(u) alone, without multiplier and bias, for one function or a batch."""
         return GridFunction(self.grid, self.evaluate(self.checked_values(u))[0])
 
     def apply(self, u: GridFunction) -> GridFunction:
+        """F(u) for one function or a batch."""
         return GridFunction(self.grid, self.evaluate(self.checked_values(u))[1])
 
 
@@ -419,7 +449,7 @@ def invert_banach(
     residual increases, or at the first non-finite residual; the trace then
     holds the finite iterations before it.
     """
-    z_values = op.checked_values(z)
+    z_values = op.function_values(z, "z")
     rhs = z_values if op.bias is None else z_values - op.bias.values
     u = np.zeros_like(z_values)
     k_u = op.evaluate(u)[0]
@@ -458,12 +488,11 @@ def _derivative_table(op: NonlinearIntegralOperator, u0: GridFunction) -> np.nda
     linearization at u0.  Where the kernel table and its slope both have a
     zero stride in x (every row is one row in memory), the sum is formed
     once, as that row, and returned as a zero-stride view of it."""
-    op.grid.require_matches(u0.grid)
+    vals = op.function_values(u0, "u0")[0]
     if op.kernel.uses_ux:
         raise NotDifferentiableError(
             "kernel reads u(x); the derivative formula needs the k(x, y, u(y)) form"
         )
-    vals = u0.values[0]
     x, y, t = op.grid.nodes[:, None], op.grid.nodes[None, :], vals[None, :]
     table = op.kernel.table(x, y, None, t)
     slope = op.kernel.du(x, y, t)
@@ -617,7 +646,8 @@ def estimate_coercivity(
 
     Directions are random smooth functions (first 16 modes), drawn and
     normalized in the quadrature norm together.  K is nonlinear, so each
-    (ray, radius) pair is one integral.  For sigmoid-sum kernels the report
+    (ray, radius) pair is one function of the batch that K is evaluated on
+    in one call.  For sigmoid-sum kernels the report
     carries the closed-form slope alpha - sup|W^-1| * C_K * |D| with C_K
     the sum of the coefficient sup norms, and the flag for its validity
     condition C_K < (sup|W^-1|)^-1 |D|^-1.
@@ -631,11 +661,10 @@ def estimate_coercivity(
     rays = from_spectral(SpectralCoeffs(basis, n_modes, coeffs), grid).values
     rays = rays / np.sqrt(np.sum(grid.weights * rays**2, axis=(1, 2)))[:, None, None]
     unit_sq = np.sum(grid.weights * rays**2, axis=(1, 2))
-    values = np.empty((n_rays, radii.size))
-    for d, ray in enumerate(rays):
-        for j, r in enumerate(radii):
-            ku = op.evaluate(ray * r)[0]
-            values[d, j] = alpha * r * unit_sq[d] + np.sum(grid.weights * (ku / op.w_values) * ray)
+    probes = rays[:, None] * radii[:, None, None]  # (ray, radius, h, M)
+    ku = op.evaluate(probes.reshape(-1, op.channels, grid.size))[0].reshape(probes.shape)
+    values = (alpha * radii * unit_sq[:, None]
+              + np.sum(grid.weights * (ku / op.w_values) * rays[:, None], axis=(2, 3)))
     min_values = values.min(axis=0)
     scale = np.maximum(1.0, np.abs(min_values[:-1]))
     monotone = bool(np.all(np.diff(min_values) >= -1e-9 * scale))
@@ -666,8 +695,8 @@ def estimate_contraction(op: NonlinearIntegralOperator, seed: int = 0) -> float:
     The seeded sampler mixes deterministic probe pairs along the first
     basis modes (two scales each from two shared base points, so linear
     kernels report their exact directional gains) with random smooth pairs
-    of norm up to 2, up to 64 pairs.  K is evaluated once per distinct
-    sample point.
+    of norm up to 2, up to 64 pairs.  K is evaluated on the distinct
+    sample points in one call.
     """
     grid = op.grid
     basis = BasisSpec("fourier", (grid.a, grid.b))
@@ -687,8 +716,7 @@ def estimate_contraction(op: NonlinearIntegralOperator, seed: int = 0) -> float:
     n_random = max(0, 64 - 4 * n_modes)
     random = smooth(rng.standard_normal((2 * n_random, ch, n_modes)) * 0.5)
     points = np.concatenate([bases, shifted.reshape(-1, ch, grid.size), random])
-    k_points = np.stack([op.evaluate(u)[0] for u in points])
-    k_points = k_points / op.w_values
+    k_points = op.evaluate(points)[0] / op.w_values
     fixed = np.stack([np.repeat([0, 1], 2 * n_modes), np.arange(2, 2 + 4 * n_modes)], axis=1)
     drawn = 2 + 4 * n_modes + np.arange(2 * n_random).reshape(-1, 2)
     first, second = np.concatenate([fixed, drawn]).T

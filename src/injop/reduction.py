@@ -390,18 +390,21 @@ def _augment_network(net: FiniteRankNetwork, mode: str) -> FiniteRankNetwork:
         p_out, p_in = path.shape[0] * d, path.shape[1] * d
         # The first layer's original kernel reads the raw input too.
         in_off = 0 if t == 0 else p_in
-        c = np.zeros((n, n, p_out + layer.d_out, in_off + layer.d_in))
+        d_in, d_out = in_off + layer.d_in, p_out + layer.d_out
+        # The layer's stored layout: rows (in chan, k), columns (out chan, p).
+        mat = np.zeros((d_in * n, d_out * n))
         # delta_{kp} times kron(path, I_d); -1 entries give -0.0 off the diagonal.
         kron = (path[:, None, :, None] * np.eye(d)[None, :, None, :]).reshape(p_out, p_in)
-        c[:, :, :p_out, :p_in] = np.eye(n)[:, :, None, None] * kron
-        c[:, :, p_out:, in_off:] = layer.c
+        mat[:p_in * n, :p_out * n] = (kron.T[:, None, :, None]
+                                      * np.eye(n)[None, :, None, :]).reshape(p_in * n, -1)
+        mat[in_off * n:, p_out * n:] = layer.mat
         bias = np.concatenate([np.zeros((p_out, n)), layer.bias.coeffs])
         aug.append(
             FiniteRankLayer(
-                d_in=in_off + layer.d_in,
-                d_out=p_out + layer.d_out,
+                d_in=d_in,
+                d_out=d_out,
                 n=n,
-                c=c,
+                c=mat.reshape(d_in, n, d_out, n).transpose(1, 3, 2, 0),  # copied by one memcpy
                 bias=SpectralCoeffs(net.basis, n, bias),
                 activation=Activation() if t == last else layer.activation,
             )

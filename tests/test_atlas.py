@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 
 import injop.atlas
 import injop.nonlin
-from injop.errors import OutOfBasinError
+from injop.errors import DimensionError, OutOfBasinError
 from injop.funcspace import Grid, GridFunction, h1_norm, l2_norm
 from injop.nonlin import (
     FactorizedFrechet,
@@ -191,6 +191,31 @@ class TestBuild:
         assert len(atlas.cell_map) == 1
         assert list(atlas.cell_map.values()) == [0]
         assert atlas.warnings
+
+
+@pytest.mark.parametrize("entry", ["build_atlas", "local_invert", "global_invert"])
+def test_one_function_entry_points_refuse_a_batch(entry):
+    op = make_op()
+    batch = GridFunction(GRID, np.zeros((3, 1, GRID.size)))
+    shape = rf"batch of shape \(3, 1, {GRID.size}\)"
+    if entry == "build_atlas":
+        with pytest.raises(DimensionError, match="training input 1 .*" + shape):
+            build_atlas(op, [training_set()[0], batch], ell0=3, eps1=0.25)
+        return
+    atlas = build_atlas(op, training_set(), ell0=3, eps1=0.25)
+    with pytest.raises(DimensionError, match="g .*" + shape):
+        if entry == "local_invert":
+            local_invert(op, atlas.anchors[0], batch)
+        else:
+            global_invert(atlas, op, batch)
+
+
+def test_anchor_images_are_evaluated_in_one_call(integral_calls):
+    op, anchors = bench_problem(GRID.size)
+    atlas = build_atlas(op, anchors, ell0=4, eps1=0.25)
+    assert len(integral_calls) == 1
+    for anchor in atlas.anchors:
+        assert anchor.g.values.tobytes() == op.apply(anchor.v).values.tobytes()
 
 
 class TestLocalInvert:

@@ -1095,3 +1095,105 @@ def test_estimators_match_pairwise_reference(size):
             report = estimate_coercivity(op, alpha=1.0, n_rays=2, seed=1)
             want = _reference_coercivity_values(op, 1.0, 2, 1)
             assert report.min_values.tobytes() == want.tobytes()
+
+
+def test_estimators_evaluate_their_points_in_one_call(integral_calls):
+    # 66 contraction points at M >= 128 and 8 rays x 13 radii: one kernel
+    # integral each.
+    op = NonlinearIntegralOperator(GRID, SigmoidSumKernel([(0.3, 1.0, 0.0)], "u(y)"))
+    estimate_contraction(op)
+    assert len(integral_calls) == 1
+    estimate_coercivity(op, alpha=1.0, n_rays=8)
+    assert len(integral_calls) == 2
+
+
+#: Every route of the batched evaluate: the ridge routes of RIDGE_CASES
+#: (scalar row, column and constant; causal Volterra; dense, row, column
+#: and callable tables, with and without u) and two-channel attention.
+BATCH_CASES = {
+    **RIDGE_CASES,
+    "attention": lambda x: SoftmaxAttentionKernel(0.5 * np.eye(2), [[0.2, 0.1], [0.0, 0.3]]),
+}
+
+
+def _batch(grid, channels, count, seed):
+    rng = np.random.default_rng(seed)
+    wave = np.sin(2 * np.pi * grid.nodes)
+    return 1.5 * wave + 0.5 * rng.standard_normal((count, channels, grid.size))
+
+
+class TestBatch:
+    """A (P, h, M) batch gives each function the bytes it gets alone."""
+
+    @pytest.mark.parametrize("layout", ["one", "several", "strided"])
+    @pytest.mark.parametrize("size", [64, 257])
+    @pytest.mark.parametrize("name", sorted(BATCH_CASES))
+    def test_evaluate_is_bit_for_bit(self, name, size, layout):
+        grid = Grid(0.0, 1.0, size)
+        kernel = BATCH_CASES[name](grid.nodes)
+        bias = GridFunction(grid, 0.1 * np.cos(np.arange(kernel.channels)[:, None] + grid.nodes))
+        op = NonlinearIntegralOperator(grid, kernel, w=lambda x: 1.5 + x, bias=bias)
+        stack = _batch(grid, kernel.channels, {"one": 1, "several": 5, "strided": 10}[layout],
+                       size)
+        batch = stack[::2] if layout == "strided" else stack
+        assert batch.flags.c_contiguous == (layout != "strided")
+        k, f = op.evaluate(batch)
+        assert k.shape == f.shape == batch.shape
+        for i, values in enumerate(batch):
+            k_one, f_one = op.evaluate(values)
+            assert k[i].tobytes() == k_one.tobytes()
+            assert f[i].tobytes() == f_one.tobytes()
+
+    @pytest.mark.parametrize("name", ["sigmoid_sum_ux", "sigmoid_sum_uy", "wire_uy",
+                                      "volterra_sigmoid_scalar", "linear_table_dense",
+                                      "attention"])
+    def test_apply_and_kernel_part_take_a_batch(self, name):
+        # One case per kernel kind: a batch used to fail inside numpy.
+        grid = Grid(0.0, 1.0, 64)
+        op = NonlinearIntegralOperator(grid, BATCH_CASES[name](grid.nodes), w=2.0)
+        stack = GridFunction(grid, _batch(grid, op.channels, 3, 7))
+        for method in (op.apply, op.kernel_part):
+            out = method(stack)
+            assert out.values.shape == (3, op.channels, 64)
+            for i in range(3):
+                one = method(GridFunction(grid, stack.values[i]))
+                assert out.values[i].tobytes() == one.values.tobytes()
+
+
+class _ScaledMeanKernel(KernelBase):
+    """A kernel of another form: K(u)(x) = u(x) times the integral of
+    sin u(y), written for one function alone."""
+
+    kind = "scaled_mean"
+    reads = ("u(x)", "u(y)")
+
+    def function_integral(self, grid, values):
+        return values * (grid.weights @ np.sin(values[0]))
+
+
+def test_a_kernel_of_another_form_overrides_only_its_function_integral():
+    # KernelBase.integral loops the one-function hook over a batch, so the
+    # estimators, which evaluate all their points in one call, take it too.
+    grid = Grid(0.0, 1.0, 128)
+    op = NonlinearIntegralOperator(grid, _ScaledMeanKernel(), w=2.0)
+    batch = _batch(grid, 1, 4, 3)
+    k = op.evaluate(batch)[0]
+    for i, values in enumerate(batch):
+        assert k[i].tobytes() == op.evaluate(values)[0].tobytes()
+        assert k[i].tobytes() == (values * (grid.weights @ np.sin(values[0]))).tobytes()
+    assert estimate_contraction(op, seed=2) == _reference_contraction(op, 2)
+    report = estimate_coercivity(op, alpha=1.0, n_rays=2, seed=1)
+    assert report.min_values.tobytes() == _reference_coercivity_values(op, 1.0, 2, 1).tobytes()
+
+
+@pytest.mark.parametrize("solve", [
+    lambda op, u: invert_banach(op, u),
+    lambda op, u: linearize(op, u),
+    lambda op, u: frechet_derivative(op, u),
+], ids=["invert_banach", "linearize", "frechet_derivative"])
+def test_one_function_solvers_refuse_a_batch(solve):
+    grid = Grid(0.0, 1.0, 64)
+    op = NonlinearIntegralOperator(grid, SigmoidSumKernel([(0.3, 1.0, 0.0)], "u(y)"))
+    batch = GridFunction(grid, np.zeros((3, 1, 64)))
+    with pytest.raises(DimensionError, match=r"batch of shape \(3, 1, 64\)"):
+        solve(op, batch)
