@@ -92,12 +92,13 @@ def compose_cell_masks(
 
 @dataclass
 class Anchor:
-    """Training input with its image and inverted local linearization."""
+    """Training input, its image and inverted linearization under ``op``."""
 
     index: int
     v: GridFunction
     g: GridFunction
     fact: FactorizedFrechet
+    op: NonlinearIntegralOperator = field(repr=False, compare=False)
 
     @functools.cached_property
     def inv_h1_norm(self) -> float:
@@ -258,7 +259,7 @@ def build_atlas(
         if not np.all(np.isfinite(op.function_values(v, f"training input {j}"))):
             raise ValueError(f"training input {j} has non-finite values")
     images = op.evaluate(np.stack([v.values for v in training_inputs]))[1]
-    anchors = [Anchor(index=j, v=v.copy(), g=GridFunction(grid, g), fact=linearize(op, v))
+    anchors = [Anchor(index=j, v=v.copy(), g=GridFunction(grid, g), fact=linearize(op, v), op=op)
                for j, (v, g) in enumerate(zip(training_inputs, images))]
     cell_map: Dict[Tuple[int, ...], int] = {}
     notes: List[str] = []
@@ -293,14 +294,16 @@ def local_invert(
 ) -> tuple:
     """Newton iteration with the frozen anchor linearization.
 
-    ``op`` is the operator the anchor was built for.  The residual is checked
-    before each step, the first being the stored image ``anchor.g`` minus g,
-    so n iterations evaluate F n - 1 times and the anchor's own image returns
-    in one iteration.  g is checked once; the loop steps on (h, M) arrays and
-    wraps only the u it returns.  Raises :class:`OutOfBasinError` after
+    ``op`` must be ``anchor.op``.  The residual is checked before each step,
+    the first being the stored image ``anchor.g`` minus g, so n iterations
+    evaluate F n - 1 times and the anchor's own image returns in one
+    iteration.  g is checked once; the loop steps on (h, M) arrays and wraps
+    only the u it returns.  Raises :class:`OutOfBasinError` after
     ``BASIN_PATIENCE`` consecutive H1 residual increases, or at the first
     non-finite residual; the trace then holds the finite iterations before it.
     """
+    if op is not anchor.op:
+        raise ValueError("local_invert needs the operator the anchor was built for (anchor.op)")
     g_values = op.function_values(g, "g")
     u = anchor.v.values.copy()
     trace = InversionTrace(

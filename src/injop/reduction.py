@@ -16,10 +16,11 @@ else both projections and the rotation are the identity.  The explicit
 route therefore reads the pair, its tilt (eps0 = alpha) and the row
 defect of B from those planes in closed form, with no dense algebra; its
 dense matrices are built only on request, as references.  Both routes
-then fold B into the last layer, on the columns of the modes that layer
-writes: the randomized B by one product, the explicit B by its planes.
-On those columns each row of the explicit B has one nonzero entry (1, or
--alpha on a slot), so it folds by copying and scaling rows.
+then fold B into the last layer in its own layout, where a bias and each
+row of the layer's matrix are (channel, mode) tables: the randomized B by
+one product on the tables stacked mode-major, the explicit B by two slice
+writes that copy the kept channels and put -alpha times each protected
+entry on its xi mode.
 
 A randomized alternative draws the tilted subspace by rotating the
 reference one with a random rotation, builds the direct rotation densely
@@ -45,9 +46,6 @@ from .finite_rank import (
     FiniteRankLayer,
     FiniteRankNetwork,
     apply_network,
-    block_matrix,
-    blocks_from_matrix,
-    stack_coeffs,
 )
 from .funcspace import ALIASING_FACTOR, Grid, SpectralCoeffs, from_spectral, to_spectral
 
@@ -101,11 +99,6 @@ class ProjectionPair:
     def amp(self) -> float:
         return math.sqrt(1.0 - self.alpha * self.alpha)
 
-    @property
-    def xi_rows(self) -> np.ndarray:
-        """Row of each plane's xi slot among the kept (last ell) channels."""
-        return (self.xi_slots // self.m) * self.ell + self.ell - 1
-
     def _plane_matrix(self, block) -> np.ndarray:
         """Identity with the 2x2 ``block`` on (slot, xi) of every plane."""
         (ss, sx), (xs, xx) = block
@@ -145,9 +138,9 @@ class ProjectionPair:
 
 @dataclass
 class ReductionMap:
-    """Reduction from stacked m-channel to stacked ell-channel coefficients,
-    with provenance metadata.  The randomized kind holds its matrix
-    ``dense`` and fold ``columns``; the explicit kind holds its ``pair``."""
+    """Reduction from m-channel to ell-channel coefficients, with provenance
+    metadata.  The randomized kind holds its matrix ``dense`` and fold
+    ``columns``; the explicit kind holds its ``pair``."""
 
     kind: str
     meta: dict = field(default_factory=dict)
@@ -165,24 +158,29 @@ class ReductionMap:
         amp, alpha = self.pair.amp, self.pair.alpha
         return abs(amp * amp + alpha * alpha - 1.0)
 
-    def fold(self, mat: np.ndarray) -> np.ndarray:
-        """``B[:, columns] @ mat``, for a vector or matrix ``mat`` whose rows
-        stand for the randomized kind's ``columns`` or B's leading ones.
-
-        The explicit kind folds by its planes, bit for bit the product.  On
-        its leading columns, whole modes, B copies the kept rows and puts
-        ``-alpha`` times each slot's row on its xi row; the + 0.0 gives the
-        +0.0 the product's sum gives for -0.0.
+    def fold(self, coeffs: np.ndarray) -> np.ndarray:
+        """B on (channel, mode) tables of shape (..., m, n), the layout of a
+        bias and of each row of a layer's ``mat``; n is H's order, and the
+        result is (..., ell, n_total).  The randomized kind takes one product
+        on the tables stacked mode-major.  The explicit kind gives that
+        product bit for bit: it copies the kept channels and puts ``-alpha``
+        times slot (mode k, channel c) on mode ``n + k * (m - ell) + c`` of
+        the last kept channel; the + 0.0 gives the +0.0 the product's sum
+        gives for -0.0.
         """
+        lead, (m, n) = coeffs.shape[:-2], coeffs.shape[-2:]
         if self.pair is None:
+            stacked = np.moveaxis(coeffs, (-1, -2), (0, 1)).reshape(n * m, *lead)
             # take, not dense[:, columns], whose copy is F-ordered: BLAS
             # rounds the product on that layout differently.
-            return self.dense.take(self.columns, 1) @ mat
+            out = self.dense.take(self.columns, 1) @ stacked
+            ell = m - self.meta["n_in_modes"] // n  # B drops H's pathway channels
+            return np.moveaxis(out.reshape(-1, ell, *lead), (0, 1), (-1, -2))
         pair = self.pair
-        out = np.zeros((pair.n_total * pair.ell,) + mat.shape[1:])
-        kept = _keep_indices(pair.m, pair.ell, len(mat) // pair.m)
-        out[: kept.size] = mat[kept] + 0.0
-        out[pair.xi_rows] = -pair.alpha * mat[pair.slots] + 0.0
+        out = np.zeros(lead + (pair.ell, pair.n_total))
+        out[..., :n] = coeffs[..., m - pair.ell:, :] + 0.0
+        protected = np.swapaxes(coeffs[..., : m - pair.ell, :], -1, -2).reshape(*lead, -1)
+        out[..., -1, n:] = -pair.alpha * protected + 0.0
         return out
 
 
@@ -245,11 +243,6 @@ def build_projection_pair(m: int, ell: int, n_core: int, alpha: float) -> Projec
         slots=k * m + c,
         xi_slots=(n_core + k * protected + c) * m + m - 1,
     )
-
-
-def _keep_indices(m: int, ell: int, n_total: int) -> np.ndarray:
-    """Stacked indices of the last ell channels, mode-major order."""
-    return (np.arange(n_total)[:, None] * m + np.arange(m - ell, m)).ravel()
 
 
 def build_reduction_explicit(pair: ProjectionPair) -> ReductionMap:
@@ -517,16 +510,16 @@ def lift_to_injective(
         reduction = build_reduction_explicit(pair)
     eps0 = float(reduction.meta["tilt"])
 
-    # Fold B into the last layer: G's last layer is B after H's.  The
-    # augmented net writes only modes < n; B's other columns never count.
+    # Fold B into the last layer: G's last layer is B after H's.  Each row
+    # of the layer's matrix, like its bias, is a (channel, mode) table.
     final = augmented.layers[-1]
+    mat = reduction.fold(final.mat.reshape(-1, final.d_out, n))
     lifted_final = FiniteRankLayer(
         d_in=final.d_in,
         d_out=d_out,
         n=n,
-        c=blocks_from_matrix(reduction.fold(block_matrix(final)), n, d_out, final.d_in, n_total),
-        bias=SpectralCoeffs(final.basis, n_total,
-                            reduction.fold(stack_coeffs(final.bias)).reshape(n_total, d_out).T),
+        c=mat.reshape(final.d_in, n, d_out, n_total).transpose(1, 3, 2, 0),
+        bias=SpectralCoeffs(final.basis, n_total, reduction.fold(final.bias.coeffs)),
         activation=Activation(),
         n_out=n_total,
     )

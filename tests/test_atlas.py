@@ -324,6 +324,20 @@ class TestBasinEscape:
         u, trace = global_invert(atlas, op, atlas.anchors[3].g)
         assert trace.converged and trace.iterations == 1
 
+    def test_local_invert_refuses_an_operator_the_anchor_was_not_built_for(self):
+        # Newton's first residual is the stored image minus g: under another
+        # operator it reads zero at anchor 3's image, and the u returned
+        # misses g by 0.22 in max norm under that operator.
+        op, anchors = bench_problem(512)
+        anchor = build_atlas(op, anchors, ell0=4, eps1=0.25).anchors[3]
+        other = NonlinearIntegralOperator(
+            op.grid, SigmoidSumKernel([(0.5, 1.0, 0.0)], signature="u(y)"), w=1.0)
+        with pytest.raises(ValueError, match="anchor.op"):
+            local_invert(other, anchor, anchor.g)
+        u, trace = local_invert(op, anchor, anchor.g)
+        assert trace.converged and trace.iterations == 1
+        assert anchor.op is op
+
 
 class _SquareKernel(KernelBase):
     """Test-only kernel u(y), so K(u) = int u^2: from a zero anchor the
@@ -421,7 +435,7 @@ def _chart(kernel, grid, w=2.0):
     fact = (FactorizedFrechet(op.w_values, np.zeros(grid.size)) if "u(x)" in kernel.reads
             else linearize(op, v))
     target = op.apply(GridFunction(grid, v.values[0] + 0.1 * np.cos(2 * np.pi * grid.nodes)))
-    return op, Anchor(index=3, v=v, g=op.apply(v), fact=fact), target
+    return op, Anchor(index=3, v=v, g=op.apply(v), fact=fact, op=op), target
 
 
 #: (operator, anchor, target, max_iter) on a grid, by the path the solve
@@ -469,7 +483,7 @@ def test_inversion_loops_wrap_only_their_result(grid_functions_built):
     z = op.apply(GridFunction(grid, np.cos(2 * np.pi * grid.nodes)))
     zero = GridFunction(grid, np.zeros(grid.size))
     chord = Anchor(index=0, v=zero, g=op.apply(zero),
-                   fact=FactorizedFrechet(op.w_values, np.zeros(grid.size)))
+                   fact=FactorizedFrechet(op.w_values, np.zeros(grid.size)), op=op)
     for solve in (lambda: invert_banach(op, z, tol=1e-13, max_iter=100),
                   lambda: local_invert(op, chord, z, tol=1e-13, max_iter=100)):
         grid_functions_built.clear()

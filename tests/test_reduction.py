@@ -23,7 +23,6 @@ from injop.reduction import (
     ProjectionPair,
     _augment_network,
     _kato_rotation,
-    _keep_indices,
     build_projection_pair,
     build_reduction_explicit,
     build_reduction_randomized,
@@ -32,6 +31,12 @@ from injop.reduction import (
 )
 
 BASIS = BasisSpec("fourier", (0.0, 1.0))
+
+
+def _keep_indices(m, ell, n_total):
+    """Stacked indices of the last ell channels, mode-major order: the rows
+    of the dense ``pair.q`` that make the explicit B."""
+    return (np.arange(n_total)[:, None] * m + np.arange(m - ell, m)).ravel()
 
 
 class TestProjectionPair:
@@ -165,12 +170,37 @@ class TestClosedFormPair:
         b = pair.q[_keep_indices(pair.m, pair.ell, pair.n_total)][:, : n * pair.m]
         assert np.signbit(block_matrix(final)).sum() > 0
         dense = b @ block_matrix(final)
-        assert res.reduction.fold(block_matrix(final)).tobytes() == dense.tobytes()
-        want_c = blocks_from_matrix(dense, n, 2, final.d_in, res.n_total)
+        # dense has rows (p, out chan) and columns (k, in chan); the fold
+        # keeps the layer's rows (in chan, k) and gives (out chan, p) tables.
+        want_mat = dense.reshape(res.n_total, 2, n, final.d_in).transpose(3, 2, 1, 0)
+        folded_mat = res.reduction.fold(final.mat.reshape(-1, pair.m, n))
+        assert folded_mat.tobytes() == want_mat.tobytes()
         want_bias = (b @ stack_coeffs(final.bias)).reshape(res.n_total, 2).T
+        assert res.reduction.fold(final.bias.coeffs).tobytes() == want_bias.tobytes()
+        want_c = blocks_from_matrix(dense, n, 2, final.d_in, res.n_total)
         folded = res.network.layers[-1]
         assert folded.c.tobytes() == want_c.tobytes()
         assert folded.bias.coeffs.tobytes() == want_bias.tobytes()
+
+    @pytest.mark.parametrize("randomized", [False, True], ids=["explicit", "randomized"])
+    def test_fold_of_a_stack_is_the_fold_of_each_table(self, randomized):
+        # One contract for a bias and for the rows of a layer's matrix: a
+        # (B, m, n) stack folds as its B tables do one by one.
+        net = deep_net(np.random.default_rng(67), 3, Activation("relu"),
+                       n=3, d_in=1, width=2, d_out=1)
+        res = lift_to_injective(net, mode="relu", alpha=0.2, seed=3, randomized=randomized)
+        stack = np.random.default_rng(68).standard_normal((7, res.augmented.d_out, res.n))
+        stack[::3, ::2] = -0.0
+        folded = res.reduction.fold(stack)
+        assert folded.shape == (7, 1, res.n_total)
+        each = np.stack([res.reduction.fold(table) for table in stack])
+        if randomized:
+            # One gemm for the stack against one gemv per table: BLAS sums
+            # the two in different orders.  The lift folds a bias by gemv
+            # and a layer's rows by gemm, as the block-matrix fold did.
+            assert np.max(np.abs(folded - each)) <= 1e-14 * np.max(np.abs(each))
+        else:
+            assert folded.tobytes() == each.tobytes()
 
     def test_explicit_lift_runs_no_dense_factorization(self, monkeypatch):
         # The explicit lift and its report make no np.linalg call and read
@@ -485,6 +515,24 @@ class TestLift:
         a = SpectralCoeffs(BASIS, n, coeffs)
         back = res.recover_input(res.apply_augmented(a, grid), grid)
         assert np.max(np.abs(back.coeffs - a.coeffs)) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["relu", "injective"])
+    @pytest.mark.parametrize("depth, shape", [(1, (3, 2, 3, 2)), (2, (4, 1, 2, 1)),
+                                              (3, (3, 2, 3, 2)), (2, (6, 8, 8, 8))])
+    def test_xi_modes_of_g_are_the_scaled_pathway(self, mode, depth, shape):
+        # G's last channel at modes >= n is -alpha times H's pathway (its
+        # first d_in channels), mode-major: an input can be read off G alone.
+        n, d_in, width, d_out = shape
+        act = Activation("relu") if mode == "relu" else Activation("leaky_relu", 0.4)
+        rng = np.random.default_rng(69)
+        net = deep_net(rng, depth, act, n=n, d_in=d_in, width=width, d_out=d_out)
+        res = lift_to_injective(net, mode=mode, alpha=0.15)
+        a = SpectralCoeffs(BASIS, n, rng.standard_normal((6, d_in, n)))
+        grid = Grid(0.0, 1.0, 256)
+        g_xi = res.apply(a, grid).coeffs[:, -1, n:]
+        path = res.apply_augmented(a, grid).coeffs[:, :d_in]
+        want = -0.15 * np.swapaxes(path, 1, 2).reshape(6, -1)
+        assert np.max(np.abs(g_xi - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_randomized_lift_draw_is_reproducible(self):
         # Attempt and tilt of these seeded lifts, recorded with the
