@@ -165,30 +165,24 @@ def _h1_operator_norm_of_inverse(fact: FactorizedFrechet, grid: Grid) -> float:
     return max(1.0, sigma) / abs(w)
 
 
-def _stored(a: np.ndarray) -> np.ndarray:
-    """The values a broadcast array stores: the view indexed 0, kept as
-    length 1, along every zero-stride axis."""
-    return a[tuple(slice(0, 1) if s == 0 else slice(None) for s in a.strides)]
-
-
 def _measured_kernel_bounds(op: NonlinearIntegralOperator, t_max: float) -> Tuple[float, float]:
     """Sampled surrogates for the C2 and C3 sup norms of the kernel.
 
     Sup of |k| and its first three state derivatives (first analytic, the
     rest by central differences of the analytic slope) over the grid and a
-    symmetric state range.  Each sup is taken over the values a table
-    stores, which are every value of its (M, M) broadcast.
+    symmetric state range.  Each sup is taken over the values the kernel
+    stores (:meth:`KernelBase.stored_table`, :meth:`KernelBase.du`), which
+    are every value of their (M, M) broadcast.
     """
     grid = op.grid
     x, y = grid.nodes[:, None], grid.nodes[None, :]
     ts = np.linspace(-t_max, t_max, 17)
     dt = float(ts[1] - ts[0])
-    shape = (grid.size, grid.size)
     c01 = c2d = c3d = 0.0
     window: List[np.ndarray] = []
     for t in ts:
-        table = _stored(np.broadcast_to(op.kernel.table(x, y, None, t), shape))
-        slope = np.asarray(_stored(np.broadcast_to(op.kernel.du(x, y, t), shape)), dtype=float)
+        table = op.kernel.stored_table(x, y, None, t)
+        slope = op.kernel.du(x, y, t)
         c01 = max(c01, float(np.max(np.abs(table))), float(np.max(np.abs(slope))))
         window.append(slope)
         if len(window) == 3:

@@ -166,6 +166,8 @@ def certify_relu_dss(
     """
     if layer.activation.kind != "relu":
         raise ValueError(f"DSS search expects a relu layer, got {layer.activation.kind!r}")
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed}")
     mat = block_matrix(layer)
@@ -222,6 +224,6 @@ def certify_relu_dss(
         verdict=VERDICT_NO_COUNTEREXAMPLE,
         sigma_min=sigma_min,
         sigma_max=sigma_max,
-        trials=max(trials, 0),
+        trials=trials,
         seed=seed,
     )

@@ -216,12 +216,10 @@ def _run_truncate(cfg: argparse.Namespace) -> Tuple[int, dict]:
     if op.kernel.kind != "linear_table":
         raise UsageError("operator file: kernel: truncate expects a linear_table kernel")
     grid = op.grid
-    # A contiguous copy: a scalar table broadcasts with zero strides, which
-    # would take matmul off its BLAS path and change the last digits.
-    kernel = lambda x, y: np.array(op.kernel.table(x, y, None, None))
     basis = BasisSpec("fourier", (grid.a, grid.b))
     try:
-        result = truncate_kernel(kernel, grid, basis, cfg.rank)
+        result = truncate_kernel(lambda x, y: op.kernel.table(x, y, None, None), grid, basis,
+                                 cfg.rank)
     except AliasingGuardError as err:
         raise UsageError(
             f"--rank {cfg.rank} is too high for the {grid.size}-node grid: {err}"

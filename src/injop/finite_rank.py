@@ -176,6 +176,8 @@ class FiniteRankNetwork:
 
 
 def _require_input(layer: FiniteRankLayer, u: SpectralCoeffs) -> None:
+    if u.basis != layer.basis:
+        raise DimensionError(f"coefficients in {u.basis} fed to a layer in {layer.basis}")
     if u.n != layer.n:
         raise DimensionError(f"coefficient order {u.n} != layer order {layer.n}")
     if u.channels != layer.d_in:
@@ -284,7 +286,9 @@ def truncate_kernel(
     modes 1..n, the guard of :func:`to_spectral`.
     """
     phi_w = resolved_mode_table(basis, grid, n).analysis.T  # (n, M)
-    table = np.asarray(kernel(grid.nodes[:, None], grid.nodes[None, :]), dtype=float)
+    # A contiguous copy: a scalar table broadcasts with zero strides, which
+    # would take matmul off its BLAS path and change the last digits.
+    table = np.array(kernel(grid.nodes[:, None], grid.nodes[None, :]), dtype=float, order="C")
     if table.shape != (grid.size, grid.size):
         raise DimensionError(
             f"kernel table has shape {table.shape}, expected {(grid.size, grid.size)}"

@@ -22,8 +22,8 @@ transforms and ``finite_rank.truncate_kernel`` enforce the guard
 orthonormal under the quadrature (:func:`resolved_mode_table`).
 
 The synthesis and analysis tables of each (basis, grid, n) are built once
-by :meth:`BasisSpec.eval_modes` and kept, read-only, in a bounded
-module-level cache (:func:`mode_table`).
+by :meth:`BasisSpec.eval_modes`, checked against both guards, and kept,
+read-only, in a bounded module-level cache (:func:`resolved_mode_table`).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ INTERVAL_TOL = 1e-12
 #: Largest quadrature Gram defect max|G - I| that ``to_spectral`` accepts.
 GRAM_DEFECT_TOL = 1e-10
 
-#: Mode tables kept by the cache behind :func:`mode_table`.
+#: Mode tables kept by the cache behind :func:`resolved_mode_table`.
 MODE_TABLE_CACHE_SIZE = 32
 
 
@@ -219,23 +219,6 @@ class ModeTable:
             table.flags.writeable = False
 
 
-def mode_table(basis: BasisSpec, grid: Grid, n: int) -> ModeTable:
-    """Cached :class:`ModeTable` of the first n modes of ``basis`` on ``grid``.
-
-    Entries are keyed by the exact basis kind and interval, grid endpoints
-    and size, and n; the least recently used one is dropped beyond
-    ``MODE_TABLE_CACHE_SIZE``.
-    """
-    basis.require_matches_grid(grid)
-    return _mode_table(basis.kind, basis.interval, grid.a, grid.b, grid.size, n)
-
-
-@functools.lru_cache(maxsize=MODE_TABLE_CACHE_SIZE)
-def _mode_table(kind, interval, a, b, size, n) -> ModeTable:
-    grid = Grid(a, b, size)
-    return ModeTable(BasisSpec(kind, interval).eval_modes(grid.nodes, n), grid.weights)
-
-
 @dataclass
 class GridFunction:
     """Channel-valued function sampled on a grid.
@@ -336,18 +319,27 @@ def resolved_mode_table(basis: BasisSpec, grid: Grid, n: int) -> ModeTable:
     of the retained modes, and modes that are orthonormal under the grid
     quadrature (Gram defect at most ``GRAM_DEFECT_TOL``; step modes need
     their dyadic breakpoints on grid nodes); raises
-    :class:`AliasingGuardError` otherwise.
+    :class:`AliasingGuardError` otherwise.  Tables that pass are cached,
+    keyed by the exact basis kind and interval, grid endpoints and size,
+    and n; the least recently used one is dropped beyond
+    ``MODE_TABLE_CACHE_SIZE``.
     """
     basis.require_matches_grid(grid)
-    if grid.size < ALIASING_FACTOR * n:
+    return _resolved_mode_table(basis.kind, basis.interval, grid.a, grid.b, grid.size, n)
+
+
+@functools.lru_cache(maxsize=MODE_TABLE_CACHE_SIZE)
+def _resolved_mode_table(kind, interval, a, b, size, n) -> ModeTable:
+    if size < ALIASING_FACTOR * n:
         raise AliasingGuardError(
-            f"grid size {grid.size} < {ALIASING_FACTOR} * {n}; refine the grid "
+            f"grid size {size} < {ALIASING_FACTOR} * {n}; refine the grid "
             f"or lower the order"
         )
-    table = mode_table(basis, grid, n)
+    grid = Grid(a, b, size)
+    table = ModeTable(BasisSpec(kind, interval).eval_modes(grid.nodes, n), grid.weights)
     if table.gram_defect > GRAM_DEFECT_TOL:
         raise AliasingGuardError(
-            f"{basis.kind} modes 1..{n} are not orthonormal on a {grid.size}-node grid "
+            f"{kind} modes 1..{n} are not orthonormal on a {size}-node grid "
             f"(quadrature Gram defect {table.gram_defect:.3e} > {GRAM_DEFECT_TOL:.0e})"
         )
     return table

@@ -71,8 +71,9 @@ def _param_sup(p: TableParam, grid: Grid) -> float:
 
 class KernelBase:
     """Kernel k(x, y, u(x), u(y)); a scalar kernel supplies ``table`` (its
-    (M, M) grid values), ``du`` and optionally ``stored_table`` (the same
-    values unbroadcast); a kernel of another form overrides
+    (M, M) grid values), ``du`` and optionally ``stored_table``, the last two
+    as stored: anything that broadcasts to the (M, M) table, a row, a column
+    or a number for scalar parameters.  A kernel of another form overrides
     ``function_integral``."""
 
     kind: str = "base"
@@ -86,11 +87,11 @@ class KernelBase:
         raise NotImplementedError
 
     def stored_table(self, x, y, s, t):
-        """Any array or float that broadcasts to :meth:`table`: the table itself."""
+        """The values of :meth:`table` as stored; by default the table itself."""
         return self.table(x, y, s, t)
 
-    def du(self, x, y, t) -> np.ndarray:
-        """Derivative with respect to the u(y) argument."""
+    def du(self, x, y, t):
+        """Derivative with respect to the u(y) argument, as stored."""
         raise NotImplementedError
 
     def check_grid(self, grid: Grid):
@@ -234,7 +235,7 @@ class RidgeKernel(KernelBase):
         for c, a, b in self.terms:
             av = _param_at(a, x, y)
             acc = acc + _param_at(c, x, y) * av * self._dg(av * t + _param_at(b, x, y))
-        return np.broadcast_to(acc, np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t)))
+        return acc
 
     def sup_bound(self, grid: Grid) -> float:
         """sum_j sup |c_j|, an upper bound for sup |k| since |g| <= 1."""
@@ -495,7 +496,7 @@ def _derivative_table(op: NonlinearIntegralOperator, u0: GridFunction) -> np.nda
         )
     x, y, t = op.grid.nodes[:, None], op.grid.nodes[None, :], vals[None, :]
     table = op.kernel.table(x, y, None, t)
-    slope = op.kernel.du(x, y, t)
+    slope = np.broadcast_to(op.kernel.du(x, y, t), table.shape)
     if table.strides[0] == 0 and slope.strides[0] == 0:
         return np.broadcast_to(table[0] + vals * slope[0], table.shape)
     return table + t * slope

@@ -223,6 +223,11 @@ class TestReluSearch:
         with pytest.raises(ValueError):
             certify_relu_dss(layer, Grid(0.0, 1.0, 64))
 
+    def test_rejects_negative_trials(self):
+        layer = make_layer(np.ones((1, 1, 1, 1)), 1, 1, 1, activation=Activation("relu"))
+        with pytest.raises(ValueError, match="trials must be at least 0, got -3"):
+            certify_relu_dss(layer, Grid(0.0, 1.0, 64), trials=-3)
+
     @pytest.mark.parametrize("trials", [2, 40])
     def test_rejects_negative_seed_before_any_probe(self, trials):
         # Two trials draw only the fixed probes, which never read the seed.

@@ -508,6 +508,26 @@ class TestArrayPath:
             apply_network(net, u, Grid(0.0, 1.0, 64))
 
 
+@pytest.mark.parametrize("coeffs_basis", [
+    BasisSpec("step_haar", (0.0, 1.0)),
+    BasisSpec("fourier", (0.0, 2.0)),
+], ids=["step_haar", "fourier_on_0_2"])
+@pytest.mark.parametrize("apply", [
+    lambda layer, net, u, grid: apply_finite_rank(layer, u),
+    lambda layer, net, u, grid: apply_affine(layer, u),
+    lambda layer, net, u, grid: apply_layer(layer, u, grid),
+    lambda layer, net, u, grid: apply_network(net, u, grid),
+], ids=["finite_rank", "affine", "layer", "network"])
+def test_layer_maps_refuse_coefficients_in_another_basis(coeffs_basis, apply):
+    rng = np.random.default_rng(31)
+    layer = random_layer(rng, n=2, d_in=1, d_out=1, activation=Activation("relu"))
+    net = FiniteRankNetwork([layer, random_layer(rng, n=2, d_in=1, d_out=1)])
+    u = SpectralCoeffs(coeffs_basis, 2, rng.standard_normal((1, 2)))
+    with pytest.raises(DimensionError, match=r"coefficients in BasisSpec.* fed to a layer in "
+                                             r"BasisSpec\('fourier', interval=\(0.0, 1.0\)\)"):
+        apply(layer, net, u, Grid(0.0, 1.0, 64))
+
+
 class TestTruncateKernel:
     def test_separable_trig_kernel(self):
         # k(x, y) = 1 + sin(2 pi x) cos(2 pi y) lies in the span of the first
@@ -554,6 +574,23 @@ class TestTruncateKernel:
         grid = Grid(0.0, 1.0, size)
         with pytest.raises(AliasingGuardError):
             truncate_kernel(lambda x, y: np.exp(-np.abs(x - y)), grid, basis, n)
+
+    @pytest.mark.parametrize("stored", [
+        lambda x, y: 0.5,
+        lambda x, y: np.cos(3.0 * y),
+        lambda x, y: np.cos(3.0 * x),
+    ], ids=["scalar", "row", "column"])
+    def test_zero_stride_table_truncates_as_its_contiguous_copy(self, stored):
+        # A broadcast table has zero strides; matmul on it rounds differently
+        # from BLAS on the same values stored contiguously.
+        grid = Grid(0.0, 1.0, 128)
+        broadcast = lambda x, y: np.broadcast_to(stored(x, y), (grid.size, grid.size))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the scalar lies in the span
+            got = truncate_kernel(broadcast, grid, BASIS, 8)
+            want = truncate_kernel(lambda x, y: np.array(broadcast(x, y)), grid, BASIS, 8)
+        assert got.layer.mat.tobytes() == want.layer.mat.tobytes()
+        assert (got.hs_tail, got.tail_clamped) == (want.hs_tail, want.tail_clamped)
 
     def test_inside_span_kernel_clamps(self):
         grid = Grid(0.0, 1.0, 256)

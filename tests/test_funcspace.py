@@ -22,7 +22,7 @@ from injop.funcspace import (
     h1_gram_cholesky,
     h1_norm,
     l2_norm,
-    mode_table,
+    resolved_mode_table,
     to_spectral,
 )
 
@@ -55,14 +55,14 @@ def test_grid_mismatch_raises():
 def test_fourier_gram_is_identity():
     g = Grid(0.0, 1.0, 512)
     basis = BasisSpec("fourier", (0.0, 1.0))
-    gram = mode_table(basis, g, 16).gram
+    gram = resolved_mode_table(basis, g, 16).gram
     assert_allclose(gram, np.eye(16), atol=1e-12)
 
 
 def test_fourier_gram_identity_on_shifted_interval():
     g = Grid(-2.0, 3.0, 640)
     basis = BasisSpec("fourier", (-2.0, 3.0))
-    gram = mode_table(basis, g, 10).gram
+    gram = resolved_mode_table(basis, g, 10).gram
     assert_allclose(gram, np.eye(10), atol=1e-12)
 
 
@@ -71,7 +71,7 @@ def test_step_haar_gram_exact_on_dyadic_grid():
     # quadrature integrates the indicators without boundary error.
     g = Grid(0.0, 1.0, 513)
     basis = BasisSpec("step_haar", (0.0, 1.0))
-    gram = mode_table(basis, g, 6).gram
+    gram = resolved_mode_table(basis, g, 6).gram
     assert_allclose(gram, np.eye(6), atol=1e-13)
 
 
@@ -254,10 +254,10 @@ def test_mode_tables_built_once_and_read_only(monkeypatch):
     f = GridFunction(g, rng.standard_normal((2, 776)))
     first = to_spectral(f, basis, 7)
     from_spectral(first, g)
-    mode_table(basis, g, 7).gram
+    resolved_mode_table(basis, g, 7).gram
     assert calls == [7]
 
-    table = mode_table(basis, g, 7)
+    table = resolved_mode_table(basis, g, 7)
     for arr in (table.phi, table.analysis, table.gram):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

@@ -447,6 +447,9 @@ class TestStoredTable:
         assert SCALAR_KERNELS["sigmoid_sum_ux"]().stored_table(x, y, t.T, t).shape == (64, 1)
         assert LinearTableKernel(0.4).stored_table(x, y, None, t) == 0.4
         assert LinearTableKernel(0.4).table(x, y, None, t).shape == (64, 64)
+        assert SCALAR_KERNELS["sigmoid_sum_uy"]().du(x, y, t).shape == (1, 64)
+        assert SCALAR_KERNELS["wire_uy"]().du(x, y, t).shape == (1, 64)
+        assert LinearTableKernel(0.4).du(x, y, t) == 0.0
 
 
 class _TableOnlyKernel(KernelBase):

@@ -551,9 +551,12 @@ class TestLift:
         assert res.n_total == 8
         grid = Grid(0.0, 1.0, 256)
         short = SpectralCoeffs(BASIS, 3, np.ones((1, 3)))
+        haar = SpectralCoeffs(BasisSpec("step_haar", (0.0, 1.0)), 4, np.ones((1, 4)))
         for apply in (res.apply, res.apply_augmented, res.apply_original):
             with pytest.raises(DimensionError):
                 apply(short, grid)
+            with pytest.raises(DimensionError, match="coefficients in BasisSpec.'step_haar'"):
+                apply(haar, grid)
 
     def test_mode_follows_the_hidden_activations(self):
         rng = np.random.default_rng(60)
