@@ -171,7 +171,7 @@ def _measured_kernel_bounds(op: NonlinearIntegralOperator, t_max: float) -> Tupl
     Sup of |k| and its first three state derivatives (first analytic, the
     rest by central differences of the analytic slope) over the grid and a
     symmetric state range.  Each sup is taken over the values the kernel
-    stores (:meth:`KernelBase.stored_table`, :meth:`KernelBase.du`), which
+    stores (:meth:`KernelBase.table`, :meth:`KernelBase.du`), which
     are every value of their (M, M) broadcast.
     """
     grid = op.grid
@@ -181,7 +181,7 @@ def _measured_kernel_bounds(op: NonlinearIntegralOperator, t_max: float) -> Tupl
     c01 = c2d = c3d = 0.0
     window: List[np.ndarray] = []
     for t in ts:
-        table = op.kernel.stored_table(x, y, None, t)
+        table = op.kernel.table(x, y, None, t)
         slope = op.kernel.du(x, y, t)
         c01 = max(c01, float(np.max(np.abs(table))), float(np.max(np.abs(slope))))
         window.append(slope)

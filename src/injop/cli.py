@@ -218,8 +218,8 @@ def _run_truncate(cfg: argparse.Namespace) -> Tuple[int, dict]:
     grid = op.grid
     basis = BasisSpec("fourier", (grid.a, grid.b))
     try:
-        result = truncate_kernel(lambda x, y: op.kernel.table(x, y, None, None), grid, basis,
-                                 cfg.rank)
+        result = truncate_kernel(lambda x, y: np.broadcast_to(
+            op.kernel.table(x, y, None, None), (grid.size, grid.size)), grid, basis, cfg.rank)
     except AliasingGuardError as err:
         raise UsageError(
             f"--rank {cfg.rank} is too high for the {grid.size}-node grid: {err}"

@@ -18,7 +18,6 @@ network checks its input once and steps through its layers on bare arrays.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -281,7 +280,8 @@ def truncate_kernel(
         tail^2 = ||k||_HS^2 - sum_{k,p <= n} C[k,p]^2 .
 
     Rounding can push the bracket slightly negative when the kernel is
-    numerically inside the span; the tail is clamped to zero and flagged.
+    numerically inside the span; the tail is clamped to zero and flagged
+    in ``tail_clamped``, the one record of the clamp.
     Raises :class:`AliasingGuardError` when the grid does not resolve
     modes 1..n, the guard of :func:`to_spectral`.
     """
@@ -298,10 +298,7 @@ def truncate_kernel(
     hs_sq = float(np.sum(grid.weights[:, None] * grid.weights[None, :] * table**2))
     tail_sq = hs_sq - float(np.sum(coeff**2))
     clamped = tail_sq < 0.0
-    if clamped:
-        warnings.warn(f"Hilbert-Schmidt tail^2 = {tail_sq:.3e} clamped to 0 (kernel is "
-                      f"numerically inside the span)", stacklevel=2)
-        tail_sq = 0.0
+    tail_sq = max(tail_sq, 0.0)
     c = coeff[:, :, None, None]  # (k, p, 1, 1)
     layer = FiniteRankLayer(d_in=1, d_out=1, n=n, c=c, bias=zero_bias(basis, 1, n),
                             activation=Activation())

@@ -71,24 +71,22 @@ def _param_sup(p: TableParam, grid: Grid) -> float:
 
 class KernelBase:
     """Kernel k(x, y, u(x), u(y)); a scalar kernel supplies ``table`` (its
-    (M, M) grid values), ``du`` and optionally ``stored_table``, the last two
-    as stored: anything that broadcasts to the (M, M) table, a row, a column
-    or a number for scalar parameters.  A kernel of another form overrides
-    ``function_integral``."""
+    grid values) and ``du``, each as stored: anything that broadcasts to the
+    (M, M) table, a row, a column or a number for scalar parameters.  A
+    kernel of another form overrides ``function_integral``."""
 
     kind: str = "base"
-    uses_ux: bool = False
     reads: Tuple[str, ...] = ()  # the solution values the kernel reads: "u(x)", "u(y)"
     causal: bool = False
     channels: int = 1
 
-    def table(self, x, y, s, t) -> np.ndarray:
-        """Kernel values on the (x, y) grid; s = u(x) column, t = u(y) row."""
-        raise NotImplementedError
+    @property
+    def uses_ux(self) -> bool:
+        return "u(x)" in self.reads
 
-    def stored_table(self, x, y, s, t):
-        """The values of :meth:`table` as stored; by default the table itself."""
-        return self.table(x, y, s, t)
+    def table(self, x, y, s, t):
+        """Kernel values on the (x, y) grid, as stored; s = u(x) column, t = u(y) row."""
+        raise NotImplementedError
 
     def du(self, x, y, t):
         """Derivative with respect to the u(y) argument, as stored."""
@@ -107,7 +105,7 @@ class KernelBase:
 
     def function_integral(self, grid: Grid, values: np.ndarray) -> np.ndarray:
         """K(u) for the (h, M) values of one function: the trapezoid integral
-        over y of table(x, y, u(x), u(y)) u(y), read from :meth:`stored_table`.
+        over y of table(x, y, u(x), u(y)) u(y).
 
         Stored values with an axis of length 1 or stride 0 are one row r
         (constant in x) or one column c (constant in y), so K(u) is the
@@ -116,8 +114,7 @@ class KernelBase:
         """
         vals = values[0]
         s = vals[:, None] if self.uses_ux else None
-        k = np.atleast_2d(self.stored_table(grid.nodes[:, None], grid.nodes[None, :], s,
-                                            vals[None, :]))
+        k = np.atleast_2d(self.table(grid.nodes[:, None], grid.nodes[None, :], s, vals[None, :]))
         if k.shape[0] == 1 or k.strides[0] == 0:
             return trapezoid(grid, k[0] * vals, self.causal)
         if k.shape[1] == 1 or k.strides[1] == 0:
@@ -176,7 +173,7 @@ class RidgeKernel(KernelBase):
 
     where u is u(x) or u(y) according to ``signature`` and ``profile`` is
     the pair (g, g').  Each parameter is made a float, a float array or a
-    callable of (x, y) once; scalars keep :meth:`stored_table` a row or a
+    callable of (x, y) once; scalars keep :meth:`table` a row or a
     column, and a dense parameter must broadcast to the (M, M) grid table.
     With scalars alone, :meth:`integral` takes the route fixed here: a row
     in u(y) or a column in u(x), or for the constant profile one number,
@@ -192,12 +189,10 @@ class RidgeKernel(KernelBase):
         for j, term in enumerate(self.terms):
             for name, p in zip("cab", term):
                 require_finite(f"{self.kind} kernel term {j} parameter {name}", p)
-        self.uses_ux = signature == "u(x)"
         self._g, self._dg = profile
         self.reads = () if self._g is None else (signature,)
         scalar = all(type(p) is float for term in self.terms for p in term)
-        self._route = None if not scalar else (
-            "column" if self.uses_ux and self._g is not None else "row")
+        self._route = None if not scalar else "column" if self.uses_ux else "row"
 
     def _ridge_sum(self, terms, u):
         """sum_j c_j g(a_j u + b_j) over parameter values, or sum_j c_j for g = 1."""
@@ -207,7 +202,7 @@ class RidgeKernel(KernelBase):
             acc = term if acc is None else acc + term
         return acc
 
-    def stored_table(self, x, y, s, t):
+    def table(self, x, y, s, t):
         """The ridge sum unbroadcast: one row (u(y)) or column (u(x)) for scalars."""
         terms = [tuple(_param_at(p, x, y) for p in term) for term in self.terms]
         return self._ridge_sum(terms, s if self.uses_ux else t)
@@ -224,11 +219,6 @@ class RidgeKernel(KernelBase):
         if self._route == "row":
             return trapezoid(grid, self._ridge_sum(self.terms, vals) * vals, self.causal)
         return super().integral(grid, values)
-
-    def table(self, x, y, s, t):
-        u = s if self.uses_ux else t
-        return np.broadcast_to(self.stored_table(x, y, s, t),
-                               np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(u)))
 
     def du(self, x, y, t):
         acc = 0.0
@@ -309,7 +299,6 @@ class SoftmaxAttentionKernel(KernelBase):
     """
 
     kind = "softmax_attention"
-    uses_ux = True
     reads = ("u(x)", "u(y)")
 
     def __init__(self, a_mat, b_mat):
@@ -485,27 +474,27 @@ def invert_banach(
 
 
 def _derivative_table(op: NonlinearIntegralOperator, u0: GridFunction) -> np.ndarray:
-    """The (M, M) table k(x, y, u0(y)) + u0(y) dk/du(x, y, u0(y)) of the
-    linearization at u0.  Where the kernel table and its slope both have a
-    zero stride in x (every row is one row in memory), the sum is formed
-    once, as that row, and returned as a zero-stride view of it."""
+    """The table k(x, y, u0(y)) + u0(y) dk/du(x, y, u0(y)) of the
+    linearization at u0.  Where the kernel's values and slope, as stored,
+    are each one row (a row axis of length 1 or stride 0), the sum is that
+    (1, M) row; otherwise it is the (M, M) table."""
     vals = op.function_values(u0, "u0")[0]
     if op.kernel.uses_ux:
         raise NotDifferentiableError(
             "kernel reads u(x); the derivative formula needs the k(x, y, u(y)) form"
         )
     x, y, t = op.grid.nodes[:, None], op.grid.nodes[None, :], vals[None, :]
-    table = op.kernel.table(x, y, None, t)
-    slope = np.broadcast_to(op.kernel.du(x, y, t), table.shape)
-    if table.strides[0] == 0 and slope.strides[0] == 0:
-        return np.broadcast_to(table[0] + vals * slope[0], table.shape)
+    table, slope = map(np.atleast_2d, (op.kernel.table(x, y, None, t), op.kernel.du(x, y, t)))
+    if all(k.shape[0] == 1 or k.strides[0] == 0 for k in (table, slope)):
+        return table[:1] + t * slope[:1]
     return table + t * slope
 
 
 def _dense_frechet(op: NonlinearIntegralOperator, table: np.ndarray) -> np.ndarray:
     """W on the diagonal plus the quadrature product with the derivative table."""
-    a = quad_weights(op.grid, op.kernel.causal) * table
-    a[np.arange(op.grid.size), np.arange(op.grid.size)] += op.w_values
+    m = op.grid.size
+    a = quad_weights(op.grid, op.kernel.causal) * np.broadcast_to(table, (m, m))
+    a[np.arange(m), np.arange(m)] += op.w_values
     return a
 
 
@@ -521,15 +510,15 @@ def frechet_derivative(op: NonlinearIntegralOperator, u0: GridFunction) -> np.nd
 def linearize(op: NonlinearIntegralOperator, u0: GridFunction) -> "FactorizedFrechet":
     """The derivative of F at u0, factorized.
 
-    A kernel that is not causal and whose derivative table is one row r0 in
-    memory (a ridge kernel with scalar parameters on u(y): ``sigmoid_sum``,
+    A kernel that is not causal and whose derivative table is one row r0
+    (a ridge kernel with scalar parameters on u(y): ``sigmoid_sum``,
     ``wire``, scalar ``linear_table``) has the derivative
     diag(W) + 1 r^T with r = weights * r0, which takes the rank-one form in
     O(M); any other kernel takes the dense matrix of
     :func:`frechet_derivative`.
     """
     table = _derivative_table(op, u0)
-    if op.kernel.causal or table.strides[0] != 0:
+    if op.kernel.causal or table.shape[0] != 1:
         return FactorizedFrechet(_dense_frechet(op, table))
     return FactorizedFrechet(op.w_values, op.grid.weights * table[0])
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from injop.finite_rank import (
     FiniteRankLayer,
     FiniteRankNetwork,
     apply_network,
+    truncate_kernel,
     zero_bias,
 )
 from injop.funcspace import BasisSpec, Grid, GridFunction, SpectralCoeffs
@@ -86,6 +88,22 @@ def write_relu_net(path, seed=6, n=2):
         bias=zero_bias(BASIS, 1, n),
     )
     save_network(FiniteRankNetwork([hidden, final]), path)
+
+
+def write_split_relu_net(path):
+    """ReLU of u and of -u on two channels, then the identity on both:
+    u = relu(u) - relu(-u), so the net is injective, yet no ReLU
+    certificate applies."""
+    n = 2
+    split = np.zeros((n, n, 2, 1))
+    split[np.arange(n), np.arange(n)] = [[1.0], [-1.0]]
+    identity = np.zeros((n, n, 2, 2))
+    identity[np.arange(n), np.arange(n)] = np.eye(2)
+    save_network(FiniteRankNetwork([
+        FiniteRankLayer(d_in=1, d_out=2, n=n, c=split, bias=zero_bias(BASIS, 2, n),
+                        activation=Activation("relu")),
+        FiniteRankLayer(d_in=2, d_out=2, n=n, c=identity, bias=zero_bias(BASIS, 2, n)),
+    ]), path)
 
 
 def write_hidden_net(path, *activations, seed=7):
@@ -223,6 +241,16 @@ class TestCertify:
         assert report["verdict"] == "CounterexampleFound"
         hit = [l for l in report["layers"] if l["verdict"] == "CounterexampleFound"]
         assert hit and "witness" in hit[0]
+
+    def test_injective_relu_without_certificate_exits_zero(self, tmp_path):
+        net = str(tmp_path / "net.json")
+        write_split_relu_net(net)
+        out = str(tmp_path / "out")
+        assert main(["certify", "--net", net, "--trials", "20", "--out-dir", out]) == 0
+        report = read_json(os.path.join(out, "report.json"))
+        assert report["verdict"] == "NoCounterexampleFound"
+        assert [layer["verdict"] for layer in report["layers"]] == [
+            "NoCounterexampleFound", "CertifiedInjective"]
 
     def test_missing_file_is_fault(self, tmp_path, capsys):
         code = main(["certify", "--net", str(tmp_path / "nope.json"),
@@ -1038,13 +1066,21 @@ class TestTruncate:
         assert code == 64
         capsys.readouterr()
 
-    @pytest.mark.filterwarnings("ignore:Hilbert-Schmidt tail")
-    def test_bare_kernel_object(self, tmp_path):
+    def test_bare_kernel_object(self, tmp_path, capsys):
         table = str(tmp_path / "table.json")
         write_json({"kind": "linear_table", "table": 0.5}, table)
         out = str(tmp_path / "out")
-        assert main(["truncate", "--op", table, "--rank", "3", "--grid-size", "64",
-                     "--out-dir", out]) == 0
+        # The scalar lies in the span, so rounding pushes its tail^2 below 0;
+        # the clamp is recorded in tail_clamped alone, with no warning.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = truncate_kernel(lambda x, y: np.broadcast_to(0.5, (64, 64)),
+                                     Grid(0.0, 1.0, 64), BASIS, 3)
+            assert main(["truncate", "--op", table, "--rank", "3", "--grid-size", "64",
+                         "--out-dir", out]) == 0
+        assert caught == [] and capsys.readouterr().err == ""
+        assert result.tail_clamped and result.hs_tail == 0.0
+        assert read_json(os.path.join(out, "report.json"))["tail_clamped"] is True
         net = read_json(os.path.join(out, "network.json"))
         assert net["N"] == 3 and net["layers"][0]["C"][0][0][0][0] == pytest.approx(0.5)
 

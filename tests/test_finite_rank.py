@@ -329,6 +329,12 @@ class TestComposition:
         relu_last = random_layer(rng, d_in=2, d_out=1, activation=Activation("relu"))
         with pytest.raises(DimensionError):
             FiniteRankNetwork([relu_last])
+        with pytest.raises(DimensionError, match="orders do not chain"):
+            FiniteRankNetwork([a, random_layer(rng, n=3, d_in=3, d_out=1)])
+        other = FiniteRankLayer(d_in=3, d_out=1, n=4, c=rng.standard_normal((4, 4, 1, 3)),
+                                bias=zero_bias(BasisSpec("fourier", (0.0, 2.0)), 1, 4))
+        with pytest.raises(DimensionError, match="share the basis"):
+            FiniteRankNetwork([a, other])
 
 
 def wrapper_chain_layer(layer, u, grid):
@@ -585,10 +591,8 @@ class TestTruncateKernel:
         # from BLAS on the same values stored contiguously.
         grid = Grid(0.0, 1.0, 128)
         broadcast = lambda x, y: np.broadcast_to(stored(x, y), (grid.size, grid.size))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # the scalar lies in the span
-            got = truncate_kernel(broadcast, grid, BASIS, 8)
-            want = truncate_kernel(lambda x, y: np.array(broadcast(x, y)), grid, BASIS, 8)
+        got = truncate_kernel(broadcast, grid, BASIS, 8)
+        want = truncate_kernel(lambda x, y: np.array(broadcast(x, y)), grid, BASIS, 8)
         assert got.layer.mat.tobytes() == want.layer.mat.tobytes()
         assert (got.hs_tail, got.tail_clamped) == (want.hs_tail, want.tail_clamped)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from injop.atlas import build_atlas
 from injop.errors import (
     DimensionError,
     DivergenceError,
@@ -202,7 +203,9 @@ class TestOperator:
 def _kernel_table(op, u):
     vals = u.values[0]
     s = vals[:, None] if op.kernel.uses_ux else None
-    return op.kernel.table(op.grid.nodes[:, None], op.grid.nodes[None, :], s, vals[None, :])
+    m = op.grid.size
+    return np.broadcast_to(
+        op.kernel.table(op.grid.nodes[:, None], op.grid.nodes[None, :], s, vals[None, :]), (m, m))
 
 
 def _product_kernel_part(op, u):
@@ -375,7 +378,8 @@ def _strided_integral(kernel, grid, values):
     strides, kept word for word as the oracle for the stored-table routes."""
     vals = values[0]
     s = vals[:, None] if kernel.uses_ux else None
-    table = kernel.table(grid.nodes[:, None], grid.nodes[None, :], s, vals[None, :])
+    table = np.broadcast_to(kernel.table(grid.nodes[:, None], grid.nodes[None, :], s,
+                                         vals[None, :]), (grid.size, grid.size))
     if table.strides[0] == 0:
         return trapezoid(grid, table[0] * vals, kernel.causal)
     if table.strides[1] == 0:
@@ -443,10 +447,9 @@ class TestStoredTable:
         grid = Grid(0.0, 1.0, 64)
         x, y = grid.nodes[:, None], grid.nodes[None, :]
         t = grid.nodes[None, :]
-        assert SCALAR_KERNELS["sigmoid_sum_uy"]().stored_table(x, y, None, t).shape == (1, 64)
-        assert SCALAR_KERNELS["sigmoid_sum_ux"]().stored_table(x, y, t.T, t).shape == (64, 1)
-        assert LinearTableKernel(0.4).stored_table(x, y, None, t) == 0.4
-        assert LinearTableKernel(0.4).table(x, y, None, t).shape == (64, 64)
+        assert SCALAR_KERNELS["sigmoid_sum_uy"]().table(x, y, None, t).shape == (1, 64)
+        assert SCALAR_KERNELS["sigmoid_sum_ux"]().table(x, y, t.T, t).shape == (64, 1)
+        assert LinearTableKernel(0.4).table(x, y, None, t) == 0.4
         assert SCALAR_KERNELS["sigmoid_sum_uy"]().du(x, y, t).shape == (1, 64)
         assert SCALAR_KERNELS["wire_uy"]().du(x, y, t).shape == (1, 64)
         assert LinearTableKernel(0.4).du(x, y, t) == 0.0
@@ -823,15 +826,16 @@ class TestFrechet:
         assert err <= 1e-6
 
     def test_ux_kernels_not_differentiable(self):
-        op = NonlinearIntegralOperator(
-            GRID, SigmoidSumKernel([(0.5, 1.0, 0.0)], signature="u(x)")
-        )
+        # A kernel reads u(x) when its ``reads`` says so: _ScaledMeanKernel
+        # states nothing else and is refused like the built-in ones.
         u0 = GridFunction(GRID, np.zeros(GRID.size))
-        with pytest.raises(NotDifferentiableError):
-            frechet_derivative(op, u0)
-        attn = NonlinearIntegralOperator(GRID, SoftmaxAttentionKernel([[1.0]], [[1.0]]))
-        with pytest.raises(NotDifferentiableError):
-            frechet_derivative(attn, u0)
+        for kernel in (SigmoidSumKernel([(0.5, 1.0, 0.0)], signature="u(x)"),
+                       SoftmaxAttentionKernel([[1.0]], [[1.0]]), _ScaledMeanKernel()):
+            op = NonlinearIntegralOperator(GRID, kernel)
+            for linearization in (frechet_derivative, linearize,
+                                  lambda op, u0: build_atlas(op, [u0])):
+                with pytest.raises(NotDifferentiableError, match=r"reads u\(x\)"):
+                    linearization(op, u0)
 
     def test_singular_matrix_rejected(self):
         mat = np.ones((4, 4))

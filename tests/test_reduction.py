@@ -477,6 +477,7 @@ class TestLift:
         expected = max(net.n * (1 + net.d_in), -(-(2 * net.n * net.d_in + 1) // net.d_out))
         assert res.n_total == expected
         assert res.reduction.kind == "randomized"
+        assert res.reduction.row_orthonormality_defect() <= 1e-12
         grid = Grid(0.0, 1.0, 256)
         a = SpectralCoeffs(BASIS, net.n, rng.standard_normal((1, net.n)))
         back = res.recover_input(res.apply_augmented(a, grid), grid)
