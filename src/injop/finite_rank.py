@@ -64,12 +64,13 @@ class Activation:
         elif self.a is not None:
             raise ValueError(f"{self.kind} takes no parameter")
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """The activation of ``x``, in ``x``'s own memory if ``overwrite``."""
         if self.kind == "leaky_relu":
-            return _leaky(x, self.a)
+            return _leaky(x, self.a)  # its two passes take a second array all the same
         if self.kind == "relu":
-            return np.maximum(x, 0.0)
-        return expit(x) if self.kind == "sigmoid" else np.asarray(x, dtype=float)
+            return np.maximum(x, 0.0, out=x if overwrite else None)
+        return expit(x, overwrite) if self.kind == "sigmoid" else np.asarray(x, dtype=float)
 
     @property
     def is_injective(self) -> bool:
@@ -209,7 +210,8 @@ def _layer_step(layer: FiniteRankLayer, coeffs: np.ndarray, grid: Grid) -> np.nd
     if layer.activation.is_identity_map:
         return z
     table = resolved_mode_table(layer.basis, grid, layer.n_out)
-    return layer.activation.apply(z @ table.phi) @ table.analysis
+    values = z @ table.phi  # a fresh array, so the activation may overwrite it
+    return layer.activation.apply(values, overwrite=True) @ table.analysis
 
 
 def apply_layer(layer: FiniteRankLayer, u: SpectralCoeffs, grid: Grid) -> SpectralCoeffs:

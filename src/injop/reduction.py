@@ -52,11 +52,11 @@ from .funcspace import ALIASING_FACTOR, Grid, SpectralCoeffs, from_spectral, to_
 #: Hidden activation kinds each lift mode accepts.
 LIFT_MODES = {"injective": {"identity", "leaky_relu"}, "relu": {"relu"}}
 
-#: Rows per batched network evaluation in the randomized verifier.  It
-#: bounds the verifier's working memory whatever its sample count.  At 256
-#: rows one chunk's grid values (a few hundred KB) stay in cache; on a
-#: 2-vCPU Xeon a randomized lift (N=3) took 30-45 ms against 115 ms with
-#: 1024-row chunks.
+#: Most rows the randomized verifier hands its map per call.  It checks its
+#: Jacobian probes and its 10,000 pairs a chunk at a time, so its working
+#: memory is one chunk's whatever its sample count.  At 256 rows one chunk's
+#: grid values (a few hundred KB) stay in cache; on a 2-vCPU Xeon a randomized
+#: lift (N=3) took 30-45 ms against 115 ms with 1024-row chunks.
 VERIFY_CHUNK_ROWS = 256
 
 
@@ -170,6 +170,8 @@ class ReductionMap:
         """
         lead, (m, n) = coeffs.shape[:-2], coeffs.shape[-2:]
         if self.pair is None:
+            if self.columns is None:
+                raise UsageError("this randomized reduction has no columns to fold with")
             stacked = np.moveaxis(coeffs, (-1, -2), (0, 1)).reshape(n * m, *lead)
             # take, not dense[:, columns], whose copy is F-ordered: BLAS
             # rounds the product on that layout differently.
@@ -278,13 +280,14 @@ def build_reduction_randomized(
 
     ``t_map`` sends a (batch, n_in_modes) array of stacked input
     coefficients to the (batch, n_in_modes + out_modes) array of their
-    stacked ambient coefficients; ``columns`` are kept for
-    :meth:`ReductionMap.fold`.  The reference complement is the output
-    block; the tilted complement is its image under exp(0.1 S) for a random
-    unit-norm skew-symmetric S.  Each candidate B is accepted only if the
-    finite difference Jacobian of B o T has full rank n_in_modes at 32
-    seeded points and no collision shows up among 10,000 seeded pairs;
-    otherwise a fresh seed is drawn, up to ``max_retries`` times.
+    stacked ambient coefficients, at most ``VERIFY_CHUNK_ROWS`` rows per
+    call; :meth:`ReductionMap.fold` needs the ``columns``.  The reference
+    complement is the output block; the tilted one is its image under
+    exp(0.1 S) for a random unit-norm skew-symmetric S.  A candidate B is
+    accepted only if the finite difference Jacobian of B o T has full rank
+    n_in_modes at 32 seeded points and no collision shows up among 10,000
+    seeded pairs, drawn at once and checked a chunk at a time up to the
+    first collision; else a fresh seed is drawn, up to ``max_retries`` times.
     """
     check_reduction_dimensions(n_in_modes, out_modes)
     dtot = n_in_modes + out_modes
@@ -324,6 +327,10 @@ def build_reduction_randomized(
 
 
 def _verify_randomized(batch_map, b, n_in, rng) -> bool:
+    def reduced(rows):  # B o T, one chunk of rows per call of the map
+        return np.concatenate([batch_map(rows[i:i + VERIFY_CHUNK_ROWS]) @ b.T
+                               for i in range(0, len(rows), VERIFY_CHUNK_ROWS)])
+
     # (a) full Jacobian rank at 32 seeded points, forward differences.
     n_points = 32
     points = rng.standard_normal((n_points, n_in))
@@ -333,19 +340,22 @@ def _verify_randomized(batch_map, b, n_in, rng) -> bool:
         shifted = points.copy()
         shifted[:, i] += h
         probes.append(shifted)
-    outputs = (batch_map(np.concatenate(probes, axis=0)) @ b.T).reshape(1 + n_in, n_points, -1)
+    outputs = reduced(np.concatenate(probes, axis=0)).reshape(1 + n_in, n_points, -1)
     # jac[p, :, i] is the difference quotient along input i at point p.
     jac = ((outputs[1:] - outputs[0]) / h).transpose(1, 2, 0)
     svals = np.linalg.svd(jac, compute_uv=False)
     if np.any(svals[:, -1] <= 1e-6 * svals[:, 0]):
         return False
-    # (b) no collisions among 10,000 seeded pairs.
+    # (b) no collisions among 10,000 seeded pairs, a chunk at a time.
     u = rng.standard_normal((10_000, n_in))
     v = rng.standard_normal((10_000, n_in))
-    gap_in = np.linalg.norm(u - v, axis=1)
-    gap_out = np.linalg.norm(batch_map(u) @ b.T - batch_map(v) @ b.T, axis=1)
-    ok = gap_in > 0
-    return bool(np.all(gap_out[ok] >= 1e-9 * gap_in[ok]))
+    for i in range(0, len(u), VERIFY_CHUNK_ROWS):
+        pu, pv = u[i:i + VERIFY_CHUNK_ROWS], v[i:i + VERIFY_CHUNK_ROWS]
+        gap_in = np.linalg.norm(pu - pv, axis=1)
+        gap_out = np.linalg.norm(reduced(pu) - reduced(pv), axis=1)
+        if not np.all((gap_out >= 1e-9 * gap_in)[gap_in > 0]):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +553,7 @@ def _randomized_reduction(augmented, d_in, n, n_total, seed):
     Input rows are stacked order-n input coefficients; output rows are
     ambient: the pathway block (order n) followed by the zero-padded output
     block (order n_total).  Evaluation uses a grid fine enough for the
-    lifted order, and runs batched in chunks of ``VERIFY_CHUNK_ROWS`` rows.
+    lifted order, on the verifier's chunk of rows as one batch.
     """
     basis, m = augmented.basis, augmented.d_out
     grid = Grid(basis.interval[0], basis.interval[1], max(ALIASING_FACTOR * n_total, 64))
@@ -552,15 +562,11 @@ def _randomized_reduction(augmented, d_in, n, n_total, seed):
     k, c = np.divmod(np.arange(n * m), m)
     columns = np.where(c < d_in, k * d_in + c, n * d_in + k * (m - d_in) + c - d_in)
 
-    def batch_map(batch):
-        batch = np.atleast_2d(np.asarray(batch, dtype=float))
-        out = np.zeros((len(batch), n * d_in + n_total * (m - d_in)))
-        for start in range(0, len(batch), VERIFY_CHUNK_ROWS):
-            chunk = slice(start, start + VERIFY_CHUNK_ROWS)
-            rows = batch[chunk]
-            a = SpectralCoeffs(basis, n, rows.reshape(-1, n, d_in).transpose(0, 2, 1))
-            h = apply_network(augmented, a, grid).coeffs.transpose(0, 2, 1)  # mode-major
-            out[chunk, columns] = h.reshape(len(rows), -1)
+    def batch_map(rows):
+        a = SpectralCoeffs(basis, n, rows.reshape(-1, n, d_in).transpose(0, 2, 1))
+        h = apply_network(augmented, a, grid).coeffs.transpose(0, 2, 1)  # mode-major
+        out = np.zeros((len(rows), n * d_in + n_total * (m - d_in)))
+        out[:, columns] = h.reshape(len(rows), -1)
         return out
 
     return build_reduction_randomized(batch_map, n * d_in, n_total * (m - d_in), seed=seed,

@@ -81,6 +81,20 @@ class TestActivation:
         assert got.tolist() == [0.0, 0.5, 1.0]
         assert SigmoidSumKernel([(1.0, 1.0, 0.0)])._g is expit
 
+    @pytest.mark.parametrize("activation", [
+        Activation(), Activation("relu"), Activation("leaky_relu", 0.3),
+        Activation("leaky_relu", 2.5), Activation("sigmoid"),
+    ], ids=["identity", "relu", "leaky_0.3", "leaky_2.5", "sigmoid"])
+    def test_apply_over_its_input_gives_the_same_bytes(self, activation):
+        # A layer activates its grid values in the array that holds them;
+        # LeakyReLU's two passes take a second array all the same.
+        x = np.array(EDGE_VALUES + [math.inf, -math.inf, -800.0, 800.0]) * np.ones((3, 1))
+        with np.errstate(over="ignore"):
+            want = activation.apply(x)
+            got = activation.apply(x, overwrite=True)
+        assert (got is x) == (activation.kind != "leaky_relu")
+        assert got.tobytes() == want.tobytes()
+
     def test_relu_has_no_inverse(self):
         with pytest.raises(ValueError):
             Activation("relu").inverse(np.array([1.0]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from injop.errors import DimensionError, ReductionVerificationError
+from injop.errors import DimensionError, ReductionVerificationError, UsageError
 from injop.finite_rank import (
     Activation,
     FiniteRankLayer,
@@ -20,6 +20,7 @@ from injop.finite_rank import (
 from injop.funcspace import BasisSpec, Grid, SpectralCoeffs
 from injop.reduction import (
     _PATHWAY_BLOCKS,
+    VERIFY_CHUNK_ROWS,
     ProjectionPair,
     _augment_network,
     _kato_rotation,
@@ -227,6 +228,63 @@ class TestClosedFormPair:
         assert dim == 2304
         assert peak < dim * dim * 8 / 4
         assert res.eps0 == 0.1 and defect <= 1e-15
+
+
+class TestRandomizedVerifier:
+    """The randomized verifier holds one chunk of rows, not all its samples."""
+
+    @staticmethod
+    def recording_map(n_in, out, calls, collapse_after=None):
+        # A linear graph map that records the rows of each call; after
+        # ``collapse_after`` calls it sends everything to zero.
+        mat = np.random.default_rng(13).standard_normal((out, n_in))
+
+        def t_map(batch):
+            calls.append(len(batch))
+            if collapse_after is not None and len(calls) > collapse_after:
+                return np.zeros((len(batch), n_in + out))
+            return np.concatenate([batch, batch @ mat.T], axis=1)
+
+        return t_map
+
+    def test_map_gets_at_most_one_chunk_per_call(self):
+        # n_in = 8 gives 32 * (1 + 8) = 288 Jacobian probes, more than a chunk.
+        calls = []
+        red = build_reduction_randomized(self.recording_map(8, 17, calls), 8, 17, seed=0)
+        assert red.meta["attempt"] == 0
+        assert max(calls) <= VERIFY_CHUNK_ROWS
+        assert sum(calls) == 32 * 9 + 2 * 10_000
+
+    def test_a_colliding_chunk_ends_the_check(self):
+        # The probes pass, then the first pair chunk collides: the map sees
+        # one chunk of u and one of v, no more.
+        calls = []
+        probe_calls = -(-32 * 9 // VERIFY_CHUNK_ROWS)
+        t_map = self.recording_map(8, 17, calls, collapse_after=probe_calls)
+        with pytest.raises(ReductionVerificationError):
+            build_reduction_randomized(t_map, 8, 17, seed=0, max_retries=1)
+        assert calls[probe_calls:] == [VERIFY_CHUNK_ROWS, VERIFY_CHUNK_ROWS]
+
+    def test_randomized_lift_peak_memory(self):
+        # The lift workload's randomized shape: N = 3, widths 1 -> 2 -> 2 -> 1.
+        # Holding all 10,000 pairs' ambient outputs at once took 3.07 MB.
+        net = deep_net(np.random.default_rng(71), 3, Activation("relu"),
+                       n=3, d_in=1, width=2, d_out=1)
+        tracemalloc.start()
+        try:
+            res = lift_to_injective(net, mode="relu", randomized=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.reduction.kind == "randomized"
+        assert peak < 2_000_000
+
+    def test_fold_refuses_a_map_without_columns(self):
+        calls = []
+        red = build_reduction_randomized(self.recording_map(3, 8, calls), 3, 8, seed=0)
+        assert red.columns is None
+        with pytest.raises(UsageError, match="columns"):
+            red.fold(np.ones((11, 1)))
 
 
 class TestRectangularLift:
