@@ -65,12 +65,12 @@ class Activation:
             raise ValueError(f"{self.kind} takes no parameter")
 
     def apply(self, x: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """The activation of ``x``, in ``x``'s own memory if ``overwrite``."""
+        """The activation of ``x``; ReLU writes it into ``x`` if ``overwrite``."""
         if self.kind == "leaky_relu":
-            return _leaky(x, self.a)  # its two passes take a second array all the same
+            return _leaky(x, self.a)
         if self.kind == "relu":
             return np.maximum(x, 0.0, out=x if overwrite else None)
-        return expit(x, overwrite) if self.kind == "sigmoid" else np.asarray(x, dtype=float)
+        return expit(x) if self.kind == "sigmoid" else np.asarray(x, dtype=float)
 
     @property
     def is_injective(self) -> bool:

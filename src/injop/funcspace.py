@@ -60,11 +60,9 @@ def require_finite(name: str, p) -> None:
         raise ValueError(f"{name} must be finite")
 
 
-def expit(x, overwrite=False):
-    """Logistic sigmoid, in ``x``'s memory if ``overwrite``; 0 where exp(-x) overflows."""
+def expit(x):
+    """Logistic sigmoid; exp(-x) overflows to inf for x < -709.78, where the result is 0."""
     with np.errstate(over="ignore"):
-        if overwrite:
-            return np.divide(1.0, np.add(1.0, np.exp(np.negative(x, out=x), out=x), out=x), out=x)
         return 1.0 / (1.0 + np.exp(-x))
 
 

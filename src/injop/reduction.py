@@ -327,9 +327,10 @@ def build_reduction_randomized(
 
 
 def _verify_randomized(batch_map, b, n_in, rng) -> bool:
-    def reduced(rows):  # B o T, one chunk of rows per call of the map
-        return np.concatenate([batch_map(rows[i:i + VERIFY_CHUNK_ROWS]) @ b.T
-                               for i in range(0, len(rows), VERIFY_CHUNK_ROWS)])
+    def chunks(rows):  # rows a chunk at a time, each with its image under B o T
+        for i in range(0, len(rows), VERIFY_CHUNK_ROWS):
+            chunk = rows[i:i + VERIFY_CHUNK_ROWS]
+            yield chunk, batch_map(chunk) @ b.T
 
     # (a) full Jacobian rank at 32 seeded points, forward differences.
     n_points = 32
@@ -340,7 +341,8 @@ def _verify_randomized(batch_map, b, n_in, rng) -> bool:
         shifted = points.copy()
         shifted[:, i] += h
         probes.append(shifted)
-    outputs = reduced(np.concatenate(probes, axis=0)).reshape(1 + n_in, n_points, -1)
+    outputs = np.concatenate([out for _, out in chunks(np.concatenate(probes, axis=0))])
+    outputs = outputs.reshape(1 + n_in, n_points, -1)
     # jac[p, :, i] is the difference quotient along input i at point p.
     jac = ((outputs[1:] - outputs[0]) / h).transpose(1, 2, 0)
     svals = np.linalg.svd(jac, compute_uv=False)
@@ -349,10 +351,9 @@ def _verify_randomized(batch_map, b, n_in, rng) -> bool:
     # (b) no collisions among 10,000 seeded pairs, a chunk at a time.
     u = rng.standard_normal((10_000, n_in))
     v = rng.standard_normal((10_000, n_in))
-    for i in range(0, len(u), VERIFY_CHUNK_ROWS):
-        pu, pv = u[i:i + VERIFY_CHUNK_ROWS], v[i:i + VERIFY_CHUNK_ROWS]
+    for (pu, ru), (pv, rv) in zip(chunks(u), chunks(v)):
         gap_in = np.linalg.norm(pu - pv, axis=1)
-        gap_out = np.linalg.norm(reduced(pu) - reduced(pv), axis=1)
+        gap_out = np.linalg.norm(ru - rv, axis=1)
         if not np.all((gap_out >= 1e-9 * gap_in)[gap_in > 0]):
             return False
     return True
