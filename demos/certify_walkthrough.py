@@ -38,12 +38,12 @@ print("sigma_min/max:", svals[-1], "/", svals[0])
 
 print()
 print("-- force a rank drop --")
-mat[:, -1] = mat[:, 0]
-from injop import blocks_from_matrix
-
-broken = FiniteRankLayer(d, d, n, blocks_from_matrix(mat, n, d, d),
-                         zero_bias(basis, d, n),
+broken = FiniteRankLayer(d, d, n, layer.c, zero_bias(basis, d, n),
                          activation=Activation("leaky_relu", 0.3))
+# block_matrix is a view of the layer's matrix, so this edits `broken`:
+# its last input column now repeats its first.
+broken_mat = block_matrix(broken)
+broken_mat[:, -1] = broken_mat[:, 0]
 report = certify_bijective_activation(broken)
 print("verdict      :", report.verdict)
 v1, v2 = report.witness

@@ -20,8 +20,8 @@ _EXPORTS = {
         "h1_norm", "l2_norm", "to_spectral"),
     "finite_rank": (
         "Activation", "FiniteRankLayer", "FiniteRankNetwork", "apply_affine",
-        "apply_finite_rank", "apply_layer", "apply_network", "block_matrix",
-        "blocks_from_matrix", "stack_coeffs", "truncate_kernel", "unstack_coeffs", "zero_bias"),
+        "apply_finite_rank", "apply_layer", "apply_network", "block_matrix", "truncate_kernel",
+        "zero_bias"),
     "certify": (
         "CertReport", "certify_bijective_activation", "certify_relu_dss", "verify_collision"),
     "reduction": (

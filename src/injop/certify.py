@@ -2,12 +2,12 @@
 
 Two routes, matching the two activation regimes:
 
-* injective activations: the layer is injective iff its coefficient block
-  matrix is, which the singular values decide;
+* injective activations: the layer is injective iff its matrix
+  ``block_matrix(layer) = layer.mat.T`` is, which the singular values decide;
 * ReLU: a falsifier that hunts for collision witnesses by sampling inputs,
   reading off which output channels stay strictly positive, and testing
-  kernel directions of the row-restricted block matrix against the
-  pointwise sign conditions a collision direction must satisfy.
+  kernel directions of that matrix's active rows against the pointwise
+  sign conditions a collision direction must satisfy.
 
 A reported witness is always re-verified by evaluating the layer.
 """
@@ -26,7 +26,6 @@ from .finite_rank import (
     apply_finite_rank,
     apply_layer,
     block_matrix,
-    unstack_coeffs,
 )
 from .funcspace import Grid, SpectralCoeffs, from_spectral
 
@@ -105,10 +104,10 @@ def _null_space(a: np.ndarray) -> np.ndarray:
 def certify_bijective_activation(layer: FiniteRankLayer) -> CertReport:
     """Certify a layer whose activation is injective.
 
-    Injectivity of the layer reduces to injectivity of the coefficient
-    block matrix; the verdict compares sigma_min against
-    ``SINGULAR_TOL * sigma_max``.  When the matrix fails the test, the
-    least singular direction yields a witness pair (0, kernel direction).
+    Injectivity of the layer reduces to injectivity of its matrix
+    ``block_matrix(layer) = layer.mat.T``; the verdict compares sigma_min
+    against ``SINGULAR_TOL * sigma_max``.  Otherwise the least right-singular
+    vector, shaped (d_in, n), yields a witness pair (0, kernel direction).
     """
     if not layer.activation.is_injective:
         raise ValueError(f"activation {layer.activation.kind!r} is not injective; "
@@ -133,8 +132,8 @@ def certify_bijective_activation(layer: FiniteRankLayer) -> CertReport:
         direction[0] = 1.0
     else:
         direction = vt[-1]
-    v1 = unstack_coeffs(np.zeros(mat.shape[1]), layer.basis, layer.n, layer.d_in)
-    v2 = unstack_coeffs(direction, layer.basis, layer.n, layer.d_in)
+    v1 = SpectralCoeffs(layer.basis, layer.n, np.zeros((layer.d_in, layer.n)))
+    v2 = SpectralCoeffs(layer.basis, layer.n, direction.reshape(layer.d_in, layer.n))
     return CertReport(
         verdict=VERDICT_COUNTEREXAMPLE,
         sigma_min=sigma_min,
@@ -189,13 +188,13 @@ def certify_relu_dss(
         pre = from_spectral(apply_affine(layer, v), grid).values  # (d_out, M)
         active = np.min(pre, axis=1) > ACTIVE_MARGIN
         if active.any():
-            kernel = _null_space(mat[np.tile(active, layer.n_out)])
+            kernel = _null_space(mat[np.repeat(active, layer.n_out)])
         else:
             kernel = np.eye(mat.shape[1])
         if kernel.size == 0:
             continue
-        # Kernel columns as a batch of stacked coefficients, (k, d_in, N).
-        directions = kernel.T.reshape(-1, n, d).transpose(0, 2, 1)
+        # Kernel columns as a batch of coefficients, (k, d_in, N).
+        directions = kernel.T.reshape(-1, d, n)
         dir_vals = from_spectral(
             apply_finite_rank(layer, SpectralCoeffs(basis, n, directions)), grid
         ).values[:, ~active]

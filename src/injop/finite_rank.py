@@ -6,7 +6,7 @@ A layer maps an n-channel function u to an m-channel function via
 
 followed by a spectral bias and a pointwise activation.  The output
 order N' is N unless the layer says otherwise.  In coefficient space the
-layer is the block matrix with (p, k) block C[k, p]; activations are
+layer is the matrix ``block_matrix(layer) = layer.mat.T``; activations are
 evaluated on a grid and the result is projected back to the first N' modes.
 
 The layer maps accept a batch: coefficients of shape (B, d, N) pass
@@ -100,9 +100,10 @@ class FiniteRankLayer:
     mode k][output mode p][out chan][in chan]; the output-side ``bias`` has
     shape (d_out, n_out).  The layer stores only ``mat``, the C-ordered copy
     of the blocks made at construction, with rows (in chan, k) and columns
-    (out chan, p); ``c`` is a read-only attribute that views it, so entries
-    written through ``c`` reach the product.  A layer does not alias the
-    array it was given, and refuses non-finite blocks or bias."""
+    (out chan, p), whose transpose is :func:`block_matrix`; ``c`` is a
+    read-only view of it, so entries written through ``c`` reach the
+    product.  A layer does not alias the array it was given, and refuses
+    non-finite blocks or bias."""
 
     def __init__(self, d_in: int, d_out: int, n: int, c: np.ndarray, bias: SpectralCoeffs,
                  activation: Activation = Activation(), n_out: Optional[int] = None):
@@ -231,33 +232,10 @@ def apply_network(net: FiniteRankNetwork, u: SpectralCoeffs, grid: Grid) -> Spec
 
 
 def block_matrix(layer: FiniteRankLayer) -> np.ndarray:
-    """Dense (N'*d_out) x (N*d_in) matrix on mode-major stacked coefficients.
-
-    The stacked vector lists mode 1's channels, then mode 2's, and so on;
-    block (p, k) of the matrix is C[k, p].
-    """
-    return layer.c.transpose(1, 2, 0, 3).reshape(layer.n_out * layer.d_out, layer.n * layer.d_in)
-
-
-def stack_coeffs(c: SpectralCoeffs) -> np.ndarray:
-    """Mode-major flattening matching :func:`block_matrix`."""
-    return c.coeffs.T.reshape(-1)
-
-
-def unstack_coeffs(vec: np.ndarray, basis: BasisSpec, n: int, channels: int) -> SpectralCoeffs:
-    vec = np.asarray(vec, dtype=float)
-    if vec.size != n * channels:
-        raise DimensionError(f"vector of size {vec.size} is not {n} x {channels}")
-    return SpectralCoeffs(basis, n, vec.reshape(n, channels).T)
-
-
-def blocks_from_matrix(mat: np.ndarray, n: int, d_out: int, d_in: int, n_out=None) -> np.ndarray:
-    """Inverse of :func:`block_matrix`: dense matrix back to C[k, p] blocks
-    of input order ``n`` and output order ``n_out`` (default ``n``)."""
-    n_out = n_out or n
-    if mat.shape != (n_out * d_out, n * d_in):
-        raise DimensionError(f"matrix shape {mat.shape} is not ({n_out * d_out}, {n * d_in})")
-    return mat.reshape(n_out, d_out, n, d_in).transpose(2, 0, 1, 3)
+    """The layer's one dense view, ``layer.mat.T``, with rows (out chan, p)
+    and columns (in chan, k): it maps ``u.coeffs.reshape(-1)`` to the
+    kernel part's ``coeffs.reshape(-1)``.  A view, as ``c`` is, not a copy."""
+    return layer.mat.T
 
 
 @dataclass

@@ -81,6 +81,8 @@ class ProjectionPair:
     ``[[amp, alpha], [-alpha, amp]]`` in (slot, xi) coordinates of each
     plane and the identity elsewhere.  The three are dense references,
     filled in on access; the lift and its report read only the planes.
+    ``alpha`` is the tilt ||p_alpha - p_zero||, the eps0 of the lift: on
+    each plane the difference has eigenvalues +-alpha, and elsewhere it is 0.
     """
 
     alpha: float
@@ -125,15 +127,6 @@ class ProjectionPair:
     def q(self) -> np.ndarray:
         amp, alpha = self.amp, self.alpha
         return self._plane_matrix(((amp, alpha), (-alpha, amp)))
-
-    def tilt_norm(self) -> float:
-        """Operator norm of p_alpha - p_zero, the eps0 of the lift.
-
-        On each plane the difference has eigenvalues +-alpha (the tilted
-        direction leans by asin(alpha)); it is zero elsewhere.  So the norm
-        is alpha itself.
-        """
-        return self.alpha
 
 
 @dataclass
@@ -253,7 +246,7 @@ def build_reduction_explicit(pair: ProjectionPair) -> ReductionMap:
     rows avoid the slots, this B is the kept rows of q: unit rows, except
     that each xi row is ``amp * e_xi - alpha * e_slot``."""
     meta = {"alpha": pair.alpha, "m": pair.m, "ell": pair.ell, "n_core": pair.n_core,
-            "n_total": pair.n_total, "tilt": pair.tilt_norm()}
+            "n_total": pair.n_total, "tilt": pair.alpha}
     return ReductionMap(kind="explicit", meta=meta, pair=pair)
 
 

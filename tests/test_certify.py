@@ -26,7 +26,6 @@ from injop.finite_rank import (
     apply_affine,
     apply_finite_rank,
     block_matrix,
-    unstack_coeffs,
     zero_bias,
 )
 from injop.funcspace import BasisSpec, Grid, SpectralCoeffs, from_spectral
@@ -275,13 +274,13 @@ def _reference_relu_dss(layer, grid, trials, seed):
         used += 1
         pre = from_spectral(apply_affine(layer, v), grid).values
         active = np.min(pre, axis=1) > ACTIVE_MARGIN
-        c_active = mat if active.all() else mat[np.tile(active, layer.n)]
+        c_active = mat if active.all() else mat[np.repeat(active, layer.n_out)]
         if c_active.shape[0] == 0:
             kernel = np.eye(mat.shape[1])
         else:
             kernel = scipy.linalg.null_space(c_active)
         for col in kernel.T:
-            direction = unstack_coeffs(col, layer.basis, layer.n, layer.d_in)
+            direction = SpectralCoeffs(layer.basis, layer.n, col.reshape(layer.d_in, layer.n))
             dir_vals = from_spectral(apply_finite_rank(layer, direction), grid).values
             for t in _SCALES:
                 if satisfies_sign_conditions(pre, active, t * dir_vals):
@@ -292,20 +291,27 @@ def _reference_relu_dss(layer, grid, trials, seed):
     return CertReport(VERDICT_NO_COUNTEREXAMPLE, sigma_min, sigma_max, used, seed)
 
 
-def _relu_corpus():
-    """Seeded (layer, grid, trials, seed) cases: random biases, planted
-    collisions (bias -50 on mode 1: no channel is active at the zero probe)
-    and all-active layers (bias +50), on square, tall and wide block
-    matrices; then two knife edges that only POINTWISE_TOL decides."""
-    rng = np.random.default_rng(2024)
-    for i in range(36):
+def _random_relu_cases(rng, count, rect):
+    """Random biases, planted collisions (bias -50 on mode 1: no channel is
+    active at the zero probe) and all-active layers (bias +50), in turn, on
+    square, tall and wide matrices; at n_out != n when ``rect``."""
+    for i in range(count):
         n, d_in, d_out = (int(k) for k in rng.integers(1, [5, 4, 4]))
-        bias = rng.standard_normal((d_out, n)) * float(rng.choice([0.2, 1.0, 3.0]))
+        n_out = int(rng.choice([k for k in range(1, 6) if k != n])) if rect else n
+        bias = rng.standard_normal((d_out, n_out)) * float(rng.choice([0.2, 1.0, 3.0]))
         bias[:, 0] += (0.0, -50.0, 50.0)[i % 3]
-        layer = make_layer(rng.standard_normal((n, n, d_out, d_in)), d_in, d_out, n,
-                           activation=Activation("relu"), bias=SpectralCoeffs(BASIS, n, bias))
+        layer = make_rect_layer(rng.standard_normal((n, n_out, d_out, d_in)), Activation("relu"),
+                                bias=SpectralCoeffs(BASIS, n_out, bias))
         grid = Grid(0.0, 1.0, int(rng.choice([64, 97])))
         yield layer, grid, int(rng.integers(1, 60)), int(rng.integers(1000))
+
+
+def _relu_corpus():
+    """Seeded (layer, grid, trials, seed) cases: random layers at n_out = n,
+    two knife edges that only POINTWISE_TOL decides, and random layers at
+    n_out != n, where a channel's rows are its n_out output modes."""
+    rng = np.random.default_rng(2024)
+    yield from _random_relu_cases(rng, 36, rect=False)
     # Kernel block -1 and bias 1e-12: at the probe phi_1 the pre-activation
     # sits 1e-12 above the direction's values.
     bias = SpectralCoeffs(BASIS, 1, np.array([[1e-12]]))
@@ -318,6 +324,7 @@ def _relu_corpus():
     c[:, :, 0] = c[:, :, 1]
     bias = SpectralCoeffs(BASIS, 2, np.array([[0.0, 1.0], [50.0, 0.0]]))
     yield make_layer(c, 2, 2, 2, activation=Activation("relu"), bias=bias), Grid(0.0, 1.0, 64), 5, 0
+    yield from _random_relu_cases(np.random.default_rng(2025), 18, rect=True)
 
 
 def test_relu_search_matches_scalar_reference():

@@ -20,11 +20,8 @@ from injop.finite_rank import (
     apply_layer,
     apply_network,
     block_matrix,
-    blocks_from_matrix,
     expit,
-    stack_coeffs,
     truncate_kernel,
-    unstack_coeffs,
     zero_bias,
 )
 from injop.funcspace import (
@@ -122,16 +119,22 @@ class TestActivation:
 
 
 class TestBlockAlgebra:
-    """The dense matrix on stacked coefficients must reproduce the layer's
-    product with its stored matrix, and that product the einsum it replaced."""
+    """The layer's one dense view must be its stored matrix and reproduce
+    the layer's product, and that product the einsum it replaced."""
 
     def test_block_matrix_matches_apply(self):
+        # block_matrix is mat.T, sharing its memory, and maps the flattened
+        # (d_in, n) coefficients to the flattened (d_out, n_out) output.
         rng = np.random.default_rng(7)
-        layer = random_layer(rng)
-        u = SpectralCoeffs(BASIS, 4, rng.standard_normal((2, 4)))
-        direct = apply_finite_rank(layer, u)
-        via_matrix = block_matrix(layer) @ stack_coeffs(u)
-        assert_allclose(stack_coeffs(direct), via_matrix, atol=1e-14)
+        for n, n_out, d_in, d_out in [(4, 4, 2, 3), (3, 7, 4, 2), (5, 2, 1, 3)]:
+            c = rng.standard_normal((n, n_out, d_out, d_in))
+            layer = FiniteRankLayer(d_in, d_out, n, c, zero_bias(BASIS, d_out, n_out), n_out=n_out)
+            mat = block_matrix(layer)
+            assert mat.shape == (d_out * n_out, d_in * n)
+            assert np.shares_memory(mat, layer.mat)
+            u = SpectralCoeffs(BASIS, n, rng.standard_normal((d_in, n)))
+            direct = apply_finite_rank(layer, u).coeffs.reshape(-1)
+            assert_allclose(mat @ u.coeffs.reshape(-1), direct, atol=1e-14)
 
     @pytest.mark.parametrize("n, n_out, d_in, d_out", [(4, 4, 2, 3), (3, 7, 4, 2)])
     @pytest.mark.parametrize("form", ["single", "batch", "transposed"])
@@ -249,18 +252,6 @@ class TestBlockAlgebra:
         with pytest.raises(ValueError, match="bias must be finite"):
             FiniteRankLayer(2, 2, 3, np.ones((3, 3, 2, 2)), bias)
 
-    def test_stack_unstack_round_trip(self):
-        rng = np.random.default_rng(8)
-        u = SpectralCoeffs(BASIS, 5, rng.standard_normal((3, 5)))
-        back = unstack_coeffs(stack_coeffs(u), BASIS, 5, 3)
-        assert_allclose(back.coeffs, u.coeffs)
-
-    def test_blocks_matrix_round_trip(self):
-        rng = np.random.default_rng(9)
-        layer = random_layer(rng, n=3, d_in=2, d_out=2)
-        mat = block_matrix(layer)
-        assert_allclose(blocks_from_matrix(mat, 3, 2, 2), layer.c)
-
     def test_identity_blocks_give_identity_matrix(self):
         n, d = 3, 2
         c = np.zeros((n, n, d, d))
@@ -278,8 +269,6 @@ class TestBlockAlgebra:
         layer = random_layer(rng)
         with pytest.raises(DimensionError):
             apply_finite_rank(layer, SpectralCoeffs(BASIS, 4, np.zeros((5, 4))))
-        with pytest.raises(DimensionError):
-            unstack_coeffs(np.zeros(7), BASIS, 4, 2)
 
 
 class TestComposition:
@@ -295,11 +284,11 @@ class TestComposition:
         grid = Grid(0.0, 1.0, 64)
         out = apply_network(net, u, grid)
         expected = (
-            block_matrix(second) @ (block_matrix(first) @ stack_coeffs(u)
-                                    + stack_coeffs(first.bias))
-            + stack_coeffs(second.bias)
+            block_matrix(second) @ (block_matrix(first) @ u.coeffs.reshape(-1)
+                                    + first.bias.coeffs.reshape(-1))
+            + second.bias.coeffs.reshape(-1)
         )
-        assert_allclose(stack_coeffs(out), expected, atol=1e-13)
+        assert_allclose(out.coeffs.reshape(-1), expected, atol=1e-13)
 
     def test_relu_layer_matches_grid_oracle(self):
         rng = np.random.default_rng(22)

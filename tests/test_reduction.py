@@ -12,9 +12,6 @@ from injop.finite_rank import (
     FiniteRankLayer,
     FiniteRankNetwork,
     apply_network,
-    block_matrix,
-    blocks_from_matrix,
-    stack_coeffs,
     zero_bias,
 )
 from injop.funcspace import BasisSpec, Grid, SpectralCoeffs
@@ -40,6 +37,17 @@ def _keep_indices(m, ell, n_total):
     return (np.arange(n_total)[:, None] * m + np.arange(m - ell, m)).ravel()
 
 
+def _mode_major(layer):
+    """The layer's matrix on mode-major stacked coefficients, the space of
+    the pair's dense references: block (p, k) is C[k, p]."""
+    return layer.c.transpose(1, 2, 0, 3).reshape(layer.n_out * layer.d_out, layer.n * layer.d_in)
+
+
+def _stacked(coeffs):
+    """Mode-major flattening of a (channels, modes) table."""
+    return coeffs.T.reshape(-1)
+
+
 class TestProjectionPair:
     def test_idempotent_and_tilt(self):
         for alpha in (0.05, 0.25, 0.4):
@@ -51,7 +59,6 @@ class TestProjectionPair:
             # arcsin(alpha), so the gap norm is alpha on the nose.
             gap = np.linalg.norm(pair.p_alpha - pair.p_zero, 2)
             assert_allclose(gap, alpha, atol=1e-12)
-            assert_allclose(pair.tilt_norm(), alpha, atol=1e-12)
 
     def test_direct_rotation_intertwines(self):
         pair = build_projection_pair(m=4, ell=2, n_core=3, alpha=0.3)
@@ -99,7 +106,7 @@ class TestClosedFormPair:
         q_dense = _kato_rotation(p_zero, p_alpha)
         assert np.max(np.abs(pair.q - q_dense)) <= 1e-14
         red = build_reduction_explicit(pair)
-        assert pair.tilt_norm() == red.meta["tilt"] == alpha
+        assert red.meta["tilt"] == alpha
         assert abs(alpha - np.linalg.norm(p_alpha - p_zero, 2)) <= 1.2e-16
         keep = _keep_indices(m, ell, pair.n_total)
         b_dense = (q_dense @ p_alpha)[keep]
@@ -121,9 +128,9 @@ class TestClosedFormPair:
         b_full = (_kato_rotation(pair.p_zero, pair.p_alpha) @ pair.p_alpha)[keep]
         final = padded_layer(res.augmented.layers[-1], res.n_total)
         folded = padded_layer(res.network.layers[-1], res.n_total)
-        assert np.max(np.abs(block_matrix(folded) - b_full @ block_matrix(final))) <= 1e-13
-        bias_dense = b_full @ stack_coeffs(final.bias)
-        assert np.max(np.abs(stack_coeffs(folded.bias) - bias_dense)) <= 1e-13
+        assert np.max(np.abs(_mode_major(folded) - b_full @ _mode_major(final))) <= 1e-13
+        bias_dense = b_full @ _stacked(final.bias.coeffs)
+        assert np.max(np.abs(_stacked(folded.bias.coeffs) - bias_dense)) <= 1e-13
 
     @pytest.mark.parametrize("alpha", [1e-3, 0.1, 0.3, 0.49])
     @pytest.mark.parametrize("mode, depth, shape", [
@@ -169,16 +176,16 @@ class TestClosedFormPair:
         res = lift_to_injective(net, mode=mode, alpha=0.1)
         final, n, pair = res.augmented.layers[-1], res.n, res.reduction.pair
         b = pair.q[_keep_indices(pair.m, pair.ell, pair.n_total)][:, : n * pair.m]
-        assert np.signbit(block_matrix(final)).sum() > 0
-        dense = b @ block_matrix(final)
+        assert np.signbit(final.mat).sum() > 0
+        dense = b @ _mode_major(final)
         # dense has rows (p, out chan) and columns (k, in chan); the fold
         # keeps the layer's rows (in chan, k) and gives (out chan, p) tables.
         want_mat = dense.reshape(res.n_total, 2, n, final.d_in).transpose(3, 2, 1, 0)
         folded_mat = res.reduction.fold(final.mat.reshape(-1, pair.m, n))
         assert folded_mat.tobytes() == want_mat.tobytes()
-        want_bias = (b @ stack_coeffs(final.bias)).reshape(res.n_total, 2).T
+        want_bias = (b @ _stacked(final.bias.coeffs)).reshape(res.n_total, 2).T
         assert res.reduction.fold(final.bias.coeffs).tobytes() == want_bias.tobytes()
-        want_c = blocks_from_matrix(dense, n, 2, final.d_in, res.n_total)
+        want_c = dense.reshape(res.n_total, 2, n, final.d_in).transpose(2, 0, 1, 3)
         folded = res.network.layers[-1]
         assert folded.c.tobytes() == want_c.tobytes()
         assert folded.bias.coeffs.tobytes() == want_bias.tobytes()
@@ -556,7 +563,7 @@ class TestLift:
         res = lift_to_injective(net, mode="relu", alpha=0.15)
         assert two_norms == []
         monkeypatch.undo()
-        assert res.eps0 == res.reduction.pair.tilt_norm() == 0.15
+        assert res.eps0 == res.reduction.pair.alpha == 0.15
 
     @pytest.mark.parametrize("slope", [0.3, 2.5])
     @pytest.mark.parametrize("depth", [2, 3])
