@@ -238,7 +238,8 @@ def build_atlas(
 ) -> Atlas:
     """Anchor the atlas at the given inputs and bin their images into cells.
 
-    Each input must be one function; their images are evaluated in one call.
+    Each input must be one function; their images are evaluated as one
+    batch, in slabs of :meth:`NonlinearIntegralOperator.evaluate`.
 
     Duplicate cell keys keep the smallest anchor index; the collision is
     recorded in ``atlas.warnings``.

@@ -16,10 +16,11 @@ or a running sum for a Volterra kernel.  Any other table costs the dense
 M x M product with the quadrature weights, which are built only for it.
 :meth:`NonlinearIntegralOperator.evaluate` gives K(u) and F(u) on bare
 (h, M) arrays, or on a (P, h, M) batch whose every function gets the bits
-it gets alone: the scalar ridge routes take the whole batch, with one dot
-product per row for a non-causal trapezoid sum, and any other kernel is
-integrated one function at a time.  The estimators evaluate all their
-probe points in one call; the inversion loops step on one function and
+it gets alone.  A batch is taken one slab of about 2^14 grid values at a
+time: the scalar ridge routes take the whole slab, with one dot product
+per row for a non-causal trapezoid sum, and any other kernel is
+integrated one function at a time.  The estimators form and evaluate
+their probe points in slabs; the inversion loops step on one function and
 check their target ``GridFunction`` once.  Linearization is available
 exactly for the kernels that read at most u(y), matching the derivative
 formula
@@ -329,6 +330,13 @@ class SoftmaxAttentionKernel(KernelBase):
         return ((self.weights_on_grid(grid, values) * grid.weights) @ values.T).T
 
 
+#: Grid values in one slab of a batch: 2^14 doubles, the size of glibc's
+#: default 128 KB mmap threshold, or 16 functions at M = 1024.  Batched
+#: evaluation and both estimators hold one slab of temporaries at a time, so
+#: the heap can reuse them where a whole batch maps and faults in new pages.
+_SLAB_VALUES = 2**14
+
+
 class NonlinearIntegralOperator:
     """Discretized multiplier-plus-integral operator on a grid."""
 
@@ -386,7 +394,22 @@ class NonlinearIntegralOperator:
         """K(u) and F(u) = W u + K(u) + b, each of the shape of ``values``:
         (h, M) for one function or (P, h, M) for a batch, whose every
         function gets the bits that it gets alone.  ``values`` are what
-        :meth:`checked_values` returned or were computed from them."""
+        :meth:`checked_values` returned or were computed from them.  A batch
+        is taken one slab of ``_SLAB_VALUES`` grid values (two functions at
+        least) at a time into outputs allocated once in the first slab's
+        layout: attention's K is not C-ordered per function, and sums over a
+        function follow memory order."""
+        if values.ndim == 3 and len(values) > (rows := max(2, _SLAB_VALUES // values[0].size)):
+            k = f = None
+            for start in range(0, len(values), rows):
+                part = slice(start, start + rows)
+                k_part, f_part = self.evaluate(values[part])
+                if k is None:
+                    k = np.empty_like(k_part, shape=values.shape)
+                    f = np.empty_like(f_part, shape=values.shape)
+                k[part], f[part] = k_part, f_part
+                del k_part, f_part  # free before the next slab is computed
+            return k, f
         k = self.kernel.integral(self.grid, values).reshape(values.shape)
         f = self.w_values * values + k
         if self.bias is not None:
@@ -636,12 +659,17 @@ def estimate_coercivity(
 
     Directions are random smooth functions (first 16 modes), drawn and
     normalized in the quadrature norm together.  K is nonlinear, so each
-    (ray, radius) pair is one function of the batch that K is evaluated on
-    in one call.  For sigmoid-sum kernels the report
+    (ray, radius) pair is one function of a batch; the probes and their
+    inner products are formed one slab of rays at a time, and each batch is
+    evaluated in slabs.  ``alpha`` must be finite and ``n_rays`` a positive
+    integer.  For sigmoid-sum kernels the report
     carries the closed-form slope alpha - sup|W^-1| * C_K * |D| with C_K
     the sum of the coefficient sup norms, and the flag for its validity
     condition C_K < (sup|W^-1|)^-1 |D|^-1.
     """
+    require_finite("alpha", alpha)
+    if isinstance(n_rays, bool) or not isinstance(n_rays, (int, np.integer)) or n_rays < 1:
+        raise ValueError(f"n_rays must be a positive integer, got {n_rays!r}")
     radii = np.geomspace(1.0, 1000.0, 13)
     grid = op.grid
     rng = np.random.default_rng(seed)
@@ -651,10 +679,15 @@ def estimate_coercivity(
     rays = from_spectral(SpectralCoeffs(basis, n_modes, coeffs), grid).values
     rays = rays / np.sqrt(np.sum(grid.weights * rays**2, axis=(1, 2)))[:, None, None]
     unit_sq = np.sum(grid.weights * rays**2, axis=(1, 2))
-    probes = rays[:, None] * radii[:, None, None]  # (ray, radius, h, M)
-    ku = op.evaluate(probes.reshape(-1, op.channels, grid.size))[0].reshape(probes.shape)
-    values = (alpha * radii * unit_sq[:, None]
-              + np.sum(grid.weights * (ku / op.w_values) * rays[:, None], axis=(2, 3)))
+    values = np.empty((n_rays, radii.size))
+    step = max(1, _SLAB_VALUES // (radii.size * op.channels * grid.size))
+    for start in range(0, n_rays, step):
+        part = slice(start, start + step)
+        probes = rays[part, None] * radii[:, None, None]  # (ray, radius, h, M)
+        ku = op.evaluate(probes.reshape(-1, op.channels, grid.size))[0].reshape(probes.shape)
+        values[part] = (alpha * radii * unit_sq[part, None]
+                        + np.sum(grid.weights * (ku / op.w_values) * rays[part, None],
+                                 axis=(2, 3)))
     min_values = values.min(axis=0)
     scale = np.maximum(1.0, np.abs(min_values[:-1]))
     monotone = bool(np.all(np.diff(min_values) >= -1e-9 * scale))
@@ -685,8 +718,9 @@ def estimate_contraction(op: NonlinearIntegralOperator, seed: int = 0) -> float:
     The seeded sampler mixes deterministic probe pairs along the first
     basis modes (two scales each from two shared base points, so linear
     kernels report their exact directional gains) with random smooth pairs
-    of norm up to 2, up to 64 pairs.  K is evaluated on the distinct
-    sample points in one call.
+    of norm up to 2, up to 64 pairs.  K is evaluated once on each distinct
+    sample point, in slabs, and the pair distances are taken one slab of
+    pairs at a time.
     """
     grid = op.grid
     basis = BasisSpec("fourier", (grid.a, grid.b))
@@ -706,12 +740,20 @@ def estimate_contraction(op: NonlinearIntegralOperator, seed: int = 0) -> float:
     n_random = max(0, 64 - 4 * n_modes)
     random = smooth(rng.standard_normal((2 * n_random, ch, n_modes)) * 0.5)
     points = np.concatenate([bases, shifted.reshape(-1, ch, grid.size), random])
-    k_points = op.evaluate(points)[0] / op.w_values
+    del shifted, random
+    k_points = op.evaluate(points)[0]
+    k_points /= op.w_values
     fixed = np.stack([np.repeat([0, 1], 2 * n_modes), np.arange(2, 2 + 4 * n_modes)], axis=1)
     drawn = 2 + 4 * n_modes + np.arange(2 * n_random).reshape(-1, 2)
     first, second = np.concatenate([fixed, drawn]).T
-    gap = np.sqrt(np.sum(grid.weights * (points[first] - points[second]) ** 2, axis=(1, 2)))
-    out = np.sqrt(np.sum(grid.weights * (k_points[first] - k_points[second]) ** 2, axis=(1, 2)))
+    gap, out = np.empty((2, first.size))
+    step = max(1, _SLAB_VALUES // (ch * grid.size))
+    for start in range(0, first.size, step):
+        i, j = first[start:start + step], second[start:start + step]
+        gap[start:start + step], out[start:start + step] = (
+            np.sqrt(np.sum(grid.weights * (v[i] - v[j]) ** 2, axis=(1, 2)))
+            for v in (points, k_points)
+        )
     keep = gap > 1e-14
     # fmax skips NaN ratios, as a running max(rho, ratio) from 0 does.
     return float(np.fmax.reduce(out[keep] / gap[keep], initial=0.0))

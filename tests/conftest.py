@@ -8,13 +8,14 @@ from injop.nonlin import RidgeKernel
 
 @pytest.fixture
 def integral_calls(monkeypatch):
-    """A list that grows by one entry per call of ``RidgeKernel.integral``,
-    the kernel integral of every ridge kernel, whichever route it takes."""
+    """A list that grows by a copy of the values passed to each call of
+    ``RidgeKernel.integral``, the kernel integral of every ridge kernel,
+    whichever route it takes."""
     calls = []
     integral = RidgeKernel.integral
 
     def counting(self, grid, values):
-        calls.append(grid.size)
+        calls.append(values.copy())
         return integral(self, grid, values)
 
     monkeypatch.setattr(RidgeKernel, "integral", counting)

@@ -1014,6 +1014,25 @@ class TestEstimators:
         assert np.isfinite(estimate_contraction(op))
         assert np.all(np.isfinite(estimate_coercivity(op, alpha=1.0, n_rays=2).min_values))
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_coercivity_refuses_a_non_finite_alpha(self, alpha):
+        # NaN used to return NaN min values; inf warned and reported radius 1.
+        op = NonlinearIntegralOperator(GRID, LinearTableKernel(0.4))
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            estimate_coercivity(op, alpha=alpha, n_rays=2)
+
+    @pytest.mark.parametrize("n_rays", [0, -3, 2.0, True, "4"])
+    def test_coercivity_refuses_a_ray_count_that_is_not_a_positive_integer(self, n_rays):
+        # 0 used to fail inside numpy's min over an empty array.
+        op = NonlinearIntegralOperator(GRID, LinearTableKernel(0.4))
+        with pytest.raises(ValueError, match=f"n_rays must be a positive integer, got {n_rays!r}"):
+            estimate_coercivity(op, alpha=1.0, n_rays=n_rays)
+
+    def test_coercivity_takes_a_numpy_integer_ray_count(self):
+        op = NonlinearIntegralOperator(GRID, LinearTableKernel(0.4))
+        report = estimate_coercivity(op, alpha=1.0, n_rays=np.int64(2))
+        assert report.min_values.tobytes() == estimate_coercivity(op, 1.0, 2).min_values.tobytes()
+
     def test_coercivity_flags_violated_condition(self):
         kern = SigmoidSumKernel([(5.0, 1.0, 0.0)], signature="u(y)")
         op = NonlinearIntegralOperator(GRID, kern, w=1.0)
@@ -1104,14 +1123,55 @@ def test_estimators_match_pairwise_reference(size):
             assert report.min_values.tobytes() == want.tobytes()
 
 
-def test_estimators_evaluate_their_points_in_one_call(integral_calls):
-    # 66 contraction points at M >= 128 and 8 rays x 13 radii: one kernel
-    # integral each.
-    op = NonlinearIntegralOperator(GRID, SigmoidSumKernel([(0.3, 1.0, 0.0)], "u(y)"))
-    estimate_contraction(op)
-    assert len(integral_calls) == 1
-    estimate_coercivity(op, alpha=1.0, n_rays=8)
-    assert len(integral_calls) == 2
+@pytest.mark.parametrize("size", [64, 1024])
+def test_estimators_evaluate_each_probe_once_in_slabs(integral_calls, size):
+    # Each kernel integral takes at most one slab of grid values, and the
+    # calls take every point of the one-pair-at-a-time references once.
+    # M = 1024 takes the 66 contraction points in 5 slabs and the 8 rays
+    # x 13 radii one ray per slab; M = 64 adds random pairs.
+    import injop.nonlin as nonlin
+
+    grid = Grid(0.0, 1.0, size)
+    op = NonlinearIntegralOperator(grid, SigmoidSumKernel([(0.3, 1.0, 0.0)], "u(y)"))
+
+    def rows():
+        out = np.concatenate([v.reshape(-1, grid.size) for v in integral_calls])
+        integral_calls.clear()
+        return out
+
+    for run, reference in [(lambda: estimate_contraction(op, seed=4),
+                            lambda: _reference_contraction(op, 4)),
+                           (lambda: estimate_coercivity(op, alpha=1.0, n_rays=8, seed=4),
+                            lambda: _reference_coercivity_values(op, 1.0, 8, 4))]:
+        run()
+        assert max(v.size for v in integral_calls) <= nonlin._SLAB_VALUES
+        assert (len(integral_calls) > 1) == (size == 1024)
+        batched = rows()
+        reference()
+        want = np.unique(rows(), axis=0)
+        assert len(batched) == len(want)
+        assert np.unique(batched, axis=0).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("estimate, bound_mb", [
+    (lambda op: estimate_contraction(op), 2.5),
+    (lambda op: estimate_coercivity(op, alpha=1.0, n_rays=32), 2.0),
+], ids=["contraction", "coercivity"])
+def test_estimator_peak_memory_is_bounded_by_its_slabs(estimate, bound_mb):
+    # Every probe in one batch took 3.25 MB for the contraction estimate and
+    # 17.3 MB for 32 coercivity rays at M = 1024.  The first call fills the
+    # mode table cache.
+    grid = Grid(0.0, 1.0, 1024)
+    op = NonlinearIntegralOperator(
+        grid, SigmoidSumKernel([(0.3, 1.0, 0.0), (0.2, -2.0, 0.5)], "u(y)"), w=2.0)
+    estimate(op)
+    tracemalloc.start()
+    try:
+        estimate(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6
 
 
 #: Every route of the batched evaluate: the ridge routes of RIDGE_CASES
@@ -1151,6 +1211,37 @@ class TestBatch:
             assert k[i].tobytes() == k_one.tobytes()
             assert f[i].tobytes() == f_one.tobytes()
 
+    @pytest.mark.parametrize("name", sorted(BATCH_CASES))
+    def test_slabs_keep_each_function_bytes_and_strides(self, name):
+        # 2 slabs + 1 function: the last slab holds one.  Attention's K is
+        # not C-ordered per function; an output in another layout changes
+        # the order of the estimators' sums over a function.
+        import injop.nonlin as nonlin
+
+        grid = Grid(0.0, 1.0, 257)
+        kernel = BATCH_CASES[name](grid.nodes)
+        bias = GridFunction(grid, 0.1 * np.cos(np.arange(kernel.channels)[:, None] + grid.nodes))
+        op = NonlinearIntegralOperator(grid, kernel, w=lambda x: 1.5 + x, bias=bias)
+        slab = nonlin._SLAB_VALUES // (kernel.channels * grid.size)
+        self._assert_each_as_alone(op, _batch(grid, kernel.channels, 2 * slab + 1, 11))
+
+    def test_a_slab_holds_two_functions_at_least(self):
+        # A function of more than half a slab still shares its slab with
+        # another, so the first slab shows the layout of each function: a
+        # one-function slab leaves the order of the batch axis open.
+        grid = Grid(0.0, 1.0, 4097)
+        op = NonlinearIntegralOperator(grid, _TransposedKernel(), w=2.0)
+        self._assert_each_as_alone(op, _batch(grid, 2, 5, 12))
+
+    @staticmethod
+    def _assert_each_as_alone(op, batch):
+        """Each function's K and F in the batch have the bytes and strides
+        they have alone."""
+        k, f = op.evaluate(batch)
+        for i, values in enumerate(batch):
+            for part, one in zip((k[i], f[i]), op.evaluate(values)):
+                assert (part.tobytes(), part.strides) == (one.tobytes(), one.strides)
+
     @pytest.mark.parametrize("name", ["sigmoid_sum_ux", "sigmoid_sum_uy", "wire_uy",
                                       "volterra_sigmoid_scalar", "linear_table_dense",
                                       "attention"])
@@ -1167,6 +1258,17 @@ class TestBatch:
                 assert out.values[i].tobytes() == one.values.tobytes()
 
 
+class _TransposedKernel(KernelBase):
+    """A two-channel kernel whose K(u) = sin u is F-ordered, as attention's is."""
+
+    kind = "transposed"
+    reads = ("u(x)",)
+    channels = 2
+
+    def function_integral(self, grid, values):
+        return np.asfortranarray(np.sin(values))
+
+
 class _ScaledMeanKernel(KernelBase):
     """A kernel of another form: K(u)(x) = u(x) times the integral of
     sin u(y), written for one function alone."""
@@ -1180,7 +1282,7 @@ class _ScaledMeanKernel(KernelBase):
 
 def test_a_kernel_of_another_form_overrides_only_its_function_integral():
     # KernelBase.integral loops the one-function hook over a batch, so the
-    # estimators, which evaluate all their points in one call, take it too.
+    # estimators, which evaluate their points in slabs, take it too.
     grid = Grid(0.0, 1.0, 128)
     op = NonlinearIntegralOperator(grid, _ScaledMeanKernel(), w=2.0)
     batch = _batch(grid, 1, 4, 3)
